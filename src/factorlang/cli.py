@@ -179,6 +179,9 @@ def cmd_decompose(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.method == "greedy":
+        if args.n_max < 1:
+            raise PreconditionError(
+                "out-of-range", f"n_max must be >= 1, got {args.n_max}")
         prefixes = LeveledLanguage(source.prefix(args.n_max)[:n]
                                    for n in range(1, args.n_max + 1))
         s_lang, t_lang = greedy_two_sets(prefixes, args.budget)
@@ -262,6 +265,9 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
         ns = args.n or [1000, 10000, 100000, 1000000]
         rows = []
         for n in ns:
+            if n < 2:
+                raise PreconditionError(
+                    "out-of-range", f"e-count needs n >= 2 (n ln n > 0), got {n}")
             count = staircase_pair_count(n)
             model = n * math.log(n)
             rows.append((n, count, f"{model:.3f}", f"{count / model:.6f}"))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import PreconditionError, VerificationError
@@ -153,7 +154,8 @@ def split_records_to_csv(records) -> str:
 # -- marker construction ------------------------------------------------------
 
 
-def split_factor(index: FactorIndex, markers: dict[int, MarkerSet], v: str) -> SplitRecord:
+def split_factor(index: FactorIndex, markers: dict[int, MarkerSet], v: str,
+                 start: int | None = None) -> SplitRecord:
     """Cut ``v`` at the midpoint of a chosen marker occurrence.
 
     The order is the largest one with a marker occurring inside ``v``; within
@@ -162,6 +164,9 @@ def split_factor(index: FactorIndex, markers: dict[int, MarkerSet], v: str) -> S
     an extreme one (initial or final) is preferred, the first of them; if all
     are internal the first occurrence is used. The cut falls at the middle of
     the marker, so s ends with its left half and t starts with its right half.
+
+    ``start`` is the first window occurrence of ``v`` when the caller already
+    knows it (the factor index lists it); otherwise it is looked up.
     """
     if not markers:
         raise PreconditionError("no-marker-orders", "empty marker family")
@@ -170,10 +175,11 @@ def split_factor(index: FactorIndex, markers: dict[int, MarkerSet], v: str) -> S
         raise PreconditionError(
             "precondition-violation",
             f"marker splitting needs |v| >= {2 * d}, got {len(v)}")
-    start = index.first_occurrence(v)
     if start is None:
-        raise PreconditionError(
-            "precondition-violation", f"{v!r} is not a factor of the window")
+        start = index.first_occurrence(v)
+        if start is None:
+            raise PreconditionError(
+                "precondition-violation", f"{v!r} is not a factor of the window")
     for order in sorted(markers, reverse=True):
         half = 2 ** (order - 1)
         hits = [(v.find(m), m) for m in markers[order].markers]
@@ -239,7 +245,7 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
                 records.append(SplitRecord(v=v, s=v, t="", order=None,
                                            position=first, occurrence_class=None))
             else:
-                rec = split_factor(index, markers, v)
+                rec = split_factor(index, markers, v, first)
                 s_lang.add(rec.s)
                 t_lang.add(rec.t)
                 records.append(rec)
@@ -278,24 +284,50 @@ def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
     """Check by membership that every indexed factor is a word of S times T.
 
     This deliberately ignores any split records: a factor counts as covered
-    when some cut position puts its left part in S and its right part in T.
+    when some cut puts its left part in S and its right part in T. Every
+    indexed factor is ``w[i:i+n]`` for its first-occurrence start i, so the
+    membership probes are made per start and per end, not per factor and cut:
+
+    * for each start i, a mask with bit c set when ``w[i:i+c]`` is in S;
+    * for each end j, a mask with bit ``hi - l`` set when ``w[j-l:j]`` is in
+      T, where hi is the checked length range;
+
+    both relative to their own position, probing only lengths that S or T
+    hold and no longer than the longest factor starting (ending) there. The
+    factor (i, n) is covered exactly when some c + l = n, that is when the
+    start mask of i meets the end mask of i + n shifted down by hi - n.
     """
     hi = index.n_max if n_max is None else n_max
     if not 1 <= hi <= index.n_max:
         raise PreconditionError(
             "out-of-range", f"cover range 1..{hi} outside the indexed 1..{index.n_max}")
-    s_lens = set(s_lang.lengths())
-    t_lens = set(t_lang.lengths())
+    rows = [index.factor_starts(n).tolist() for n in range(1, hi + 1)]
+    longest_from: dict[int, int] = {}
+    longest_to: dict[int, int] = {}
+    for n, row in enumerate(rows, start=1):
+        for i in row:
+            longest_from[i] = n
+            longest_to[i + n] = n
+    window = index.window
+    s_lens = s_lang.lengths()
+    t_lens = t_lang.lengths()
+    from_start = {
+        i: sum(1 << c for c in s_lens[:bisect_right(s_lens, top)]
+               if window[i:i + c] in s_lang)
+        for i, top in longest_from.items()}
+    to_end = {
+        j: sum(1 << (hi - l) for l in t_lens[:bisect_right(t_lens, top)]
+               if window[j - l:j] in t_lang)
+        for j, top in longest_to.items()}
     uncovered = []
     total = 0
-    for n in range(1, hi + 1):
-        cuts = [c for c in range(n + 1) if c in s_lens and (n - c) in t_lens]
-        for v, _ in index.factors_with_positions(n):
-            total += 1
-            if not any(v[:c] in s_lang and v[c:] in t_lang for c in cuts):
-                uncovered.append(v)
-    s_cards = {n: s_lang.cardinality(n) for n in s_lang.lengths()}
-    t_cards = {n: t_lang.cardinality(n) for n in t_lang.lengths()}
+    for n, row in enumerate(rows, start=1):
+        total += len(row)
+        for i in row:
+            if not from_start[i] & (to_end[i + n] >> (hi - n)):
+                uncovered.append(window[i:i + n])
+    s_cards = {n: s_lang.cardinality(n) for n in s_lens}
+    t_cards = {n: t_lang.cardinality(n) for n in t_lens}
     return CoverReport(total=total, uncovered=uncovered,
                        s_cardinalities=s_cards, t_cardinalities=t_cards)
 
@@ -304,17 +336,16 @@ def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
 
 
 def _max_valuation_boundary(lo: int, hi: int) -> tuple[int, int]:
-    """The unique position in [lo, hi] with maximal 2-adic valuation.
+    """The unique position in [lo, hi] (lo >= 1) with maximal 2-adic valuation.
 
     Two positions sharing the maximal valuation would have a higher-valuation
-    multiple strictly between them, so the argmax is unique.
+    multiple strictly between them, so the argmax is unique. It is the
+    largest multiple of 2^k in the range, where k is the highest bit in
+    which lo - 1 and hi differ: hi has that bit set, and clearing the bits
+    below it keeps the value above lo - 1.
     """
-    best, best_val = lo, (lo & -lo).bit_length() - 1
-    for m in range(lo + 1, hi + 1):
-        val = (m & -m).bit_length() - 1
-        if val > best_val:
-            best, best_val = m, val
-    return best, best_val
+    k = (hi ^ (lo - 1)).bit_length() - 1
+    return (hi >> k) << k, k
 
 
 def thue_morse_split_sets(n_max: int, n_work: int | None = None):

@@ -49,7 +49,19 @@ class ComplexityProfile:
 
 
 class FactorIndex:
-    """Queries over the distinct factors of ``window`` up to length ``n_max``."""
+    """Queries over the distinct factors of ``window`` up to length ``n_max``.
+
+    Counts come from the suffix automaton's length intervals. Factors are
+    enumerated from one table, built on first use: the first-occurrence
+    start of each of the g(n_max) indexed factors, in (length, word) order,
+    so the p(n) starts of length n are the slice [g(n-1), g(n)). A state
+    covering the lengths [minlen, maxlen] and first ending at ``first_end``
+    contributes the start first_end - n + 1 for each n in
+    [minlen, min(maxlen, n_max)], and one ``np.repeat`` expands every
+    interval at once; only the word order within a length compares slices of
+    the window. The table holds integers, never factor strings, and runs
+    that only count factors never build it.
+    """
 
     def __init__(self, source: WordSource, window: str, n_max: int):
         self.source = source
@@ -59,18 +71,11 @@ class FactorIndex:
         self.n_max = n_max
         self.alphabet = tuple(sorted(set(window)))
         self._sam = SuffixAutomaton(window)
-        self._rev_sam: SuffixAutomaton | None = None
         self._p = self._sam.length_counts(n_max)
         self._g = np.cumsum(self._p)
-        branching = self._sam.outdeg >= 2
-        self._right_special_counts = self._sam.length_counts(n_max, mask=branching)
-        # Arrays for enumerating right special factors: one row per branching
-        # state, holding its length interval and first ending position.
-        idx = np.nonzero(branching)[0]
-        idx = idx[idx > 0]
-        self._rs_lo = self._sam.minlen[idx]
-        self._rs_hi = self._sam.maxlen[idx]
-        self._rs_end = self._sam.first_end[idx]
+        self._starts: np.ndarray | None = None
+        self._right_intervals = None
+        self._left_intervals = None
 
     # -- complexity ----------------------------------------------------------
 
@@ -129,32 +134,46 @@ class FactorIndex:
 
     # -- factor enumeration --------------------------------------------------
 
+    def factor_starts(self, n: int) -> np.ndarray:
+        """First-occurrence starts of the distinct factors of length ``n``,
+        in lexicographic order of the factors (a view of the factor table)."""
+        self._check_range(n)
+        if self._starts is None:
+            self._starts = self._build_factor_table()
+        top = int(self._g[n - 1])
+        return self._starts[top - int(self._p[n - 1]):top]
+
+    def _build_factor_table(self) -> np.ndarray:
+        sam = self._sam
+        lo = sam.minlen[1:]
+        hi = np.minimum(sam.maxlen[1:], self.n_max)
+        keep = lo <= hi
+        lo, hi, end = lo[keep], hi[keep], sam.first_end[1:][keep]
+        counts = hi - lo + 1
+        # lengths run lo..hi inside each state's block of the expansion
+        block_start = np.cumsum(counts) - counts
+        lengths = np.repeat(lo - block_start, counts) + np.arange(int(counts.sum()))
+        starts = np.repeat(end + 1, counts) - lengths
+        starts = starts[np.argsort(lengths, kind="stable")]
+        text = self.window
+        top = 0
+        for n in range(1, self.n_max + 1):
+            bottom, top = top, int(self._g[n - 1])
+            row = starts[bottom:top].tolist()
+            row.sort(key=lambda i: text[i:i + n])
+            starts[bottom:top] = row
+        starts.flags.writeable = False  # callers get views of the table
+        return starts
+
     def factors_of_length(self, n: int) -> set[str]:
         """The distinct factors of length ``n``."""
-        self._check_range(n)
-        sam = self._sam
         text = self.window
-        out = set()
-        lo, hi, end = sam.minlen, sam.maxlen, sam.first_end
-        for s in range(1, sam.n_states):
-            if lo[s] <= n <= hi[s]:
-                e = int(end[s])
-                out.add(text[e - n + 1:e + 1])
-        return out
+        return {text[i:i + n] for i in self.factor_starts(n).tolist()}
 
     def factors_with_positions(self, n: int) -> list[tuple[str, int]]:
         """(factor, first occurrence start) pairs of length ``n``, sorted."""
-        self._check_range(n)
-        sam = self._sam
         text = self.window
-        out = []
-        lo, hi, end = sam.minlen, sam.maxlen, sam.first_end
-        for s in range(1, sam.n_states):
-            if lo[s] <= n <= hi[s]:
-                e = int(end[s])
-                out.append((text[e - n + 1:e + 1], e - n + 1))
-        out.sort()
-        return out
+        return [(text[i:i + n], i) for i in self.factor_starts(n).tolist()]
 
     # -- special factors -----------------------------------------------------
 
@@ -165,33 +184,27 @@ class FactorIndex:
         of length n is read off extensions of length n+1.
         """
         self._check_range(n, self.n_max - 1)
+        if self._right_intervals is None:
+            self._right_intervals = _branching_intervals(self._sam)
         text = self.window
-        keep = (self._rs_lo <= n) & (n <= self._rs_hi)
-        return {text[int(e) - n + 1:int(e) + 1] for e in self._rs_end[keep]}
-
-    def right_special_count(self, n: int) -> int:
-        self._check_range(n, self.n_max - 1)
-        return int(self._right_special_counts[n - 1])
+        return {text[e - n + 1:e + 1]
+                for e in _ends_at_length(self._right_intervals, n).tolist()}
 
     def left_special(self, n: int) -> set[str]:
         """Factors of length ``n`` with at least two left extensions.
 
-        Computed on a suffix automaton of the reversed window, built lazily on
-        first use: left special factors are reversed right special factors of
-        the reversed window.
+        Left special factors are reversed right special factors of the
+        reversed window. The suffix automaton of the reversed window is built
+        on first use and only its branching intervals are kept; a factor
+        ending at e in the reversed window starts at n_work - 1 - e here.
         """
         self._check_range(n, self.n_max - 1)
-        if self._rev_sam is None:
-            self._rev_sam = SuffixAutomaton(self.window[::-1])
-        sam = self._rev_sam
-        text = sam.text
-        out = set()
-        lo, hi, end, deg = sam.minlen, sam.maxlen, sam.first_end, sam.outdeg
-        for s in range(1, sam.n_states):
-            if deg[s] >= 2 and lo[s] <= n <= hi[s]:
-                e = int(end[s])
-                out.add(text[e - n + 1:e + 1][::-1])
-        return out
+        if self._left_intervals is None:
+            self._left_intervals = _branching_intervals(
+                SuffixAutomaton(self.window[::-1]))
+        text = self.window
+        starts = self.n_work - 1 - _ends_at_length(self._left_intervals, n)
+        return {text[i:i + n] for i in starts.tolist()}
 
     # -- membership and occurrences ------------------------------------------
 
@@ -219,6 +232,21 @@ class FactorIndex:
             out.append(start)
             start = self.window.find(word, start + 1)
         return out
+
+
+def _branching_intervals(sam: SuffixAutomaton):
+    """(minlen, maxlen, first_end) of the non-initial states with two or
+    more out-going letters, whose factors are exactly the right special
+    ones."""
+    idx = np.nonzero(sam.outdeg >= 2)[0]
+    idx = idx[idx > 0]
+    return sam.minlen[idx], sam.maxlen[idx], sam.first_end[idx]
+
+
+def _ends_at_length(intervals, n: int) -> np.ndarray:
+    """First ends of the states in ``intervals`` that hold a factor of length n."""
+    lo, hi, end = intervals
+    return end[(lo <= n) & (n <= hi)]
 
 
 def build_factor_index(source: WordSource, n_work: int | None = None,

@@ -344,7 +344,7 @@ def _parse_directive(body: str):
     return (), tuple(entries)
 
 
-def _parse_morphic(body: str) -> WordSource:
+def _parse_morphic(body: str, prefix_cap: int) -> WordSource:
     rules_part, at, start = body.rpartition("@")
     if not at:
         raise WordSpecError("bad-word-spec", "morphic spec needs @<start letter>")
@@ -358,10 +358,10 @@ def _parse_morphic(body: str) -> WordSource:
         if left in images:
             raise WordSpecError("bad-word-spec", f"duplicate rule for letter {left!r}")
         images[left] = right
-    return fixed_point(Morphism(images, start))
+    return fixed_point(Morphism(images, start), prefix_cap)
 
 
-def _parse_pq(body: str) -> WordSource:
+def _parse_pq(body: str, prefix_cap: int) -> WordSource:
     f_spec, k_spec = "isqrt", "p"
     if body:
         for item in body.split(","):
@@ -374,7 +374,7 @@ def _parse_pq(body: str) -> WordSource:
                 k_spec = value
             else:
                 raise WordSpecError("bad-word-spec", f"unknown pq option {key!r}")
-    return pq_block_product(f_spec, k_spec)
+    return pq_block_product(f_spec, k_spec, prefix_cap)
 
 
 def parse_word_spec(text: str, prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
@@ -391,12 +391,12 @@ def parse_word_spec(text: str, prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSour
         pre, per = _parse_directive(body)
         return sturmian_characteristic(pre, per, prefix_cap)
     if kind == "morphic":
-        return _parse_morphic(body)
+        return _parse_morphic(body, prefix_cap)
     if kind == "ultper":
         head, bar, tail = body.partition("|")
         if not bar:
             raise WordSpecError("bad-word-spec", "ultper spec needs <preperiod>|<period>")
         return ultimately_periodic(head, tail, prefix_cap)
     if kind == "pq":
-        return _parse_pq(body)
+        return _parse_pq(body, prefix_cap)
     raise WordSpecError("bad-word-spec", f"unknown word kind {kind!r}")

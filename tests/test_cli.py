@@ -122,6 +122,14 @@ def test_decompose_greedy(tmp_path, capsys):
     assert stats["t_per_length_max"] <= 3
 
 
+def test_decompose_greedy_rejects_n_max_zero(tmp_path, capsys):
+    out = tmp_path / "dc"
+    assert run(["decompose", "greedy", "tm", "--n-max", "0",
+                "--out", str(out)]) == 3
+    assert "out-of-range" in capsys.readouterr().err
+    assert not (out / "S.jsonl").exists()
+
+
 def test_decompose_reruns_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -176,6 +184,14 @@ def test_experiment_e_count(capsys):
     assert rows[0] == "n,count,model,ratio"
     assert rows[1].startswith("1000,1423,")
     assert len(rows) == 4  # header, two data rows, note
+
+
+@pytest.mark.parametrize("n", ["1", "0", "1000,1"])
+def test_experiment_e_count_rejects_n_below_two(n, capsys):
+    assert run(["experiment", "e-count", "--n", n]) == 3
+    err = capsys.readouterr().err
+    assert "out-of-range" in err
+    assert "Traceback" not in err
 
 
 def test_experiment_fit_fib(capsys):

@@ -1,5 +1,6 @@
 """Decomposition routes: marker cuts, word-specific sets, greedy, counting."""
 
+import functools
 import itertools
 import math
 
@@ -30,6 +31,7 @@ from factorlang import (
     verify_cover,
     witness_split,
 )
+from factorlang.decompose import CoverReport, _max_valuation_boundary
 
 
 # -- leveled languages ---------------------------------------------------------
@@ -191,7 +193,120 @@ def test_verify_cover_degenerate_cases(tm_index):
         verify_cover(tm_index, everything, just_epsilon, n_max=500)
 
 
+def slicing_verify_cover(index, s_lang, t_lang, n_max=None) -> CoverReport:
+    """Oracle for verify_cover: try every cut of every factor by slicing."""
+    hi = index.n_max if n_max is None else n_max
+    s_lens = set(s_lang.lengths())
+    t_lens = set(t_lang.lengths())
+    uncovered = []
+    total = 0
+    for n in range(1, hi + 1):
+        cuts = [c for c in range(n + 1) if c in s_lens and (n - c) in t_lens]
+        for v, _ in index.factors_with_positions(n):
+            total += 1
+            if not any(v[:c] in s_lang and v[c:] in t_lang for c in cuts):
+                uncovered.append(v)
+    s_cards = {n: s_lang.cardinality(n) for n in s_lang.lengths()}
+    t_cards = {n: t_lang.cardinality(n) for n in t_lang.lengths()}
+    return CoverReport(total=total, uncovered=uncovered,
+                       s_cardinalities=s_cards, t_cardinalities=t_cards)
+
+
+COVER_SPECS = ["tm", "fib", "abk", "ultper:01|10", "ultper:0|011"]
+
+
+@functools.lru_cache(maxsize=None)
+def small_index(spec, n_max):
+    return build_factor_index(parse_word_spec(spec), n_work=8 * n_max, n_max=n_max)
+
+
+def without(lang, drop):
+    return LeveledLanguage(w for w in lang.words() if w not in drop)
+
+
+def halves_sets(index):
+    """S and T holding every factor of length at most ceil(n_max / 2), and
+    the empty word: v = v[:n//2] + v[n//2:] covers every indexed factor."""
+    half = (index.n_max + 1) // 2
+    words = [""] + [w for n in range(1, half + 1) for w in index.factors_of_length(n)]
+    return LeveledLanguage(words), LeveledLanguage(words)
+
+
+def route_sets(spec, index):
+    if spec == "tm":
+        s_lang, t_lang, _ = thue_morse_split_sets(index.n_max, index.n_work)
+        return s_lang, t_lang
+    if spec == "fib":
+        return sturmian_split_sets(index)
+    return halves_sets(index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(COVER_SPECS), st.integers(min_value=2, max_value=12), st.data())
+def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
+    index = small_index(spec, n_max)
+    factors = [w for n in range(1, n_max + 1) for w in sorted(index.factors_of_length(n))]
+    letters = "".join(index.alphabet)
+    words = st.one_of(st.sampled_from([""] + factors),
+                      st.text(alphabet=letters, max_size=n_max + 2))
+    s_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
+    t_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
+    hi = data.draw(st.integers(min_value=1, max_value=n_max))
+    assert verify_cover(index, s_lang, t_lang, hi) == \
+        slicing_verify_cover(index, s_lang, t_lang, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(COVER_SPECS), st.integers(min_value=2, max_value=12), st.data())
+def test_mask_cover_matches_slicing_oracle_on_thinned_routes(spec, n_max, data):
+    index = small_index(spec, n_max)
+    s_lang, t_lang = route_sets(spec, index)
+    assert verify_cover(index, s_lang, t_lang).coverage == 1.0
+    drop_s = data.draw(st.sets(st.sampled_from(list(s_lang.words())), max_size=4))
+    drop_t = data.draw(st.sets(st.sampled_from(list(t_lang.words())), max_size=4))
+    s_lang, t_lang = without(s_lang, drop_s), without(t_lang, drop_t)
+    report = verify_cover(index, s_lang, t_lang)
+    assert report == slicing_verify_cover(index, s_lang, t_lang)
+
+
+@pytest.mark.parametrize("spec", ["tm", "fib"])
+def test_mask_cover_reports_uncovered_in_oracle_order(spec):
+    index = build_factor_index(parse_word_spec(spec), n_max=32)
+    s_lang, t_lang, _ = build_st(index)
+    # without the empty word in T the short factors, kept whole in S, and
+    # the factors cut into that T word lose their cover
+    t_lang = without(t_lang, {"", max(t_lang.words())})
+    report = verify_cover(index, s_lang, t_lang)
+    assert len(report.uncovered) > 5
+    assert report == slicing_verify_cover(index, s_lang, t_lang)
+
+
+def test_split_factor_known_start_matches_lookup(tm_index):
+    markers = build_all_markers(tm_index)
+    d = _family_d(markers)
+    for n in (2 * d, 50, 128):
+        for v, start in tm_index.factors_with_positions(n):
+            assert split_factor(tm_index, markers, v, start) == \
+                split_factor(tm_index, markers, v)
+
+
 # -- doubling-morphism route -----------------------------------------------------
+
+
+def scan_max_valuation_boundary(lo, hi):
+    """Oracle: scan [lo, hi] for the position of largest 2-adic valuation."""
+    best, best_val = lo, (lo & -lo).bit_length() - 1
+    for m in range(lo + 1, hi + 1):
+        val = (m & -m).bit_length() - 1
+        if val > best_val:
+            best, best_val = m, val
+    return best, best_val
+
+
+def test_max_valuation_boundary_matches_scan():
+    for lo in range(1, 512):
+        for hi in range(lo, 512):
+            assert _max_valuation_boundary(lo, hi) == scan_max_valuation_boundary(lo, hi)
 
 
 def test_thue_morse_sets_counts_and_cuts(tm_index):

@@ -1,6 +1,8 @@
 """Factor index vs sliding-frame oracles, plus profile and window guards."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlang import (
     PreconditionError,
@@ -60,13 +62,28 @@ def test_special_factors_match_frame_oracle(spec):
 @pytest.mark.parametrize("spec", SMALL_SPECS)
 def test_factor_enumeration_and_positions(spec):
     source = parse_word_spec(spec)
-    index = build_factor_index(source, n_work=400, n_max=12)
+    index = build_factor_index(source, n_work=400, n_max=24)
     window = source.prefix(400)
-    for n in (1, 4, 12):
+    for n in range(1, 25):
         oracle = frame_factors(window, n)
         assert index.factors_of_length(n) == oracle
-        for word, pos in index.factors_with_positions(n):
-            assert window.find(word) == pos
+        pairs = index.factors_with_positions(n)
+        assert pairs == sorted((word, window.find(word)) for word in oracle)
+        assert index.factor_starts(n).tolist() == [pos for _, pos in pairs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SPECS + ["sturm:1,3,(2)", "morphic:0->001,1->10@0"]),
+       st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=60))
+def test_factor_table_matches_brute_force_at_every_length(spec, n_max, extra):
+    # windows from the smallest allowed (2 * n_max) upwards
+    source = parse_word_spec(spec)
+    n_work = 2 * n_max + extra
+    index = build_factor_index(source, n_work=n_work, n_max=n_max)
+    window = source.prefix(n_work)
+    for n in range(1, n_max + 1):
+        oracle = sorted(frame_factors(window, n))
+        assert index.factors_with_positions(n) == [(w, window.find(w)) for w in oracle]
 
 
 def test_thue_morse_profile_values():

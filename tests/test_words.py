@@ -125,6 +125,15 @@ def test_prefix_consistency_and_cap():
         tm.prefix(-1)
 
 
+@pytest.mark.parametrize("spec", ["morphic:0->01,1->10@0", "pq:f=isqrt,k=p"])
+def test_parse_word_spec_passes_prefix_cap(spec):
+    source = parse_word_spec(spec, prefix_cap=10)
+    assert source.prefix_cap == 10
+    assert len(source.prefix(10)) == 10
+    with pytest.raises(PreconditionError, match="resource-limit"):
+        source.prefix(11)
+
+
 @pytest.mark.parametrize("spec,head", [
     ("tm", "01101001"),
     ("fib", "01001010"),
