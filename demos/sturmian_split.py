@@ -8,7 +8,6 @@
 
 from factorlang import (
     PreconditionError,
-    VerificationError,
     build_factor_index,
     parse_word_spec,
     sturmian_split_sets,
@@ -37,7 +36,7 @@ print(f"  {rec.v!r} = {rec.s!r} + {rec.t!r}")
 # sets that cannot work.
 try:
     sturmian_split_sets(build_factor_index(parse_word_spec("tm"), n_max=32))
-except (PreconditionError, VerificationError) as exc:
+except PreconditionError as exc:
     print(f"\ntm rejected: {exc}")
 
 # Any directive sequence gives another Sturmian word; the sets are just as

@@ -13,7 +13,7 @@ from factorlang import build_factor_index, thue_morse, thue_morse_split_sets, ve
 N_MAX = 64
 
 index = build_factor_index(thue_morse(), n_max=N_MAX)
-s1, s2, cut = thue_morse_split_sets(N_MAX, index.n_work)
+s1, s2, cut = thue_morse_split_sets(index)
 
 print("per-length cardinalities (they never move):")
 for m in [1, 2, 3, 8, 31, 64]:

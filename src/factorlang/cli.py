@@ -18,36 +18,32 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .decompose import (
+    METHODS,
     LeveledLanguage,
-    build_st,
+    build_decomposition,
     split_records_to_csv,
-    split_sets_bound,
     sturmian_split_sets,
     thue_morse_split_sets,
     verify_cover,
-    witness_split,
-    greedy_two_sets,
 )
 from .errors import FactorLangError, PreconditionError, VerificationError
 from .experiments import (
     growth_fit,
     product_bound_audit,
+    resolve_model,
     staircase_pair_count,
     witness_pair_count,
 )
-from .factors import DEFAULT_N_MAX, DEFAULT_STABILIZATION_FACTOR, build_factor_index
-from .periodicity import build_all_markers, markers_to_jsonl
+from .factors import DEFAULT_N_MAX, build_factor_index, stabilization_check
+from .periodicity import markers_to_jsonl
 from .words import parse_word_spec
-
-_TM_SPECS = ("tm", "morphic:0->01,1->10@0")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Canonical description of one invocation, embedded in reports.
 
-    The canonical string is "<command> key=value ..." with keys sorted, and
-    parses back to an equal config.
+    The canonical string is "<command> key=value ..." with keys sorted.
     """
 
     command: str
@@ -60,17 +56,6 @@ class RunConfig:
         parts = [self.command]
         parts.extend(f"{k}={v}" for k, v in self.options)
         return " ".join(parts)
-
-    @classmethod
-    def from_string(cls, text: str) -> "RunConfig":
-        head, *rest = text.split()
-        options = []
-        for item in rest:
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise PreconditionError("bad-config", f"bad config item {item!r}")
-            options.append((key, value))
-        return cls(command=head, options=tuple(options))
 
 
 def _write_atomic(path: Path, text: str):
@@ -100,12 +85,6 @@ def _int_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected lo:hi integers, got {text!r}")
 
 
-def _window(args) -> int:
-    if args.window is not None:
-        return args.window
-    return DEFAULT_STABILIZATION_FACTOR * args.n_max
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -117,13 +96,12 @@ def cmd_word(args) -> int:
 
 def cmd_complexity(args) -> int:
     source = parse_word_spec(args.spec)
-    index = build_factor_index(source, _window(args), args.n_max)
-    double = build_factor_index(source, 2 * index.n_work, args.n_max)
-    if index.profile().p != double.profile().p:
+    index = build_factor_index(source, args.window, args.n_max)
+    if not stabilization_check(index):
         raise VerificationError(
             "unstable-window",
             f"profile changes when the window grows from {index.n_work} to"
-            f" {double.n_work}; enlarge --window")
+            f" {2 * index.n_work}; enlarge --window")
     csv = index.profile().to_csv()
     if args.out:
         _write_atomic(Path(args.out), csv)
@@ -133,121 +111,60 @@ def cmd_complexity(args) -> int:
     return 0
 
 
-def _decompose_marker(index, out_dir):
-    markers = build_all_markers(index)
-    s_lang, t_lang, records = build_st(index, markers)
-    _write_atomic(out_dir / "markers.jsonl", markers_to_jsonl(markers))
-    c, k = index.slope_constants()
-    d = next(iter(markers.values())).D
-    r = max(len(ms.markers) for ms in markers.values())
-    extras = {
-        "C": c,
-        "K": k,
-        "D": d,
-        "R": r,
-        "orders": sorted(markers),
-        "bound": split_sets_bound(r, c, d),
-    }
-    return s_lang, t_lang, records, extras
-
-
-def _decompose_tm(index, args):
-    if args.spec not in _TM_SPECS:
-        raise PreconditionError(
-            "method-mismatch",
-            "the doubling-morphism route is specific to the tm word")
-    s_lang, t_lang, cut = thue_morse_split_sets(args.n_max, index.n_work)
-    records = []
-    for n in range(1, index.n_max + 1):
-        for v, _ in index.factors_with_positions(n):
-            records.append(cut(v))
-    return s_lang, t_lang, records, {}
-
-
-def _decompose_sturmian(index):
-    s_lang, t_lang = sturmian_split_sets(index)
-    records = []
-    for n in range(1, index.n_max + 1):
-        for v, _ in index.factors_with_positions(n):
-            records.append(witness_split(v, s_lang, t_lang))
-    return s_lang, t_lang, records, {}
-
-
 def cmd_decompose(args) -> int:
     source = parse_word_spec(args.spec)
+    index = build_factor_index(source, args.window, args.n_max)
+    dec = build_decomposition(index, args.method, args.budget)
+    s_lang, t_lang, report = dec.s_lang, dec.t_lang, dec.report
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.method == "greedy":
-        if args.n_max < 1:
-            raise PreconditionError(
-                "out-of-range", f"n_max must be >= 1, got {args.n_max}")
-        prefixes = LeveledLanguage(source.prefix(args.n_max)[:n]
-                                   for n in range(1, args.n_max + 1))
-        s_lang, t_lang = greedy_two_sets(prefixes, args.budget)
-        records = [witness_split(v, s_lang, t_lang) for v in prefixes.words()]
-        extras = {"budget": args.budget}
-        total = prefixes.total()
-        uncovered: list[str] = []
-        coverage = 1.0
-    else:
-        index = build_factor_index(source, _window(args), args.n_max)
-        if args.method == "marker":
-            s_lang, t_lang, records, extras = _decompose_marker(index, out_dir)
-        elif args.method == "tm":
-            s_lang, t_lang, records, extras = _decompose_tm(index, args)
-        else:
-            s_lang, t_lang, records, extras = _decompose_sturmian(index)
-        report = verify_cover(index, s_lang, t_lang)
-        total = report.total
-        uncovered = report.uncovered
-        coverage = report.coverage
+    if dec.markers is not None:
+        _write_atomic(out_dir / "markers.jsonl", markers_to_jsonl(dec.markers))
 
     config = RunConfig("decompose", (
         ("method", args.method),
         ("word", args.spec),
         ("n-max", str(args.n_max)),
-        ("window", str(_window(args))),
+        ("window", str(index.n_work)),
     ))
     stats = {
         "config": config.canonical(),
         "method": args.method,
         "word": args.spec,
         "n_max": args.n_max,
-        "window": _window(args),
-        "factors": total,
-        "coverage": coverage,
+        "window": index.n_work,
+        "factors": report.total,
+        "coverage": report.coverage,
         "s_per_length_max": s_lang.per_length_max(),
         "t_per_length_max": t_lang.per_length_max(),
         "s_total": s_lang.total(),
         "t_total": t_lang.total(),
     }
-    stats.update(extras)
+    stats.update(dec.extras)
     _write_atomic(out_dir / "S.jsonl", s_lang.to_jsonl("S"))
     _write_atomic(out_dir / "T.jsonl", t_lang.to_jsonl("T"))
-    _write_atomic(out_dir / "splits.csv", split_records_to_csv(records))
+    _write_atomic(out_dir / "splits.csv", split_records_to_csv(dec.records))
     _write_atomic(out_dir / "stats.json",
                   json.dumps(stats, sort_keys=True, indent=2) + "\n")
     print(f"word: {args.spec}")
     print(f"method: {args.method}")
-    print(f"factors: {total}")
-    print(f"coverage: {coverage:.6f}")
+    print(f"factors: {report.total}")
+    print(f"coverage: {report.coverage:.6f}")
     print(f"per-length max: S={s_lang.per_length_max()} T={t_lang.per_length_max()}")
     for key in ("C", "K", "D", "R", "bound", "budget"):
-        if key in extras:
-            print(f"{key}: {extras[key]}")
-    if uncovered:
+        if key in dec.extras:
+            print(f"{key}: {dec.extras[key]}")
+    if report.uncovered:
         raise VerificationError(
             "coverage-incomplete",
-            f"{len(uncovered)} factors not covered, first: {uncovered[0]}")
+            f"{len(report.uncovered)} factors not covered, first: {report.uncovered[0]}")
     return 0
 
 
 def cmd_verify(args) -> int:
     source = parse_word_spec(args.spec)
-    s_lang = LeveledLanguage.from_jsonl(Path(args.s_file).read_text())
-    t_lang = LeveledLanguage.from_jsonl(Path(args.t_file).read_text())
-    index = build_factor_index(source, _window(args), args.n_max)
+    s_lang = LeveledLanguage.from_jsonl(Path(args.s_file).read_text(), "S")
+    t_lang = LeveledLanguage.from_jsonl(Path(args.t_file).read_text(), "T")
+    index = build_factor_index(source, args.window, args.n_max)
     report = verify_cover(index, s_lang, t_lang)
     print(f"factors: {report.total}")
     print(f"coverage: {report.coverage:.6f}")
@@ -281,14 +198,10 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
         return rows, f"witness pairs at k={args.k} against n"
     if name == "fit":
         lo, hi = args.range
-        source = parse_word_spec(args.spec)
-        window = args.window if args.window is not None else \
-            DEFAULT_STABILIZATION_FACTOR * hi
-        index = build_factor_index(source, window, hi)
+        index = build_factor_index(parse_word_spec(args.spec), args.window, hi)
         profile = index.profile()
         fit = growth_fit(profile, args.model, lo, hi)
         rows = []
-        from .experiments import resolve_model
         model_name, model_fn = resolve_model(args.model)
         for n in range(lo, hi + 1):
             m = model_fn(n)
@@ -301,16 +214,9 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
     # lemma1
     ns = args.n or [8, 16, 32, 64]
     hi = max(ns)
-    source = parse_word_spec(args.spec)
-    window = args.window if args.window is not None else \
-        DEFAULT_STABILIZATION_FACTOR * hi
-    index = build_factor_index(source, window, hi)
+    index = build_factor_index(parse_word_spec(args.spec), args.window, hi)
     if args.method == "tm":
-        if args.spec not in _TM_SPECS:
-            raise PreconditionError(
-                "method-mismatch",
-                "the doubling-morphism route is specific to the tm word")
-        s_lang, t_lang, _ = thue_morse_split_sets(hi, index.n_work)
+        s_lang, t_lang, _ = thue_morse_split_sets(index)
     else:
         s_lang, t_lang = sturmian_split_sets(index)
     rows = []
@@ -362,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.set_defaults(func=cmd_complexity)
 
     p_dec = sub.add_parser("decompose", help="build a two-set decomposition")
-    p_dec.add_argument("method", choices=("marker", "greedy", "tm", "sturmian"))
+    p_dec.add_argument("method", choices=METHODS)
     p_dec.add_argument("spec")
     p_dec.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p_dec.add_argument("--window", type=int, default=None)

@@ -14,7 +14,9 @@ indexed factor while each keeps a bounded number of words per length:
   inserting the two halves of the cheapest split under a per-length budget.
 
 :func:`verify_cover` re-checks any claimed decomposition by membership alone,
-independently of how the sets were produced.
+independently of how the sets were produced. :func:`build_decomposition` is
+the one entry point that runs a route, by name, on a factor index and returns
+its sets, records and cover report.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class LeveledLanguage:
             out.insert(0, 0)
         return out
 
-    @property
-    def max_length(self) -> int:
-        return max(self.by_length, default=0)
-
     def per_length_max(self) -> int:
         return max((len(ws) for ws in self.by_length.values()), default=0)
 
@@ -96,17 +94,25 @@ class LeveledLanguage:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "LeveledLanguage":
+    def from_jsonl(cls, text: str, set_name: str) -> "LeveledLanguage":
+        """Load the rows that :meth:`to_jsonl` wrote for the set ``set_name``.
+
+        A row of another set is refused, so swapped S and T files are named
+        as such instead of surfacing later as uncovered factors.
+        """
         lang = cls()
         for i, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
-                word, ln = row["word"], row["len"]
+                word, ln, name = row["word"], row["len"], row["set"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise PreconditionError("bad-set-file", f"line {i}: {exc}")
-            if not isinstance(word, str) or ln != len(word):
+            if name != set_name:
+                raise PreconditionError(
+                    "bad-set-file", f"line {i}: row of set {name!r}, expected {set_name!r}")
+            if not isinstance(word, str) or type(ln) is not int or ln != len(word):
                 raise PreconditionError(
                     "bad-set-file", f"line {i}: len field disagrees with word")
             lang.add(word)
@@ -326,10 +332,13 @@ def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
         for i in row:
             if not from_start[i] & (to_end[i + n] >> (hi - n)):
                 uncovered.append(window[i:i + n])
-    s_cards = {n: s_lang.cardinality(n) for n in s_lens}
-    t_cards = {n: t_lang.cardinality(n) for n in t_lens}
     return CoverReport(total=total, uncovered=uncovered,
-                       s_cardinalities=s_cards, t_cardinalities=t_cards)
+                       s_cardinalities=_cardinalities(s_lang),
+                       t_cardinalities=_cardinalities(t_lang))
+
+
+def _cardinalities(lang: LeveledLanguage) -> dict[int, int]:
+    return {n: lang.cardinality(n) for n in lang.lengths()}
 
 
 # -- doubling-morphism route ---------------------------------------------------
@@ -348,25 +357,26 @@ def _max_valuation_boundary(lo: int, hi: int) -> tuple[int, int]:
     return (hi >> k) << k, k
 
 
-def thue_morse_split_sets(n_max: int, n_work: int | None = None):
+def thue_morse_split_sets(index: FactorIndex):
     """Suffix and prefix sets of the doubling-morphism iterates, with a cut rule.
 
     S1 holds every suffix (and S2 every prefix) of the n-fold images of both
     letters under 0->01, 1->10, which gives exactly two words per length. The
-    returned ``cut`` callable splits a factor at the boundary of maximal
-    2-adic valuation inside its first occurrence, preferring a boundary that
-    keeps both parts non-empty; the valuation makes the left part a suffix,
-    and the right part a prefix, of some iterate.
+    returned ``cut(v, start=None)`` splits a factor at the boundary of
+    maximal 2-adic valuation inside its first occurrence, preferring a
+    boundary that keeps both parts non-empty; the valuation makes the left
+    part a suffix, and the right part a prefix, of some iterate. ``start`` is
+    that first occurrence when the caller already knows it (the factor index
+    lists it); otherwise it is looked up.
+
+    The route holds for the Thue-Morse word only, whatever spec names it, so
+    the window is compared with the Thue-Morse prefix of the same length.
     """
-    if n_max < 1:
-        raise PreconditionError("out-of-range", f"n_max must be >= 1, got {n_max}")
-    if n_work is None:
-        n_work = 50 * n_max
-    if n_work < 2 * n_max:
+    n_max, window = index.n_max, index.window
+    if window != thue_morse().prefix(index.n_work):
         raise PreconditionError(
-            "window-too-small", f"window of {n_work} letters cannot support n_max = {n_max}")
-    source = thue_morse()
-    window = source.prefix(n_work)
+            "method-mismatch",
+            "the doubling-morphism route is specific to the tm word")
     rounds = max(1, (n_max - 1).bit_length())
     morphism = Morphism({"0": "01", "1": "10"}, "0")
     block, coblock = "0", "1"
@@ -380,14 +390,15 @@ def thue_morse_split_sets(n_max: int, n_work: int | None = None):
         s2.add(block[:m])
         s2.add(coblock[:m])
 
-    def cut(v: str) -> SplitRecord:
+    def cut(v: str, start: int | None = None) -> SplitRecord:
         if not 1 <= len(v) <= n_max:
             raise PreconditionError(
                 "out-of-range", f"cut is defined for lengths 1..{n_max}")
-        start = window.find(v)
-        if start == -1:
-            raise PreconditionError(
-                "precondition-violation", f"{v!r} is not a factor of the window")
+        if start is None:
+            start = index.first_occurrence(v)
+            if start is None:
+                raise PreconditionError(
+                    "precondition-violation", f"{v!r} is not a factor of the window")
         last = start + len(v) - 1
         if len(v) == 1:
             boundary = start + 1
@@ -419,14 +430,14 @@ def sturmian_split_sets(index: FactorIndex):
     """Right-special extensions and left-special extensions of a Sturmian window.
 
     Requires complexity exactly n + 1 across the indexed range, which forces a
-    binary alphabet and a unique special factor of each length per side. S1
-    collects both one-letter extensions of each right special factor, S2 both
-    one-letter left extensions of each left special factor, plus the empty
-    word on both sides.
+    binary alphabet and a unique special factor of each length per side; any
+    other window is refused as ``not-sturmian``. S1 collects both one-letter
+    extensions of each right special factor, S2 both one-letter left
+    extensions of each left special factor, plus the empty word on both sides.
     """
     for n in range(1, index.n_max + 1):
         if index.complexity(n) != n + 1:
-            raise VerificationError(
+            raise PreconditionError(
                 "not-sturmian",
                 f"p({n}) = {index.complexity(n)}, expected {n + 1}")
     alphabet = index.alphabet
@@ -439,7 +450,7 @@ def sturmian_split_sets(index: FactorIndex):
             rs_set = index.right_special(length - 1)
             ls_set = index.left_special(length - 1)
         if len(rs_set) != 1 or len(ls_set) != 1:
-            raise VerificationError(
+            raise PreconditionError(
                 "not-sturmian",
                 f"expected one special factor of length {length - 1} per side,"
                 f" got {len(rs_set)} right and {len(ls_set)} left")
@@ -528,6 +539,73 @@ def refine_decomposition(parts, budget_slopes):
         out.append(s_lang)
         out.append(t_lang)
     return out
+
+
+# -- one entry point for the four routes ----------------------------------------
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """What one route built on one index: the sets, one split record per
+    covered word, the route's own figures (``extras``), the marker family of
+    the marker route (None on the others) and the cover report."""
+
+    s_lang: LeveledLanguage
+    t_lang: LeveledLanguage
+    records: list[SplitRecord]
+    extras: dict
+    markers: dict[int, MarkerSet] | None
+    report: CoverReport
+
+
+METHODS = ("marker", "greedy", "tm", "sturmian")
+
+
+def build_decomposition(index: FactorIndex, method: str,
+                        budget: int = 1) -> Decomposition:
+    """Run the route ``method`` on ``index`` and check what it built.
+
+    The marker, tm and sturmian routes split every indexed factor, and their
+    report comes from :func:`verify_cover`. The greedy route splits the
+    prefixes of the window up to length n_max under the per-length budget
+    slope ``budget``; its report counts those prefixes, each certified by the
+    :func:`witness_split` record that would have raised had it no cut.
+    """
+    n_max = index.n_max
+    markers = None
+    extras = {}
+    report = None
+    if method == "marker":
+        markers = build_all_markers(index)
+        s_lang, t_lang, records = build_st(index, markers)
+        c, k = index.slope_constants()
+        d = next(iter(markers.values())).D
+        r = max(len(ms.markers) for ms in markers.values())
+        extras = {"C": c, "K": k, "D": d, "R": r, "orders": sorted(markers),
+                  "bound": split_sets_bound(r, c, d)}
+    elif method == "tm":
+        s_lang, t_lang, cut = thue_morse_split_sets(index)
+        records = [cut(v, start) for n in range(1, n_max + 1)
+                   for v, start in index.factors_with_positions(n)]
+    elif method == "sturmian":
+        s_lang, t_lang = sturmian_split_sets(index)
+        records = [witness_split(v, s_lang, t_lang) for n in range(1, n_max + 1)
+                   for v, _ in index.factors_with_positions(n)]
+    elif method == "greedy":
+        prefixes = LeveledLanguage(index.window[:n] for n in range(1, n_max + 1))
+        s_lang, t_lang = greedy_two_sets(prefixes, budget)
+        records = [witness_split(v, s_lang, t_lang) for v in prefixes.words()]
+        extras = {"budget": budget}
+        report = CoverReport(total=prefixes.total(), uncovered=[],
+                             s_cardinalities=_cardinalities(s_lang),
+                             t_cardinalities=_cardinalities(t_lang))
+    else:
+        raise PreconditionError(
+            "unknown-method", f"method must be one of {', '.join(METHODS)}, got {method!r}")
+    if report is None:
+        report = verify_cover(index, s_lang, t_lang)
+    return Decomposition(s_lang=s_lang, t_lang=t_lang, records=records,
+                         extras=extras, markers=markers, report=report)
 
 
 # -- counting bounds -------------------------------------------------------------

@@ -206,10 +206,7 @@ class FactorIndex:
         starts = self.n_work - 1 - _ends_at_length(self._left_intervals, n)
         return {text[i:i + n] for i in starts.tolist()}
 
-    # -- membership and occurrences ------------------------------------------
-
-    def contains(self, word: str) -> bool:
-        return self._sam.state_of(word) is not None
+    # -- occurrences --------------------------------------------------------
 
     def first_occurrence(self, word: str) -> int | None:
         """Start of the leftmost occurrence in the window, or None."""
@@ -271,9 +268,8 @@ def build_factor_index(source: WordSource, n_work: int | None = None,
     return FactorIndex(source, source.prefix(n_work), n_max)
 
 
-def stabilization_check(source: WordSource, n_work: int | None = None,
-                        n_max: int = DEFAULT_N_MAX) -> bool:
-    """True when doubling the window leaves the complexity profile unchanged."""
-    a = build_factor_index(source, n_work, n_max)
-    b = build_factor_index(source, 2 * a.n_work, n_max)
-    return a.profile().p == b.profile().p
+def stabilization_check(index: FactorIndex) -> bool:
+    """True when doubling the window of ``index`` leaves its complexity
+    profile unchanged; only the doubled window is built."""
+    double = build_factor_index(index.source, 2 * index.n_work, index.n_max)
+    return np.array_equal(index._p, double._p)

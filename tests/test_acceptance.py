@@ -63,7 +63,7 @@ def test_criterion_1_sturmian_exactness(capsys):
 def test_criterion_2_thue_morse_two_sets(capsys):
     with verdict(capsys, "2 doubling-morphism sets cover tm, two words per length", 30):
         index = build_factor_index(thue_morse(), n_max=128)
-        s1, s2, _ = thue_morse_split_sets(128, index.n_work)
+        s1, s2, _ = thue_morse_split_sets(index)
         for m in range(1, 65):
             assert s1.cardinality(m) == 2
             assert s2.cardinality(m) == 2

@@ -1,11 +1,17 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlang.cli import RunConfig, run
+from factorlang.decompose import METHODS
 
 
 def read(path: Path) -> str:
@@ -92,7 +98,7 @@ def test_decompose_sturmian(tmp_path, capsys):
 def test_decompose_sturmian_rejects_tm(tmp_path, capsys):
     out = tmp_path / "dc"
     assert run(["decompose", "sturmian", "tm", "--n-max", "32",
-                "--out", str(out)]) == 4
+                "--out", str(out)]) == 3
     assert "not-sturmian" in capsys.readouterr().err
 
 
@@ -101,6 +107,24 @@ def test_decompose_tm_method_needs_tm_word(tmp_path, capsys):
     assert run(["decompose", "tm", "fib", "--n-max", "32",
                 "--out", str(out)]) == 3
     assert "method-mismatch" in capsys.readouterr().err
+
+
+def test_decompose_tm_accepts_any_spec_of_tm(tmp_path, capsys):
+    # the rules in the other order name the same fixed point
+    a, b = tmp_path / "a", tmp_path / "b"
+    for spec, out in (("tm", a), ("morphic:1->10,0->01@0", b)):
+        assert run(["decompose", "tm", spec, "--n-max", "32", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name in ("S.jsonl", "T.jsonl", "splits.csv"):
+        assert read(a / name) == read(b / name), name
+
+
+def test_decompose_marker_rejects_periodic_word(tmp_path, capsys):
+    out = tmp_path / "dc"
+    assert run(["decompose", "marker", "ultper:01|10", "--n-max", "64",
+                "--out", str(out)]) == 3
+    assert "eventually-periodic" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decompose_marker_rejects_quadratic_word(tmp_path, capsys):
@@ -128,6 +152,13 @@ def test_decompose_greedy_rejects_n_max_zero(tmp_path, capsys):
                 "--out", str(out)]) == 3
     assert "out-of-range" in capsys.readouterr().err
     assert not (out / "S.jsonl").exists()
+
+
+def test_decompose_greedy_needs_window_of_two_n_max(tmp_path, capsys):
+    out = tmp_path / "dc"
+    assert run(["decompose", "greedy", "tm", "--n-max", "64", "--window", "10",
+                "--out", str(out)]) == 3
+    assert "window-too-small" in capsys.readouterr().err
 
 
 def test_decompose_reruns_are_byte_identical(tmp_path, capsys):
@@ -164,6 +195,15 @@ def test_verify_tampered_set_names_missing_factor(tmp_path, capsys):
     # the first uncovered factor is named in the error line
     named = captured.err.strip().rsplit(" ", 1)[-1]
     assert set(named) <= {"0", "1"}
+
+
+def test_verify_swapped_set_files(tmp_path, capsys):
+    out = tmp_path / "dc"
+    assert run(["decompose", "tm", "tm", "--n-max", "32", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "tm", "--s-file", str(out / "T.jsonl"),
+                "--t-file", str(out / "S.jsonl"), "--n-max", "32"]) == 3
+    assert "bad-set-file" in capsys.readouterr().err
 
 
 def test_verify_empty_set_file(tmp_path, capsys):
@@ -237,4 +277,36 @@ def test_run_config_round_trip():
     config = RunConfig("decompose", (("word", "tm"), ("n-max", "64")))
     text = config.canonical()
     assert text == "decompose n-max=64 word=tm"
-    assert RunConfig.from_string(text) == config
+
+
+FUZZ_SPECS = [
+    "tm", "fib", "abk", "sturm:2,(1)", "ultper:01|10", "ultper:0|011", "ultper:|0",
+    "morphic:0->01,1->10@0", "morphic:1->10,0->01@0", "morphic:a->abc,b->ac,c->b@a",
+    # malformed
+    "", "tm:", "wat:1", "ultper:01", "morphic:0->01", "morphic:0->,1->10@0",
+    "morphic:0->1,1->0@0", "sturm:", "sturm:1,(", "pq:f=nope",
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(method=st.sampled_from(METHODS),
+       spec=st.sampled_from(FUZZ_SPECS),
+       n_max=st.one_of(st.sampled_from([-3, 0, 1, 2]), st.integers(3, 24)),
+       window=st.one_of(st.none(), st.sampled_from([-10, 0, 1, 5]),
+                        st.integers(6, 1500)),
+       budget=st.sampled_from([None, -1, 0, 1, 2, 5]))
+def test_decompose_fuzz_exit_codes(method, spec, n_max, window, budget):
+    argv = ["decompose", method, spec, f"--n-max={n_max}"]
+    if window is not None:
+        argv.append(f"--window={window}")
+    if budget is not None:
+        argv.append(f"--budget={budget}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        try:
+            code = run(argv + ["--out", tmp])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

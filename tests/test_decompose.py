@@ -14,6 +14,7 @@ from factorlang import (
     SplitRecord,
     VerificationError,
     build_all_markers,
+    build_decomposition,
     build_factor_index,
     build_st,
     compositions_count,
@@ -56,25 +57,30 @@ def test_leveled_language_jsonl_round_trip():
     text = lang.to_jsonl("S")
     lines = text.splitlines()
     assert lines[0] == '{"len": 0, "set": "S", "word": ""}'
-    back = LeveledLanguage.from_jsonl(text)
+    back = LeveledLanguage.from_jsonl(text, "S")
     assert list(back.words()) == list(lang.words())
     assert back.includes_epsilon
 
 
 def test_leveled_language_from_jsonl_rejects_bad_rows():
-    with pytest.raises(PreconditionError, match="bad-set-file"):
-        LeveledLanguage.from_jsonl('{"len": 3, "set": "S", "word": "01"}\n')
-    with pytest.raises(PreconditionError, match="bad-set-file"):
-        LeveledLanguage.from_jsonl('{"word": "01"}\n')
-    with pytest.raises(PreconditionError, match="bad-set-file"):
-        LeveledLanguage.from_jsonl("not json\n")
+    for line in ['{"len": 3, "set": "S", "word": "01"}',
+                 '{"set": "S", "word": "01"}',
+                 "not json",
+                 # a row of the other set, or of none
+                 '{"len": 2, "set": "T", "word": "01"}',
+                 '{"len": 2, "word": "01"}',
+                 # len must be a plain int
+                 '{"len": true, "set": "S", "word": "0"}',
+                 '{"len": 1.0, "set": "S", "word": "0"}']:
+        with pytest.raises(PreconditionError, match="bad-set-file"):
+            LeveledLanguage.from_jsonl(line + "\n", "S")
 
 
 @settings(max_examples=50)
 @given(st.lists(st.text(alphabet="01", max_size=8), max_size=30))
 def test_leveled_language_round_trip_random(words):
     lang = LeveledLanguage(words)
-    back = LeveledLanguage.from_jsonl(lang.to_jsonl("T"))
+    back = LeveledLanguage.from_jsonl(lang.to_jsonl("T"), "T")
     assert list(back.words()) == list(lang.words())
 
 
@@ -234,7 +240,7 @@ def halves_sets(index):
 
 def route_sets(spec, index):
     if spec == "tm":
-        s_lang, t_lang, _ = thue_morse_split_sets(index.n_max, index.n_work)
+        s_lang, t_lang, _ = thue_morse_split_sets(index)
         return s_lang, t_lang
     if spec == "fib":
         return sturmian_split_sets(index)
@@ -310,7 +316,7 @@ def test_max_valuation_boundary_matches_scan():
 
 
 def test_thue_morse_sets_counts_and_cuts(tm_index):
-    s1, s2, cut = thue_morse_split_sets(128, tm_index.n_work)
+    s1, s2, cut = thue_morse_split_sets(tm_index)
     for m in range(1, 65):
         assert s1.cardinality(m) == 2
         assert s2.cardinality(m) == 2
@@ -328,11 +334,17 @@ def test_thue_morse_sets_counts_and_cuts(tm_index):
             assert rec.s in s1 and rec.t in s2
 
 
-def test_thue_morse_sets_window_guard():
-    with pytest.raises(PreconditionError, match="window-too-small"):
-        thue_morse_split_sets(64, 100)
-    with pytest.raises(PreconditionError, match="out-of-range"):
-        thue_morse_split_sets(0)
+def test_thue_morse_sets_window_guard(fib_index):
+    # the route checks the window itself, not the spec that named it
+    with pytest.raises(PreconditionError, match="method-mismatch"):
+        thue_morse_split_sets(fib_index)
+
+
+def test_thue_morse_cut_known_start_matches_lookup(tm_index):
+    _, _, cut = thue_morse_split_sets(tm_index)
+    for n in (1, 2, 50, 128):
+        for v, start in tm_index.factors_with_positions(n):
+            assert cut(v, start) == cut(v)
 
 
 def test_witness_split():
@@ -358,7 +370,7 @@ def test_sturmian_sets(fib_index):
 
 
 def test_sturmian_rejects_thue_morse(tm_index):
-    with pytest.raises(VerificationError, match="not-sturmian"):
+    with pytest.raises(PreconditionError, match="not-sturmian"):
         sturmian_split_sets(tm_index)
 
 
@@ -438,6 +450,32 @@ def test_refine_decomposition():
         assert lang.per_length_max() <= 3
     with pytest.raises(PreconditionError, match="out-of-range"):
         refine_decomposition(parts, [1])
+
+
+# -- one entry point ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method,spec", [
+    ("marker", "tm"), ("tm", "tm"), ("sturmian", "fib"), ("greedy", "tm")])
+def test_build_decomposition_routes(method, spec):
+    index = build_factor_index(parse_word_spec(spec), n_max=32)
+    dec = build_decomposition(index, method)
+    assert dec.report.coverage == 1.0
+    assert (dec.markers is not None) == (method == "marker")
+    for rec in dec.records:
+        assert rec.s in dec.s_lang and rec.t in dec.t_lang
+    if method == "greedy":
+        # one record per prefix of the window, each a certificate of its cover
+        assert [r.v for r in dec.records] == [index.window[:n] for n in range(1, 33)]
+        assert dec.report.total == 32
+    else:
+        assert dec.report == verify_cover(index, dec.s_lang, dec.t_lang)
+        assert dec.report.total == index.accumulative(32) == len(dec.records)
+
+
+def test_build_decomposition_unknown_method(fib_index):
+    with pytest.raises(PreconditionError, match="unknown-method"):
+        build_decomposition(fib_index, "halves")
 
 
 # -- counting bounds ---------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_growth_fit_range_guard():
 
 def test_product_bound_audit_thue_morse_sets():
     index = build_factor_index(thue_morse(), n_max=64)
-    s1, s2, _ = thue_morse_split_sets(64, index.n_work)
+    s1, s2, _ = thue_morse_split_sets(index)
     report = product_bound_audit([s1, s2], index, 32)
     assert report.cap == 2 and report.k == 1
     assert report.bound == 132

@@ -157,7 +157,6 @@ def test_occurrences():
     assert index.occurrences("") == list(range(65))
     assert index.first_occurrence("10") == 2
     assert index.first_occurrence("0000") is None
-    assert not index.contains("0000")
     fib = build_factor_index(fibonacci_word(), n_work=64, n_max=16)
     assert fib.occurrences("11") == []
 
@@ -180,11 +179,12 @@ def test_window_too_small():
 
 
 def test_stabilization_check():
-    assert stabilization_check(fibonacci_word(), n_work=10 ** 5, n_max=100)
-    assert stabilization_check(parse_word_spec("ultper:|0"), n_max=32)
+    assert stabilization_check(
+        build_factor_index(fibonacci_word(), n_work=10 ** 5, n_max=100))
+    assert stabilization_check(build_factor_index(parse_word_spec("ultper:|0"), n_max=32))
     # a window this small misses length-192 factors of the block word
-    assert not stabilization_check(parse_word_spec("pq:f=isqrt,k=p"),
-                                   n_work=400, n_max=192)
+    assert not stabilization_check(
+        build_factor_index(parse_word_spec("pq:f=isqrt,k=p"), n_work=400, n_max=192))
 
 
 def test_csv_export():
