@@ -7,6 +7,13 @@ repetition markers, through word-specific structure, or greedily under an
 explicit budget.
 """
 
+import os
+
+# numpy's OpenBLAS starts a thread pool when numpy is imported; factorlang does
+# no linear algebra, so one thread saves that start-up. A value set by the
+# user still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .automaton import SuffixAutomaton
 from .decompose import (
     CoverReport,
@@ -49,7 +56,7 @@ from .factors import (
     ComplexityProfile,
     FactorIndex,
     build_factor_index,
-    stabilization_check,
+    stabilized_profile,
 )
 from .periodicity import (
     MarkerSet,
@@ -119,7 +126,7 @@ __all__ = [
     "split_factor",
     "split_records_to_csv",
     "split_sets_bound",
-    "stabilization_check",
+    "stabilized_profile",
     "staircase_pair_count",
     "staircase_pair_count_bruteforce",
     "staircase_word",

@@ -34,7 +34,7 @@ from .experiments import (
     staircase_pair_count,
     witness_pair_count,
 )
-from .factors import DEFAULT_N_MAX, build_factor_index, stabilization_check
+from .factors import DEFAULT_N_MAX, build_factor_index, stabilized_profile
 from .periodicity import markers_to_jsonl
 from .words import parse_word_spec
 
@@ -96,13 +96,13 @@ def cmd_word(args) -> int:
 
 def cmd_complexity(args) -> int:
     source = parse_word_spec(args.spec)
-    index = build_factor_index(source, args.window, args.n_max)
-    if not stabilization_check(index):
+    profile, stable = stabilized_profile(source, args.window, args.n_max)
+    if not stable:
         raise VerificationError(
             "unstable-window",
-            f"profile changes when the window grows from {index.n_work} to"
-            f" {2 * index.n_work}; enlarge --window")
-    csv = index.profile().to_csv()
+            f"profile changes when the window grows from {profile.n_work} to"
+            f" {2 * profile.n_work}; enlarge --window")
+    csv = profile.to_csv()
     if args.out:
         _write_atomic(Path(args.out), csv)
         print(f"wrote {args.out}")

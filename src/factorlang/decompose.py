@@ -570,7 +570,11 @@ def build_decomposition(index: FactorIndex, method: str,
     prefixes of the window up to length n_max under the per-length budget
     slope ``budget``; its report counts those prefixes, each certified by the
     :func:`witness_split` record that would have raised had it no cut.
+    A ``budget`` below 1 is refused on every route, not only on greedy.
     """
+    if budget < 1:
+        raise PreconditionError(
+            "out-of-range", f"budget slope must be >= 1, got {budget}")
     n_max = index.n_max
     markers = None
     extras = {}

@@ -4,9 +4,9 @@ A :class:`FactorIndex` fixes a window (a prefix of the source of length
 ``n_work``) and a length cap ``n_max``, and answers per-length questions
 about the distinct factors of the window: how many there are, which of them
 are right or left special, where a factor first occurs. All results are
-statements about the window; ``stabilization_check`` compares profiles at
-``n_work`` and ``2 * n_work`` to justify reading them as properties of the
-infinite word.
+statements about the window; ``stabilized_profile`` compares the profiles at
+``n_work`` and ``2 * n_work``, both read from one automaton over the doubled
+window, to justify reading them as properties of the infinite word.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ class ComplexityProfile:
     g: tuple[int, ...]
     C: int
     K: int
+
+    @classmethod
+    def from_counts(cls, source_spec: str, n_work: int,
+                    p: np.ndarray) -> ComplexityProfile:
+        """The profile of per-length counts ``p`` (index 0 = length 1)."""
+        g = np.cumsum(p)
+        c, k = _slopes(p, g)
+        return cls(source_spec=source_spec, n_work=n_work, n_max=len(p),
+                   p=tuple(int(x) for x in p), g=tuple(int(x) for x in g),
+                   C=c, K=k)
 
     def to_csv(self) -> str:
         lines = ["n,p,g"]
@@ -103,22 +113,10 @@ class FactorIndex:
         """
         hi = self.n_max if up_to is None else up_to
         self._check_range(hi)
-        ns = np.arange(1, hi + 1)
-        c = int(np.max(-(-self._p[:hi] // ns)))
-        k = int(np.max(-(-self._g[:hi] // ns)))
-        return c, k
+        return _slopes(self._p[:hi], self._g[:hi])
 
     def profile(self) -> ComplexityProfile:
-        c, k = self.slope_constants()
-        return ComplexityProfile(
-            source_spec=self.source_spec,
-            n_work=self.n_work,
-            n_max=self.n_max,
-            p=tuple(int(x) for x in self._p),
-            g=tuple(int(x) for x in self._g),
-            C=c,
-            K=k,
-        )
+        return ComplexityProfile.from_counts(self.source_spec, self.n_work, self._p)
 
     def detect_eventual_periodicity(self) -> int | None:
         """Smallest n with p(n+1) = p(n) within the indexed range, or None.
@@ -231,6 +229,13 @@ class FactorIndex:
         return out
 
 
+def _slopes(p: np.ndarray, g: np.ndarray) -> tuple[int, int]:
+    """Smallest integer slopes (C, K) with p(n) <= C*n and g(n) <= K*n for
+    n = 1..len(p)."""
+    ns = np.arange(1, len(p) + 1)
+    return int(np.max(-(-p // ns))), int(np.max(-(-g // ns)))
+
+
 def _branching_intervals(sam: SuffixAutomaton):
     """(minlen, maxlen, first_end) of the non-initial states with two or
     more out-going letters, whose factors are exactly the right special
@@ -246,6 +251,21 @@ def _ends_at_length(intervals, n: int) -> np.ndarray:
     return end[(lo <= n) & (n <= hi)]
 
 
+def _window_length(n_work: int | None, n_max: int, stabilization_factor: int) -> int:
+    """The window length a request names, after the checks on ``n_max`` and
+    on the window's size."""
+    if n_max < 1:
+        raise PreconditionError("out-of-range", f"n_max must be >= 1, got {n_max}")
+    if n_work is None:
+        n_work = stabilization_factor * n_max
+    if n_work < 2 * n_max:
+        raise PreconditionError(
+            "window-too-small",
+            f"window of {n_work} letters cannot support n_max = {n_max}"
+            f" (need at least {2 * n_max})")
+    return n_work
+
+
 def build_factor_index(source: WordSource, n_work: int | None = None,
                        n_max: int = DEFAULT_N_MAX,
                        stabilization_factor: int = DEFAULT_STABILIZATION_FACTOR,
@@ -256,20 +276,24 @@ def build_factor_index(source: WordSource, n_work: int | None = None,
     than ``2 * n_max`` are rejected, since then even a single factor of
     maximal length cannot have two occurrences.
     """
-    if n_max < 1:
-        raise PreconditionError("out-of-range", f"n_max must be >= 1, got {n_max}")
-    if n_work is None:
-        n_work = stabilization_factor * n_max
-    if n_work < 2 * n_max:
-        raise PreconditionError(
-            "window-too-small",
-            f"window of {n_work} letters cannot support n_max = {n_max}"
-            f" (need at least {2 * n_max})")
+    n_work = _window_length(n_work, n_max, stabilization_factor)
     return FactorIndex(source, source.prefix(n_work), n_max)
 
 
-def stabilization_check(index: FactorIndex) -> bool:
-    """True when doubling the window of ``index`` leaves its complexity
-    profile unchanged; only the doubled window is built."""
-    double = build_factor_index(index.source, 2 * index.n_work, index.n_max)
-    return np.array_equal(index._p, double._p)
+def stabilized_profile(source: WordSource, n_work: int | None = None,
+                       n_max: int = DEFAULT_N_MAX) -> tuple[ComplexityProfile, bool]:
+    """The complexity profile of the length-``n_work`` window, and whether
+    doubling the window leaves it unchanged.
+
+    The window is checked and defaulted as in :func:`build_factor_index`,
+    and the prefix cap at ``n_work`` before the one at ``2 * n_work``, so an
+    inadmissible request is refused before any letter is generated. One
+    automaton over the doubled window gives both profiles, since it counts
+    the factors of each of its prefixes.
+    """
+    n_work = _window_length(n_work, n_max, DEFAULT_STABILIZATION_FACTOR)
+    source.check_length(n_work)
+    sam = SuffixAutomaton(source.prefix(2 * n_work))
+    p = sam.length_counts(n_max, prefix=n_work)
+    stable = np.array_equal(p, sam.length_counts(n_max))
+    return ComplexityProfile.from_counts(source.spec, n_work, p), stable

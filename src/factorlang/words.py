@@ -87,14 +87,18 @@ class WordSource:
     def __repr__(self) -> str:
         return f"WordSource({self.spec!r})"
 
-    def prefix(self, n: int) -> str:
-        """First ``n`` letters of the word."""
+    def check_length(self, n: int):
+        """Refuse a prefix length outside 0..prefix_cap, as ``prefix`` does."""
         if n < 0:
             raise PreconditionError("out-of-range", f"prefix length must be >= 0, got {n}")
         if n > self.prefix_cap:
             raise PreconditionError(
                 "resource-limit",
                 f"prefix length {n} exceeds the configured cap {self.prefix_cap}")
+
+    def prefix(self, n: int) -> str:
+        """First ``n`` letters of the word."""
+        self.check_length(n)
         if len(self._cache) < n:
             got = self._grow(n)
             if len(got) < n or (self._cache and not got.startswith(self._cache)):

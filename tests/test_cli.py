@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorlang import factors
 from factorlang.cli import RunConfig, run
 from factorlang.decompose import METHODS
 
@@ -58,6 +59,29 @@ def test_complexity_to_file(tmp_path, capsys):
 def test_complexity_window_too_small(capsys):
     assert run(["complexity", "tm", "--n-max", "64", "--window", "100"]) == 3
     assert "window-too-small" in capsys.readouterr().err
+
+
+def test_complexity_refuses_over_cap_before_any_build(monkeypatch, capsys):
+    def no_build(text):
+        raise AssertionError(f"automaton built over {len(text)} letters")
+
+    monkeypatch.setattr(factors, "SuffixAutomaton", no_build)
+    # the doubled window of 18e6 letters exceeds the default prefix cap
+    assert run(["complexity", "tm", "--n-max", "8", "--window", "9000000"]) == 3
+    err = capsys.readouterr().err
+    assert "resource-limit" in err
+    assert "prefix length 18000000" in err
+
+
+@pytest.mark.parametrize("method,spec,n_max", [
+    ("marker", "tm", "32"), ("tm", "tm", "16"), ("sturmian", "fib", "16"),
+    ("greedy", "tm", "16")])
+def test_decompose_refuses_budget_below_one(tmp_path, capsys, method, spec, n_max):
+    out = tmp_path / "dc"
+    assert run(["decompose", method, spec, "--n-max", n_max, "--budget", "-1",
+                "--out", str(out)]) == 3
+    assert "out-of-range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_decompose_marker_outputs(tmp_path, capsys):

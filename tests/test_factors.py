@@ -1,16 +1,18 @@
 """Factor index vs sliding-frame oracles, plus profile and window guards."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlang import (
     PreconditionError,
+    SuffixAutomaton,
     VerificationError,
     build_factor_index,
     fibonacci_word,
     parse_word_spec,
-    stabilization_check,
+    stabilized_profile,
     thue_morse,
     ultimately_periodic,
 )
@@ -38,7 +40,52 @@ def frame_left_special(window: str, n: int) -> set[str]:
     return {v for v, ext in out.items() if len(ext) >= 2}
 
 
+def interval_length_counts(sam: SuffixAutomaton, n_max: int) -> np.ndarray:
+    """Per-length counts of the whole text read off the states: each
+    non-initial state holds one factor for every length in its
+    [minlen, maxlen] interval, clipped at n_max."""
+    lo = sam.minlen[1:]
+    hi = np.minimum(sam.maxlen[1:], n_max)
+    keep = lo <= hi
+    diff = np.zeros(n_max + 2, dtype=np.int64)
+    np.add.at(diff, lo[keep], 1)
+    np.subtract.at(diff, hi[keep] + 1, 1)
+    return np.cumsum(diff)[1:n_max + 1]
+
+
 SMALL_SPECS = ["tm", "fib", "abk", "pq:f=isqrt,k=p", "ultper:01|10", "sturm:2,(1)"]
+
+# short texts: prefixes of the built-in words and random binary and ternary
+# strings, the empty text included
+TEXTS = st.one_of(
+    st.builds(lambda spec, n: parse_word_spec(spec).prefix(n),
+              st.sampled_from(["tm", "fib", "abk", "ultper:01|10", "ultper:0|011"]),
+              st.integers(min_value=0, max_value=80)),
+    st.text(alphabet="01", max_size=80),
+    st.text(alphabet="012", max_size=80),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(TEXTS, st.integers(min_value=1, max_value=30))
+def test_length_counts_of_every_prefix(text, n_max):
+    sam = SuffixAutomaton(text)
+    for m in range(len(text) + 1):
+        assert sam.length_counts(n_max, prefix=m).tolist() == frame_profile(text[:m], n_max)
+    whole = sam.length_counts(n_max).tolist()
+    assert whole == frame_profile(text, n_max)
+    assert whole == interval_length_counts(sam, n_max).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(TEXTS)
+def test_automaton_state_bound_and_array_lengths(text):
+    sam = SuffixAutomaton(text)
+    # at most 2N - 1 states for N >= 2 letters; "" has 1 state and "a" has 2
+    assert sam.n_states <= max(2 * len(text) - 1, len(text) + 1)
+    for arr in (sam.maxlen, sam.minlen, sam.link, sam.first_end, sam.outdeg, *sam.trans):
+        assert len(arr) == sam.n_states
+    assert len(sam.floor) == len(text)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -179,12 +226,28 @@ def test_window_too_small():
 
 
 def test_stabilization_check():
-    assert stabilization_check(
-        build_factor_index(fibonacci_word(), n_work=10 ** 5, n_max=100))
-    assert stabilization_check(build_factor_index(parse_word_spec("ultper:|0"), n_max=32))
+    profile, stable = stabilized_profile(fibonacci_word(), n_work=10 ** 5, n_max=100)
+    assert stable
+    assert profile == build_factor_index(fibonacci_word(), n_work=10 ** 5, n_max=100).profile()
+    profile, stable = stabilized_profile(parse_word_spec("ultper:|0"), n_max=32)
+    assert stable and profile.n_work == 50 * 32
     # a window this small misses length-192 factors of the block word
-    assert not stabilization_check(
-        build_factor_index(parse_word_spec("pq:f=isqrt,k=p"), n_work=400, n_max=192))
+    source = parse_word_spec("pq:f=isqrt,k=p")
+    profile, stable = stabilized_profile(source, n_work=400, n_max=192)
+    assert not stable
+    assert profile == build_factor_index(source, n_work=400, n_max=192).profile()
+
+
+def test_stabilized_profile_guards():
+    with pytest.raises(PreconditionError, match="out-of-range"):
+        stabilized_profile(thue_morse(), n_work=100, n_max=0)
+    with pytest.raises(PreconditionError, match="window-too-small"):
+        stabilized_profile(thue_morse(), n_work=100, n_max=64)
+    # the cap is checked at the window before the doubled window
+    with pytest.raises(PreconditionError, match="prefix length 1001 exceeds"):
+        stabilized_profile(parse_word_spec("tm", prefix_cap=1000), n_work=1001, n_max=8)
+    with pytest.raises(PreconditionError, match="prefix length 1200 exceeds"):
+        stabilized_profile(parse_word_spec("tm", prefix_cap=1000), n_work=600, n_max=8)
 
 
 def test_csv_export():
