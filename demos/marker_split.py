@@ -8,6 +8,7 @@
 # bounded by a constant computed from the word's own slope.
 
 from factorlang import (
+    MarkerOccurrences,
     PreconditionError,
     build_all_markers,
     build_factor_index,
@@ -36,9 +37,10 @@ for spec in ["tm", "fib"]:
     print(f"  per-length max: S = {s_lang.per_length_max()}, "
           f"T = {t_lang.per_length_max()}, bound {bound:.1f}")
 
-    # one split in detail
+    # one split in detail: split_factor reads where the markers occur from a
+    # table built once per window (build_st builds its own)
     v = index.source.prefix(200)[60:60 + 5 * d]
-    rec = split_factor(index, markers, v)
+    rec = split_factor(MarkerOccurrences(index, markers), v)
     print(f"  {rec.v!r}\n    = {rec.s!r} + {rec.t!r} "
           f"(order {rec.order}, occurrence {rec.occurrence_class.label})")
     print()

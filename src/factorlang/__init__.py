@@ -19,6 +19,7 @@ from .decompose import (
     CoverReport,
     Decomposition,
     LeveledLanguage,
+    MarkerOccurrences,
     SplitRecord,
     build_decomposition,
     build_st,
@@ -92,6 +93,7 @@ __all__ = [
     "FactorLangError",
     "GrowthFit",
     "LeveledLanguage",
+    "MarkerOccurrences",
     "MarkerSet",
     "Morphism",
     "OccurrenceClass",

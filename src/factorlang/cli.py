@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -59,10 +60,28 @@ class RunConfig:
 
 
 def _write_atomic(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write ``text`` to ``path`` through a temp file and a rename. A path
+    that cannot be written (its parent is a file, it is a directory, no
+    permission) is refused as ``unwritable-output``; no temp file is left."""
+    tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise PreconditionError("unwritable-output", f"cannot write {path}: {exc}")
+
+
+def _read_set_file(path: str, set_name: str) -> LeveledLanguage:
+    """Load one set file; one that cannot be read as UTF-8 text (missing, a
+    directory, other bytes) is refused as ``bad-set-file``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError("bad-set-file", f"cannot read {path}: {exc}")
+    return LeveledLanguage.from_jsonl(text, set_name)
 
 
 def _int_list(text: str) -> list[int]:
@@ -162,8 +181,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     source = parse_word_spec(args.spec)
-    s_lang = LeveledLanguage.from_jsonl(Path(args.s_file).read_text(), "S")
-    t_lang = LeveledLanguage.from_jsonl(Path(args.t_file).read_text(), "T")
+    s_lang = _read_set_file(args.s_file, "S")
+    t_lang = _read_set_file(args.t_file, "T")
     index = build_factor_index(source, args.window, args.n_max)
     report = verify_cover(index, s_lang, t_lang)
     print(f"factors: {report.total}")

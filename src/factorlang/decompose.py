@@ -5,7 +5,8 @@ indexed factor while each keeps a bounded number of words per length:
 
 * :func:`build_st` cuts every long factor at the midpoint of a marker
   occurrence chosen inside its first occurrence (the general construction
-  for linear-complexity words);
+  for linear-complexity words), reading the occurrences from one
+  :class:`MarkerOccurrences` table per run;
 * :func:`thue_morse_split_sets` uses suffixes and prefixes of the iterated
   doubling morphism, cutting at the boundary of maximal 2-adic valuation;
 * :func:`sturmian_split_sets` extends the unique right and left special
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import PreconditionError, VerificationError
@@ -160,7 +161,46 @@ def split_records_to_csv(records) -> str:
 # -- marker construction ------------------------------------------------------
 
 
-def split_factor(index: FactorIndex, markers: dict[int, MarkerSet], v: str,
+class MarkerOccurrences:
+    """Where the markers of each order occur in the window, for one run.
+
+    For each order k, ``starts[k]`` lists the window starts of every marker
+    of that order, sorted and merged; markers of one order share a length,
+    so ``marker_at[k][i]`` is the one marker starting at ``starts[k][i]``.
+    ``own[m]`` lists the starts of the marker m alone. The class of an
+    occurrence is computed by :func:`classify_occurrence` on first use and
+    kept, keyed by (position, order); None marks one the window cannot
+    classify.
+    """
+
+    def __init__(self, index: FactorIndex, markers: dict[int, MarkerSet]):
+        if not markers:
+            raise PreconditionError("no-marker-orders", "empty marker family")
+        self.index = index
+        self.D = next(iter(markers.values())).D
+        self.orders = sorted(markers, reverse=True)
+        self.own = {m: index.occurrences(m)
+                    for ms in markers.values() for m in ms.markers}
+        self.starts: dict[int, list[int]] = {}
+        self.marker_at: dict[int, list[str]] = {}
+        for order, ms in markers.items():
+            merged = sorted((i, m) for m in ms.markers for i in self.own[m])
+            self.starts[order] = [i for i, _ in merged]
+            self.marker_at[order] = [m for _, m in merged]
+        self._classes: dict[tuple[int, int], OccurrenceClass | None] = {}
+
+    def occurrence_class(self, position: int, order: int) -> OccurrenceClass | None:
+        key = (position, order)
+        if key not in self._classes:
+            try:
+                self._classes[key] = classify_occurrence(
+                    self.index.window, position, 2 ** order)
+            except PreconditionError:
+                self._classes[key] = None
+        return self._classes[key]
+
+
+def split_factor(occurrences: MarkerOccurrences, v: str,
                  start: int | None = None) -> SplitRecord:
     """Cut ``v`` at the midpoint of a chosen marker occurrence.
 
@@ -168,15 +208,17 @@ def split_factor(index: FactorIndex, markers: dict[int, MarkerSet], v: str,
     that order the marker with the leftmost occurrence is chosen. Among the
     occurrences of that marker inside the first window occurrence of ``v``,
     an extreme one (initial or final) is preferred, the first of them; if all
-    are internal the first occurrence is used. The cut falls at the middle of
-    the marker, so s ends with its left half and t starts with its right half.
+    are internal the first classified occurrence is used, and if none can be
+    classified the first occurrence, with no class. The cut falls at the
+    middle of the marker, so s ends with its left half and t starts with its
+    right half.
 
     ``start`` is the first window occurrence of ``v`` when the caller already
-    knows it (the factor index lists it); otherwise it is looked up.
+    knows it (the factor index lists it); otherwise it is looked up. The
+    occurrences are read from ``occurrences`` by bisection, not searched for.
     """
-    if not markers:
-        raise PreconditionError("no-marker-orders", "empty marker family")
-    d = next(iter(markers.values())).D
+    index = occurrences.index
+    d = occurrences.D
     if len(v) < 2 * d:
         raise PreconditionError(
             "precondition-violation",
@@ -186,39 +228,28 @@ def split_factor(index: FactorIndex, markers: dict[int, MarkerSet], v: str,
         if start is None:
             raise PreconditionError(
                 "precondition-violation", f"{v!r} is not a factor of the window")
-    for order in sorted(markers, reverse=True):
-        half = 2 ** (order - 1)
-        hits = [(v.find(m), m) for m in markers[order].markers]
-        hits = [(pos, m) for pos, m in hits if pos != -1]
-        if not hits:
+    end = start + len(v)
+    for order in occurrences.orders:
+        length = 2 ** order
+        starts = occurrences.starts[order]
+        at = bisect_left(starts, start)
+        if at == len(starts) or starts[at] > end - length:
             continue
-        _, marker = min(hits)
-        rel_positions = []
-        at = v.find(marker)
-        while at != -1:
-            rel_positions.append(at)
-            at = v.find(marker, at + 1)
-        chosen_rel = None
-        chosen_class = None
-        first_classified = None
-        for rel in rel_positions:
-            try:
-                cls = classify_occurrence(index.window, start + rel, 2 ** order)
-            except PreconditionError:
+        own = occurrences.own[occurrences.marker_at[order][at]]
+        chosen = first_classified = None
+        for pos in own[bisect_left(own, starts[at]):bisect_right(own, end - length)]:
+            cls = occurrences.occurrence_class(pos, order)
+            if cls is None:
                 continue
             if first_classified is None:
-                first_classified = (rel, cls)
+                first_classified = (pos, cls)
             if not cls.internal:
-                chosen_rel, chosen_class = rel, cls
+                chosen = (pos, cls)
                 break
-        if chosen_rel is None:
-            chosen_rel, chosen_class = first_classified or (rel_positions[0], None)
-        cut = start + chosen_rel + half
-        s = index.window[start:cut]
-        t = index.window[cut:start + len(v)]
-        return SplitRecord(v=v, s=s, t=t, order=order,
-                           position=start + chosen_rel,
-                           occurrence_class=chosen_class)
+        pos, cls = chosen or first_classified or (starts[at], None)
+        cut = pos + length // 2
+        return SplitRecord(v=v, s=index.window[start:cut], t=index.window[cut:end],
+                           order=order, position=pos, occurrence_class=cls)
     raise VerificationError(
         "no-marker-found",
         f"no marker of any order occurs in {v!r} (undersized window?)")
@@ -233,14 +264,14 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
     """Split every indexed factor into S and T via marker midpoints.
 
     Factors shorter than 2D go into S wholesale, paired with the empty word;
-    the rest are cut by :func:`split_factor`. Returns (S, T, records) with one
-    record per indexed factor in (length, word) order.
+    the rest are cut by :func:`split_factor`, all reading one
+    :class:`MarkerOccurrences` table built here. Returns (S, T, records)
+    with one record per indexed factor in (length, word) order.
     """
     if markers is None:
         markers = build_all_markers(index)
-    if not markers:
-        raise PreconditionError("no-marker-orders", "empty marker family")
-    d = next(iter(markers.values())).D
+    occurrences = MarkerOccurrences(index, markers)
+    d = occurrences.D
     s_lang = LeveledLanguage()
     t_lang = LeveledLanguage(include_epsilon=True)
     records = []
@@ -251,7 +282,7 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
                 records.append(SplitRecord(v=v, s=v, t="", order=None,
                                            position=first, occurrence_class=None))
             else:
-                rec = split_factor(index, markers, v, first)
+                rec = split_factor(occurrences, v, first)
                 s_lang.add(rec.s)
                 t_lang.add(rec.t)
                 records.append(rec)

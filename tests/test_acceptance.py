@@ -27,6 +27,7 @@ from factorlang import (
     split_sets_bound,
     staircase_pair_count,
     staircase_pair_count_bruteforce,
+    staircase_word_length,
     sturmian_split_sets,
     thue_morse,
     thue_morse_split_sets,
@@ -122,8 +123,24 @@ def test_criterion_6_pair_count_band(capsys):
         ratios = [staircase_pair_count(n) / (n * math.log(n))
                   for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6)]
         assert max(ratios) / min(ratios) <= 2.5
-        for n in range(9, 10 ** 4 + 1):
-            assert staircase_pair_count(n) == staircase_pair_count_bruteforce(n)
+        # brute force: enumerate every (k, l) with a staircase of length at
+        # most top once; the pair counts at each n in [length(k, l), l^2],
+        # so a difference array over n gives every count together
+        top = 10 ** 4
+        diff = [0] * (top + 2)
+        k = 3
+        while staircase_word_length(k, 1) <= top:
+            l = 1
+            while staircase_word_length(k, l) <= top:
+                lo, hi = staircase_word_length(k, l), min(l * l, top)
+                if lo <= hi:
+                    diff[lo] += 1
+                    diff[hi + 1] -= 1
+                l += 1
+            k += 1
+        counts = list(itertools.accumulate(diff))
+        for n in range(9, top + 1):
+            assert staircase_pair_count(n) == counts[n]
 
 
 def test_criterion_7_periodicity_window_check(capsys):

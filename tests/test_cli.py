@@ -312,6 +312,27 @@ FUZZ_SPECS = [
 ]
 
 
+def assert_contract(argv):
+    """Run the CLI on ``argv``: it must exit 0, 2, 3 or 4, and no exception
+    may escape ``run``."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def with_window(argv, window):
+    return argv if window is None else argv + [f"--window={window}"]
+
+
+FUZZ_N_MAX = st.one_of(st.sampled_from([-3, 0, 1, 2]), st.integers(3, 64))
+FUZZ_WINDOW = st.one_of(st.none(), st.sampled_from([-10, 0, 1, 5]), st.integers(6, 5000))
+
+
 @settings(max_examples=120, deadline=None)
 @given(method=st.sampled_from(METHODS),
        spec=st.sampled_from(FUZZ_SPECS),
@@ -320,17 +341,116 @@ FUZZ_SPECS = [
                         st.integers(6, 1500)),
        budget=st.sampled_from([None, -1, 0, 1, 2, 5]))
 def test_decompose_fuzz_exit_codes(method, spec, n_max, window, budget):
-    argv = ["decompose", method, spec, f"--n-max={n_max}"]
-    if window is not None:
-        argv.append(f"--window={window}")
+    argv = with_window(["decompose", method, spec, f"--n-max={n_max}"], window)
     if budget is not None:
         argv.append(f"--budget={budget}")
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
-            redirect_stderr(err):
-        try:
-            code = run(argv + ["--out", tmp])
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    assert code in (0, 2, 3, 4), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_contract(argv + ["--out", tmp])
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Set files of every kind the fuzz hands to verify, and output paths."""
+    d = tmp_path_factory.mktemp("fuzz")
+    with redirect_stdout(io.StringIO()):
+        assert run(["decompose", "tm", "tm", "--n-max", "16", "--out", str(d / "dc")]) == 0
+    (d / "garbled.jsonl").write_text('{"len": 2, "set": "S", "word": "0"}\n')
+    (d / "notjson.jsonl").write_text("{not json\n")
+    (d / "binary.jsonl").write_bytes(b"\xff\xfe\x00\x81")
+    (d / "empty.jsonl").write_text("")
+    (d / "a-file").write_text("x")
+    return {
+        "S": d / "dc" / "S.jsonl", "T": d / "dc" / "T.jsonl",
+        "garbled": d / "garbled.jsonl", "notjson": d / "notjson.jsonl",
+        "binary": d / "binary.jsonl", "empty": d / "empty.jsonl",
+        "missing": d / "missing.jsonl", "directory": d / "dc",
+        # outputs: a fresh path, and paths under a regular file
+        "out": d / "out" / "result.csv", "under-file": d / "a-file" / "result.csv",
+        "under-file-deeper": d / "a-file" / "x" / "result.csv",
+    }
+
+
+FUZZ_OUT = st.sampled_from([None, "out", "under-file", "under-file-deeper"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(FUZZ_SPECS),
+       prefix=st.one_of(st.sampled_from([-5, -1, 0, 1]), st.integers(2, 5000)))
+def test_word_fuzz_exit_codes(spec, prefix):
+    assert_contract(["word", spec, f"--prefix={prefix}"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(FUZZ_SPECS), n_max=FUZZ_N_MAX, window=FUZZ_WINDOW,
+       out=FUZZ_OUT)
+def test_complexity_fuzz_exit_codes(fuzz_files, spec, n_max, window, out):
+    argv = with_window(["complexity", spec, f"--n-max={n_max}"], window)
+    if out is not None:
+        argv += ["--out", str(fuzz_files[out])]
+    assert_contract(argv)
+
+
+SET_FILES = ["S", "T", "garbled", "notjson", "binary", "empty", "missing", "directory"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(FUZZ_SPECS), s_file=st.sampled_from(SET_FILES),
+       t_file=st.sampled_from(SET_FILES), n_max=FUZZ_N_MAX, window=FUZZ_WINDOW)
+def test_verify_fuzz_exit_codes(fuzz_files, spec, s_file, t_file, n_max, window):
+    assert_contract(with_window(
+        ["verify", spec, "--s-file", str(fuzz_files[s_file]),
+         "--t-file", str(fuzz_files[t_file]), f"--n-max={n_max}"], window))
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(["e-count", "claim-pairs", "fit", "lemma1"]),
+       ns=st.lists(st.integers(-2, 10 ** 4), min_size=1, max_size=3),
+       k=st.integers(-1, 5),
+       spec=st.sampled_from(FUZZ_SPECS),
+       model=st.sampled_from(["n", "n2", "nlogn", "n2f:isqrt", "n2f:nope", "bogus"]),
+       fit_range=st.tuples(st.integers(-5, 64), st.integers(-5, 64)),
+       window=FUZZ_WINDOW,
+       method=st.sampled_from(["tm", "sturmian"]),
+       out=FUZZ_OUT)
+def test_experiment_fuzz_exit_codes(fuzz_files, name, ns, k, spec, model, fit_range,
+                                    window, method, out):
+    if name == "lemma1":
+        ns = [n % 65 - 2 for n in ns]  # lemma1 indexes max(ns) lengths
+    argv = with_window(
+        ["experiment", name, "--n=" + ",".join(map(str, ns)), f"--k={k}",
+         f"--word={spec}", f"--model={model}", f"--range={fit_range[0]}:{fit_range[1]}",
+         f"--method={method}"], window)
+    if out is not None:
+        argv += ["--out", str(fuzz_files[out])]
+    assert_contract(argv)
+
+
+@pytest.mark.parametrize("s_file,reason", [
+    ("missing", "No such file"), ("directory", "Is a directory"),
+    ("binary", "can't decode")])
+def test_verify_unreadable_set_file(fuzz_files, capsys, s_file, reason):
+    assert run(["verify", "tm", "--s-file", str(fuzz_files[s_file]),
+                "--t-file", str(fuzz_files["T"]), "--n-max", "16"]) == 3
+    err = capsys.readouterr().err
+    assert "bad-set-file" in err and reason in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "tm", "tm", "--n-max", "16", "--out", "{under-file}"],
+    ["decompose", "tm", "tm", "--n-max", "16", "--out", "{a-file}"],
+    ["complexity", "tm", "--n-max", "8", "--out", "{under-file}"],
+    ["complexity", "tm", "--n-max", "8", "--out", "{directory}"],
+    ["experiment", "e-count", "--n", "100", "--out", "{under-file-deeper}"],
+])
+def test_unwritable_output_exits_3(fuzz_files, capsys, argv):
+    paths = dict(fuzz_files, **{"a-file": fuzz_files["under-file"].parent})
+    argv = [a.format(**paths) if a.startswith("{") else a for a in argv]
+    before = sorted(p.name for p in paths["a-file"].parent.iterdir())
+    dc_before = sorted(p.name for p in paths["directory"].iterdir())
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "unwritable-output" in err and "Traceback" not in err
+    # no temp file is left next to the refused output
+    assert sorted(p.name for p in paths["a-file"].parent.iterdir()) == before
+    assert sorted(p.name for p in paths["directory"].iterdir()) == dc_before

@@ -1,5 +1,6 @@
 """Decomposition routes: marker cuts, word-specific sets, greedy, counting."""
 
+import collections
 import functools
 import itertools
 import math
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from factorlang import (
     LeveledLanguage,
+    MarkerOccurrences,
+    MarkerSet,
     PreconditionError,
     SplitRecord,
     VerificationError,
@@ -17,6 +20,7 @@ from factorlang import (
     build_decomposition,
     build_factor_index,
     build_st,
+    classify_occurrence,
     compositions_count,
     fibonacci_word,
     greedy_two_sets,
@@ -32,6 +36,7 @@ from factorlang import (
     verify_cover,
     witness_split,
 )
+from factorlang import decompose
 from factorlang.decompose import CoverReport, _max_valuation_boundary
 
 
@@ -122,11 +127,12 @@ def _family_d(markers):
 def test_split_factor_invariants(index_name, request):
     index = request.getfixturevalue(index_name)
     markers = build_all_markers(index)
+    occurrences = MarkerOccurrences(index, markers)
     d = _family_d(markers)
     top = max(markers)
     for n in (2 * d, 3 * d, 40, 97, 128):
         for v in sorted(index.factors_of_length(n)):
-            rec = split_factor(index, markers, v)
+            rec = split_factor(occurrences, v)
             assert rec.s + rec.t == v
             half = 2 ** (rec.order - 1)
             assert len(rec.s) >= half and len(rec.t) >= half
@@ -145,19 +151,20 @@ def test_split_factor_invariants(index_name, request):
 
 def test_split_factor_rejects_short_and_foreign(tm_index):
     markers = build_all_markers(tm_index)
+    occurrences = MarkerOccurrences(tm_index, markers)
     d = _family_d(markers)
     short = thue_morse().prefix(2 * d - 1)
     with pytest.raises(PreconditionError, match="precondition-violation"):
-        split_factor(tm_index, markers, short)
+        split_factor(occurrences, short)
     with pytest.raises(PreconditionError, match="precondition-violation"):
-        split_factor(tm_index, markers, "2" * 2 * d)
+        split_factor(occurrences, "2" * 2 * d)
 
 
 def test_split_factor_leftmost_fib(fib_index):
     markers = build_all_markers(fib_index)
     d = _family_d(markers)
     v = fibonacci_word().prefix(2 * d)
-    rec = split_factor(fib_index, markers, v)
+    rec = split_factor(MarkerOccurrences(fib_index, markers), v)
     assert rec.s + rec.t == v
     half = 2 ** (rec.order - 1)
     assert rec.s.endswith((rec.s[-half:]))
@@ -289,11 +296,136 @@ def test_mask_cover_reports_uncovered_in_oracle_order(spec):
 
 def test_split_factor_known_start_matches_lookup(tm_index):
     markers = build_all_markers(tm_index)
+    occurrences = MarkerOccurrences(tm_index, markers)
     d = _family_d(markers)
     for n in (2 * d, 50, 128):
         for v, start in tm_index.factors_with_positions(n):
-            assert split_factor(tm_index, markers, v, start) == \
-                split_factor(tm_index, markers, v)
+            assert split_factor(occurrences, v, start) == \
+                split_factor(occurrences, v)
+
+
+def scanning_split_factor(index, markers, v, start):
+    """Oracle for split_factor: search ``v`` for every marker of every order
+    and classify each occurrence of the chosen marker afresh."""
+    for order in sorted(markers, reverse=True):
+        half = 2 ** (order - 1)
+        hits = [(v.find(m), m) for m in markers[order].markers]
+        hits = [(pos, m) for pos, m in hits if pos != -1]
+        if not hits:
+            continue
+        _, marker = min(hits)
+        rel_positions = []
+        at = v.find(marker)
+        while at != -1:
+            rel_positions.append(at)
+            at = v.find(marker, at + 1)
+        chosen_rel = None
+        chosen_class = None
+        first_classified = None
+        for rel in rel_positions:
+            try:
+                cls = classify_occurrence(index.window, start + rel, 2 ** order)
+            except PreconditionError:
+                continue
+            if first_classified is None:
+                first_classified = (rel, cls)
+            if not cls.internal:
+                chosen_rel, chosen_class = rel, cls
+                break
+        if chosen_rel is None:
+            chosen_rel, chosen_class = first_classified or (rel_positions[0], None)
+        cut = start + chosen_rel + half
+        s = index.window[start:cut]
+        t = index.window[cut:start + len(v)]
+        return SplitRecord(v=v, s=s, t=t, order=order,
+                           position=start + chosen_rel,
+                           occurrence_class=chosen_class)
+    raise VerificationError("no-marker-found", f"no marker occurs in {v!r}")
+
+
+MARKER_SPECS = ["tm", "fib", "sturm:2,(1)", "morphic:0->01,1->00@0"]
+
+
+@pytest.mark.parametrize("spec", MARKER_SPECS)
+@pytest.mark.parametrize("n_max,window", [(32, None), (64, None), (96, None),
+                                          (64, 192), (80, 240)])
+def test_build_st_matches_scanning_oracle(spec, n_max, window, monkeypatch):
+    index = build_factor_index(parse_word_spec(spec), window, n_max)
+    markers = build_all_markers(index)
+    d = _family_d(markers)
+    calls = collections.Counter()
+
+    def counting_classify(window, position, length):
+        calls[position, length] += 1
+        return classify_occurrence(window, position, length)
+
+    monkeypatch.setattr(decompose, "classify_occurrence", counting_classify)
+    s_lang, t_lang, records = build_st(index, markers)
+    monkeypatch.undo()
+    # one classification per distinct occurrence, however many factors hold it
+    assert calls and set(calls.values()) == {1}
+    expected = []
+    for n in range(1, n_max + 1):
+        for v, start in index.factors_with_positions(n):
+            if n < 2 * d:
+                expected.append(SplitRecord(v=v, s=v, t="", order=None,
+                                            position=start, occurrence_class=None))
+            else:
+                expected.append(scanning_split_factor(index, markers, v, start))
+    # dataclass equality compares every field, the occurrence class included
+    assert records == expected
+    assert list(s_lang.words()) == sorted({r.s for r in expected}, key=lambda w: (len(w), w))
+    assert list(t_lang.words()) == sorted({r.t for r in expected}, key=lambda w: (len(w), w))
+
+
+def brute_starts(window, word):
+    return [i for i in range(len(window) - len(word) + 1) if window[i:i + len(word)] == word]
+
+
+@pytest.mark.parametrize("spec", MARKER_SPECS)
+def test_marker_occurrence_lists_match_brute_force(spec):
+    index = build_factor_index(parse_word_spec(spec), n_max=96)
+    markers = build_all_markers(index)
+    occurrences = MarkerOccurrences(index, markers)
+    assert occurrences.orders == sorted(markers, reverse=True)
+    for order, ms in markers.items():
+        merged = []
+        for m in ms.markers:
+            assert occurrences.own[m] == brute_starts(index.window, m)
+            merged.extend((i, m) for i in occurrences.own[m])
+        merged.sort()
+        assert occurrences.starts[order] == [i for i, _ in merged]
+        assert occurrences.marker_at[order] == [m for _, m in merged]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MARKER_SPECS + ["abk", "ultper:0|011"]),
+       st.integers(min_value=8, max_value=40), st.data())
+def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
+    """Random marker families on short windows, where occurrences near the
+    window's end cannot be classified and some factors hold no marker."""
+    index = small_window_index(spec, n_max)
+    top = (n_max // 2).bit_length() - 1
+    markers = {}
+    for order in range(1, top + 1):
+        pool = sorted(index.factors_of_length(2 ** order))
+        chosen = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4))
+        markers[order] = MarkerSet(order=order, markers=frozenset(chosen), D=2)
+    occurrences = MarkerOccurrences(index, markers)
+    for n in range(4, n_max + 1):
+        for v, start in index.factors_with_positions(n):
+            try:
+                expected = scanning_split_factor(index, markers, v, start)
+            except VerificationError:
+                with pytest.raises(VerificationError, match="no-marker-found"):
+                    split_factor(occurrences, v, start)
+                continue
+            assert split_factor(occurrences, v, start) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def small_window_index(spec, n_max):
+    return build_factor_index(parse_word_spec(spec), n_work=2 * n_max, n_max=n_max)
 
 
 # -- doubling-morphism route -----------------------------------------------------
