@@ -7,23 +7,30 @@ its factors have the same set of right-extension letters (the out-going
 transition letters), and they share the first (leftmost) ending position.
 Those three facts drive every per-length statistic downstream.
 
-States are integers into parallel arrays; transitions are one dense array per
-alphabet letter, which is compact for the two- or three-letter alphabets used
-here. Construction is the classic online algorithm. A text of N letters has
-at most 2N - 1 states (Blumer et al., 1985), so the build writes into Python
-lists preallocated to that size (list indexing is faster than numpy scalar
-access in the loop); afterwards each list is trimmed, turned into a numpy
-array and freed before the next one, so the lists and the arrays of the whole
-automaton are never in memory together.
+States are integers into parallel arrays. During the build, transitions are
+one dense list per alphabet letter, which is compact for the two- or
+three-letter alphabets used here; once built, only each state's number of
+out-going letters (``outdeg``) is kept. Construction is the classic online
+algorithm. A text of N letters has at most 2N - 1 states (Blumer et al.,
+1985), so the build writes into Python lists preallocated to that size (list
+indexing is faster than numpy scalar access in the loop). The full build then
+trims each list, turns it into a numpy array and frees it before the next
+one, so the lists and the arrays of the whole automaton are never in memory
+together. A state's first end is
+maxlen - 1 unless it is a clone, so the loop records it for clones alone.
 
 The build is online, so it also records, for every position, ``floor[pos]``:
 the length of the longest suffix of ``text[:pos + 1]`` that occurred before.
 The letter at ``pos`` adds exactly the factors of lengths
 ``floor[pos] + 1 .. pos + 1``, which gives the complexity profile of every
-prefix of the text from the one build.
+prefix of the text from the one build. The count-only build
+(``count_only=True``) runs the same loop but keeps only ``floor``, unboxed in
+an ``array('q')``, and ``n_states``: no first ends, no state arrays.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -38,29 +45,24 @@ def _to_array(values: list, n: int) -> np.ndarray:
 
 class SuffixAutomaton:
 
-    __slots__ = ("text", "alphabet", "n_states", "maxlen", "minlen", "link",
-                 "first_end", "outdeg", "trans", "floor", "_letter_index")
+    __slots__ = ("n_states", "maxlen", "minlen", "link", "first_end", "outdeg",
+                 "floor")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.alphabet = tuple(sorted(set(text)))
-        letter_index = {ch: i for i, ch in enumerate(self.alphabet)}
-        self._letter_index = letter_index
-
+    def __init__(self, text: str, count_only: bool = False):
+        alphabet = sorted(set(text))
         size = max(2 * len(text), 1)
         maxlen = [0] * size
         link = [-1] * size
-        first_end = [-1] * size
-        trans = [[-1] * size for _ in self.alphabet]
-        floor = [0] * len(text)
-        trans_of = {ch: trans[i] for ch, i in letter_index.items()}
+        first_end = None if count_only else [-1] * size
+        trans = [[-1] * size for _ in alphabet]
+        floor = array("q", bytes(8 * len(text)))
+        trans_of = dict(zip(alphabet, trans))
         n_states = 1
         last = 0
         for pos, tc in enumerate(map(trans_of.__getitem__, text)):
             cur = n_states
             n_states += 1
             maxlen[cur] = pos + 1
-            first_end[cur] = pos
             p = last
             while p != -1 and tc[p] == -1:
                 tc[p] = cur
@@ -78,7 +80,9 @@ class SuffixAutomaton:
                     n_states += 1
                     maxlen[clone] = f
                     link[clone] = link[q]
-                    first_end[clone] = first_end[q]
+                    if first_end is not None:
+                        e = first_end[q]
+                        first_end[clone] = maxlen[q] - 1 if e == -1 else e
                     for t in trans:
                         t[clone] = t[q]
                     while p != -1 and tc[p] == q:
@@ -89,42 +93,21 @@ class SuffixAutomaton:
             last = cur
 
         self.n_states = n_states
-        self.floor = _to_array(floor, len(text))
+        self.floor = np.frombuffer(floor, dtype=np.int64)
+        if count_only:
+            return
+        outdeg = np.zeros(n_states, dtype=np.int64)
+        for t in trans:
+            outdeg += _to_array(t, n_states) != -1
+        self.outdeg = outdeg
         self.maxlen = _to_array(maxlen, n_states)
         self.link = _to_array(link, n_states)
-        self.first_end = _to_array(first_end, n_states)
-        self.trans = [_to_array(t, n_states) for t in trans]
+        first_end = _to_array(first_end, n_states)
+        self.first_end = np.where(first_end == -1, self.maxlen - 1, first_end)
         minlen = np.empty(n_states, dtype=np.int64)
         minlen[0] = 0
         minlen[1:] = self.maxlen[self.link[1:]] + 1
         self.minlen = minlen
-        outdeg = np.zeros(n_states, dtype=np.int64)
-        for t in self.trans:
-            outdeg += t != -1
-        self.outdeg = outdeg
-
-    def state_of(self, word: str) -> int | None:
-        """State holding ``word``, or None when it is not a factor."""
-        s = 0
-        li = self._letter_index
-        trans = self.trans
-        for ch in word:
-            c = li.get(ch)
-            if c is None:
-                return None
-            s = int(trans[c][s])
-            if s == -1:
-                return None
-        return s
-
-    def first_occurrence(self, word: str) -> int | None:
-        """Start of the leftmost occurrence of ``word``, or None."""
-        s = self.state_of(word)
-        if s is None:
-            return None
-        if s == 0:
-            return 0
-        return int(self.first_end[s]) - len(word) + 1
 
     def length_counts(self, n_max: int, prefix: int | None = None) -> np.ndarray:
         """Number of distinct factors per length 1..n_max (index 0 = length 1)
@@ -134,7 +117,7 @@ class SuffixAutomaton:
         at n_max; one difference array over the positions before ``prefix``
         sums them.
         """
-        m = len(self.text) if prefix is None else prefix
+        m = len(self.floor) if prefix is None else prefix
         lo = self.floor[:m] + 1
         hi = np.minimum(np.arange(1, m + 1), n_max)
         keep = lo <= hi

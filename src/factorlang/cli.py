@@ -35,7 +35,7 @@ from .experiments import (
     staircase_pair_count,
     witness_pair_count,
 )
-from .factors import DEFAULT_N_MAX, build_factor_index, stabilized_profile
+from .factors import DEFAULT_N_MAX, build_factor_index, stabilized_profile, window_profile
 from .periodicity import markers_to_jsonl
 from .words import parse_word_spec
 
@@ -217,8 +217,7 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
         return rows, f"witness pairs at k={args.k} against n"
     if name == "fit":
         lo, hi = args.range
-        index = build_factor_index(parse_word_spec(args.spec), args.window, hi)
-        profile = index.profile()
+        profile = window_profile(parse_word_spec(args.spec), args.window, hi)
         fit = growth_fit(profile, args.model, lo, hi)
         rows = []
         model_name, model_fn = resolve_model(args.model)

@@ -224,8 +224,8 @@ def split_factor(occurrences: MarkerOccurrences, v: str,
             "precondition-violation",
             f"marker splitting needs |v| >= {2 * d}, got {len(v)}")
     if start is None:
-        start = index.first_occurrence(v)
-        if start is None:
+        start = index.window.find(v)
+        if start == -1:
             raise PreconditionError(
                 "precondition-violation", f"{v!r} is not a factor of the window")
     end = start + len(v)
@@ -426,8 +426,8 @@ def thue_morse_split_sets(index: FactorIndex):
             raise PreconditionError(
                 "out-of-range", f"cut is defined for lengths 1..{n_max}")
         if start is None:
-            start = index.first_occurrence(v)
-            if start is None:
+            start = index.window.find(v)
+            if start == -1:
                 raise PreconditionError(
                     "precondition-violation", f"{v!r} is not a factor of the window")
         last = start + len(v) - 1

@@ -77,31 +77,32 @@ def staircase_pair_count_bruteforce(n: int) -> int:
     return total
 
 
-def witness_pair_count(n: int, k: int, f: Callable[[int], int] = math.isqrt,
-                       kpq: Callable[[int, int], int] | None = None) -> int:
-    """Number of (p, q) with p + q < (n - 2) / (2k - 1), q <= f(p) and a
-    repetition count of at least 2k - 1.
+def witness_pair_count(n: int, k: int) -> int:
+    """Number of (p, q) with p + q < (n - 2) / (2k - 1), 1 <= q <= isqrt(p)
+    and a repetition count k(p, q) = p of at least 2k - 1.
 
     Each such pair contributes a distinct factor family at length n in the
     block-product word, so the count lower-bounds how much variety survives
-    at that length.
+    at that length. With ``top`` the largest admissible p + q, each p adds
+    min(isqrt(p), top - p) pairs: isqrt(p) up to the last p with
+    p + isqrt(p) <= top, which is top - isqrt(top) or the next one (the sum
+    grows by 1 or 2 a step), and top - p after it, down to 1.
     """
     if n < 3 or k < 1:
         raise PreconditionError("out-of-range", f"need n >= 3 and k >= 1, got {n}, {k}")
-    if kpq is None:
-        kpq = lambda p, q: p
     need = 2 * k - 1
-    total = 0
-    p = 1
-    while (p + 1) * need < n - 2:
-        q_hi = f(p)
-        for q in range(1, q_hi + 1):
-            if (p + q) * need >= n - 2:
-                break
-            if kpq(p, q) >= need:
-                total += 1
-        p += 1
-    return total
+    top = -(-(n - 2) // need) - 1
+    if top <= need:
+        return 0
+    last = top - math.isqrt(top)
+    last = max(last + (last + 1 + math.isqrt(last + 1) <= top), need - 1)
+    tail = top - 1 - last
+
+    def isqrt_sum(x):  # isqrt(0) + ... + isqrt(x); each r < isqrt(x) repeats 2r + 1 times
+        r = math.isqrt(x)
+        return (r - 1) * r * (4 * r + 1) // 6 + r * (x - r * r + 1)
+
+    return isqrt_sum(last) - isqrt_sum(need - 1) + tail * (tail + 1) // 2
 
 
 _MODELS: dict[str, Callable[[int], float]] = {

@@ -183,32 +183,35 @@ class FactorIndex:
         """
         self._check_range(n, self.n_max - 1)
         if self._right_intervals is None:
-            self._right_intervals = _branching_intervals(self._sam)
-        text = self.window
-        return {text[e - n + 1:e + 1]
-                for e in _ends_at_length(self._right_intervals, n).tolist()}
+            sam = self._sam
+            idx = np.nonzero(sam.outdeg[1:] >= 2)[0] + 1
+            self._right_intervals = sam.minlen[idx], sam.maxlen[idx], sam.first_end[idx]
+        return self._words_of_length(self._right_intervals, n)
 
     def left_special(self, n: int) -> set[str]:
         """Factors of length ``n`` with at least two left extensions.
 
-        Left special factors are reversed right special factors of the
-        reversed window. The suffix automaton of the reversed window is built
-        on first use and only its branching intervals are kept; a factor
-        ending at e in the reversed window starts at n_work - 1 - e here.
+        A factor has as many left extensions as its state has children in
+        the suffix-link tree when it is the longest word of that state, and
+        one otherwise (Blumer et al., 1985). So the left special factors of
+        length n are the longest words of the states with maxlen = n and two
+        or more children.
         """
         self._check_range(n, self.n_max - 1)
         if self._left_intervals is None:
-            self._left_intervals = _branching_intervals(
-                SuffixAutomaton(self.window[::-1]))
+            sam = self._sam
+            idx = np.nonzero(np.bincount(sam.link[1:], minlength=sam.n_states) >= 2)[0]
+            self._left_intervals = sam.maxlen[idx], sam.maxlen[idx], sam.first_end[idx]
+        return self._words_of_length(self._left_intervals, n)
+
+    def _words_of_length(self, intervals, n: int) -> set[str]:
+        """The length-``n`` words of the states given by their (minlen,
+        maxlen, first_end) arrays, read from the window at their first ends."""
+        lo, hi, end = intervals
         text = self.window
-        starts = self.n_work - 1 - _ends_at_length(self._left_intervals, n)
-        return {text[i:i + n] for i in starts.tolist()}
+        return {text[e - n + 1:e + 1] for e in end[(lo <= n) & (n <= hi)].tolist()}
 
     # -- occurrences --------------------------------------------------------
-
-    def first_occurrence(self, word: str) -> int | None:
-        """Start of the leftmost occurrence in the window, or None."""
-        return self._sam.first_occurrence(word)
 
     def occurrences(self, word: str) -> list[int]:
         """All start positions of ``word`` in the window, in order.
@@ -234,21 +237,6 @@ def _slopes(p: np.ndarray, g: np.ndarray) -> tuple[int, int]:
     n = 1..len(p)."""
     ns = np.arange(1, len(p) + 1)
     return int(np.max(-(-p // ns))), int(np.max(-(-g // ns)))
-
-
-def _branching_intervals(sam: SuffixAutomaton):
-    """(minlen, maxlen, first_end) of the non-initial states with two or
-    more out-going letters, whose factors are exactly the right special
-    ones."""
-    idx = np.nonzero(sam.outdeg >= 2)[0]
-    idx = idx[idx > 0]
-    return sam.minlen[idx], sam.maxlen[idx], sam.first_end[idx]
-
-
-def _ends_at_length(intervals, n: int) -> np.ndarray:
-    """First ends of the states in ``intervals`` that hold a factor of length n."""
-    lo, hi, end = intervals
-    return end[(lo <= n) & (n <= hi)]
 
 
 def _window_length(n_work: int | None, n_max: int, stabilization_factor: int) -> int:
@@ -280,6 +268,16 @@ def build_factor_index(source: WordSource, n_work: int | None = None,
     return FactorIndex(source, source.prefix(n_work), n_max)
 
 
+def window_profile(source: WordSource, n_work: int | None = None,
+                   n_max: int = DEFAULT_N_MAX) -> ComplexityProfile:
+    """The complexity profile of the length-``n_work`` window, checked and
+    defaulted as in :func:`build_factor_index` and in the same order, from a
+    count-only automaton instead of an index."""
+    n_work = _window_length(n_work, n_max, DEFAULT_STABILIZATION_FACTOR)
+    sam = SuffixAutomaton(source.prefix(n_work), count_only=True)
+    return ComplexityProfile.from_counts(source.spec, n_work, sam.length_counts(n_max))
+
+
 def stabilized_profile(source: WordSource, n_work: int | None = None,
                        n_max: int = DEFAULT_N_MAX) -> tuple[ComplexityProfile, bool]:
     """The complexity profile of the length-``n_work`` window, and whether
@@ -288,12 +286,12 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
     The window is checked and defaulted as in :func:`build_factor_index`,
     and the prefix cap at ``n_work`` before the one at ``2 * n_work``, so an
     inadmissible request is refused before any letter is generated. One
-    automaton over the doubled window gives both profiles, since it counts
-    the factors of each of its prefixes.
+    count-only automaton over the doubled window gives both profiles, since
+    it counts the factors of each of its prefixes.
     """
     n_work = _window_length(n_work, n_max, DEFAULT_STABILIZATION_FACTOR)
     source.check_length(n_work)
-    sam = SuffixAutomaton(source.prefix(2 * n_work))
+    sam = SuffixAutomaton(source.prefix(2 * n_work), count_only=True)
     p = sam.length_counts(n_max, prefix=n_work)
     stable = np.array_equal(p, sam.length_counts(n_max))
     return ComplexityProfile.from_counts(source.spec, n_work, p), stable

@@ -12,6 +12,7 @@ window rather than assumed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError, VerificationError
@@ -160,17 +161,28 @@ def require_stable_slope(index: FactorIndex) -> int:
     """Return C after checking it does not grow across the indexed range.
 
     The marker construction presumes complexity bounded by a fixed multiple
-    of the length. On a window that shows up as the slope C already being
-    attained on the first half of the range; a word with faster-than-linear
-    complexity doubles its slope when the range doubles and is rejected.
+    of the length, so the largest p(n)/n must be attained on the first half
+    of the range. The word is rejected when that maximum grows more than
+    1.25-fold over the whole range: a quadratic word nearly doubles it (abk:
+    1.31 at n_max 8, up to 1.96), while the linear words tried stay below
+    1.17 from n_max 8 on (Thue-Morse 1.16 at n_max 11). It is also rejected
+    when C = ceil(max p(n)/n) grows over a half range of 16 lengths or more:
+    past n_max 256 the default window is too short for abk's ratio to show
+    (1.06 at n_max 512) but its C still grows, and on shorter ranges a
+    linear word's p(n)/n may still cross an integer (Thue-Morse: 3 up to
+    n = 12, 40/13 at n = 13).
     """
-    c_full, _ = index.slope_constants()
-    c_half, _ = index.slope_constants(max(1, index.n_max // 2))
-    if c_full > c_half:
+    half = max(1, index.n_max // 2)
+    ratios = [c / n for n, c in enumerate(index.profile().p, 1)]
+    r_half, r_full = max(ratios[:half]), max(ratios)
+    # p(n)/n is exact when n divides p(n) and at least 1/n off an integer
+    # otherwise, so ceil gives the integer slope C
+    c_half, c_full = math.ceil(r_half), math.ceil(r_full)
+    if r_full > 1.25 * r_half or (half >= 16 and c_full > c_half):
         raise PreconditionError(
             "not-linear-within-window",
-            f"complexity slope grows with length (C = {c_half} at"
-            f" n_max = {index.n_max // 2} but C = {c_full} at n_max = {index.n_max});"
+            f"complexity slope grows with length (max p(n)/n = {r_half:.3f}, C = {c_half}"
+            f" up to n = {half}, but {r_full:.3f}, C = {c_full} up to n = {index.n_max});"
             " the marker construction needs linear complexity")
     return c_full
 

@@ -62,7 +62,7 @@ def test_complexity_window_too_small(capsys):
 
 
 def test_complexity_refuses_over_cap_before_any_build(monkeypatch, capsys):
-    def no_build(text):
+    def no_build(text, **_):
         raise AssertionError(f"automaton built over {len(text)} letters")
 
     monkeypatch.setattr(factors, "SuffixAutomaton", no_build)
@@ -71,6 +71,23 @@ def test_complexity_refuses_over_cap_before_any_build(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "resource-limit" in err
     assert "prefix length 18000000" in err
+    # fit counts the window itself, so the same prefix is asked of it directly
+    assert run(["experiment", "fit", "--word", "tm", "--model", "n",
+                "--range", "2:8", "--window", "18000000"]) == 3
+    err = capsys.readouterr().err
+    assert "resource-limit" in err
+    assert "prefix length 18000000" in err
+
+
+def test_counting_commands_build_no_factor_index(monkeypatch, capsys):
+    def no_index(*args):
+        raise AssertionError("a factor index was built")
+
+    monkeypatch.setattr(factors, "FactorIndex", no_index)
+    assert run(["complexity", "tm", "--n-max", "32"]) == 0
+    assert run(["experiment", "fit", "--word", "tm", "--model", "n",
+                "--range", "4:32"]) == 0
+    assert "note: tm against n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("method,spec,n_max", [
@@ -149,6 +166,15 @@ def test_decompose_marker_rejects_periodic_word(tmp_path, capsys):
                 "--out", str(out)]) == 3
     assert "eventually-periodic" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_max", ["16", "24"])
+def test_decompose_marker_accepts_thue_morse_at_short_ranges(tmp_path, capsys, n_max):
+    # p(n)/n of Thue-Morse passes 3 only at n = 13; the linearity guard must
+    # not read that as growth
+    out = tmp_path / "dc"
+    assert run(["decompose", "marker", "tm", "--n-max", n_max, "--out", str(out)]) == 0
+    assert "coverage: 1.000000" in capsys.readouterr().out
 
 
 def test_decompose_marker_rejects_quadratic_word(tmp_path, capsys):

@@ -93,6 +93,14 @@ def test_witness_pair_count_matches_double_loop():
     for n, k in [(100, 2), (1000, 3), (10000, 3), (537, 4)]:
         assert witness_pair_count(n, k) == brute_witness_pairs(n, k)
     assert witness_pair_count(10, 3) == 0
+    # the closed form switches from isqrt(p) to top - p terms near squares
+    for k in range(1, 7):
+        need = 2 * k - 1
+        ns = list(range(3, 300))
+        ns += [r * r + d for r in range(17, 120, 13) for d in (-2, -1, 0, 1, 2)]
+        ns += [need * r * r + d for r in (9, 25, 41) for d in (-1, 0, 1, 2, 3)]
+        for n in ns:
+            assert witness_pair_count(n, k) == brute_witness_pairs(n, k), (n, k)
 
 
 def test_witness_pair_growth_is_superlinear():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlang import (
+    FactorIndex,
     PreconditionError,
     SuffixAutomaton,
     VerificationError,
@@ -14,8 +15,10 @@ from factorlang import (
     parse_word_spec,
     stabilized_profile,
     thue_morse,
+    thue_morse_split_sets,
     ultimately_periodic,
 )
+from factorlang.factors import window_profile
 
 
 def frame_factors(window: str, n: int) -> set[str]:
@@ -53,6 +56,18 @@ def interval_length_counts(sam: SuffixAutomaton, n_max: int) -> np.ndarray:
     return np.cumsum(diff)[1:n_max + 1]
 
 
+def reverse_left_special(window: str, n: int) -> set[str]:
+    """Left special factors as the reversed right special factors of the
+    reversed window, read from the reverse window's suffix automaton: its
+    states with two or more out-going letters hold the lengths
+    [minlen, maxlen] and first end at first_end."""
+    sam = SuffixAutomaton(window[::-1])
+    idx = np.nonzero(sam.outdeg[1:] >= 2)[0] + 1
+    hit = idx[(sam.minlen[idx] <= n) & (n <= sam.maxlen[idx])]
+    starts = len(window) - 1 - sam.first_end[hit]
+    return {window[i:i + n] for i in starts.tolist()}
+
+
 SMALL_SPECS = ["tm", "fib", "abk", "pq:f=isqrt,k=p", "ultper:01|10", "sturm:2,(1)"]
 
 # short texts: prefixes of the built-in words and random binary and ternary
@@ -83,9 +98,59 @@ def test_automaton_state_bound_and_array_lengths(text):
     sam = SuffixAutomaton(text)
     # at most 2N - 1 states for N >= 2 letters; "" has 1 state and "a" has 2
     assert sam.n_states <= max(2 * len(text) - 1, len(text) + 1)
-    for arr in (sam.maxlen, sam.minlen, sam.link, sam.first_end, sam.outdeg, *sam.trans):
+    for arr in (sam.maxlen, sam.minlen, sam.link, sam.first_end, sam.outdeg):
         assert len(arr) == sam.n_states
     assert len(sam.floor) == len(text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(TEXTS, st.integers(min_value=1, max_value=30))
+def test_count_only_build_counts_as_the_full_build(text, n_max):
+    full = SuffixAutomaton(text)
+    lean = SuffixAutomaton(text, count_only=True)
+    assert lean.n_states == full.n_states
+    assert lean.floor.tolist() == full.floor.tolist()
+    for m in range(len(text) + 1):
+        assert (lean.length_counts(n_max, prefix=m).tolist()
+                == full.length_counts(n_max, prefix=m).tolist())
+    assert lean.length_counts(n_max).tolist() == full.length_counts(n_max).tolist()
+
+
+def test_count_only_build_keeps_no_state_arrays():
+    lean = SuffixAutomaton(thue_morse().prefix(1000), count_only=True)
+    for name in ("first_end", "maxlen", "link", "minlen", "outdeg"):
+        assert not hasattr(lean, name), name
+    assert lean.floor.dtype == np.int64 and len(lean.floor) == 1000
+
+
+@settings(max_examples=80, deadline=None)
+@given(TEXTS)
+def test_left_special_matches_reverse_automaton(text):
+    n_max = len(text) + 1
+    index = FactorIndex(thue_morse(), text, n_max)
+    for n in range(1, n_max):
+        want = reverse_left_special(text, n)
+        assert index.left_special(n) == want
+        assert want == frame_left_special(text, n)
+
+
+def test_window_profile_is_the_index_profile():
+    for spec in SMALL_SPECS:
+        source = parse_word_spec(spec)
+        assert (window_profile(source, 600, 24)
+                == build_factor_index(source, n_work=600, n_max=24).profile())
+    assert window_profile(thue_morse(), n_max=8).n_work == 50 * 8
+
+
+def test_window_profile_guards_in_index_order():
+    # n_max first, then the window's size, then the prefix cap
+    small = parse_word_spec("tm", prefix_cap=1000)
+    with pytest.raises(PreconditionError, match="out-of-range"):
+        window_profile(small, n_work=5000, n_max=0)
+    with pytest.raises(PreconditionError, match="window-too-small"):
+        window_profile(small, n_work=5000, n_max=4000)
+    with pytest.raises(PreconditionError, match="prefix length 1001 exceeds"):
+        window_profile(small, n_work=1001, n_max=8)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -202,8 +267,11 @@ def test_occurrences():
     assert occ[:3] == [1, 7, 13]
     assert occ == [i for i in range(63) if window[i:i + 2] == "11"]
     assert index.occurrences("") == list(range(65))
-    assert index.first_occurrence("10") == 2
-    assert index.first_occurrence("0000") is None
+    # the tm cut finds a factor's first occurrence itself when not given it
+    _, _, cut = thue_morse_split_sets(index)
+    assert cut("10") == cut("10", start=2)
+    with pytest.raises(PreconditionError, match="precondition-violation"):
+        cut("0000")
     fib = build_factor_index(fibonacci_word(), n_work=64, n_max=16)
     assert fib.occurrences("11") == []
 

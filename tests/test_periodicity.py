@@ -189,8 +189,33 @@ def test_stable_slope_guard_fires_on_quadratic_word():
     index = build_factor_index(parse_word_spec("abk"), n_max=128)
     with pytest.raises(PreconditionError, match="not-linear-within-window"):
         require_stable_slope(index)
+    # the block product needs a longer window to show its growth at n_max 64
+    index = build_factor_index(parse_word_spec("pq:f=isqrt,k=p"), n_work=64000, n_max=64)
+    with pytest.raises(PreconditionError, match="not-linear-within-window"):
+        require_stable_slope(index)
     require_stable_slope(build_factor_index(thue_morse(), n_max=128))
     require_stable_slope(build_factor_index(fibonacci_word(), n_max=128))
+
+
+@pytest.mark.parametrize("spec", ["tm", "fib", "morphic:0->001,1->10@0", "sturm:1,3,(2)"])
+def test_stable_slope_guard_accepts_linear_words_from_n_max_8(spec):
+    # the integer slope of Thue-Morse goes from 3 to 4 at n = 13, and that
+    # of the morphic word from 3 to 4 at n = 11; below n_max 8 the first
+    # letters still move p(n)/n by a third
+    source = parse_word_spec(spec)
+    for n_max in range(8, 80):
+        index = build_factor_index(source, n_max=n_max)
+        assert require_stable_slope(index) == index.slope_constants()[0]
+
+
+@pytest.mark.parametrize("n_max", [8, 12, 16, 24, 32, 64, 128, 256, 384, 512])
+def test_stable_slope_guard_refuses_quadratic_word_from_n_max_8(n_max):
+    # up to n_max 256 the largest p(n)/n grows more than 1.25-fold; at 384
+    # and 512 the default window flattens it (1.18, 1.06) and only the
+    # growth of the integer slope C refuses the word
+    index = build_factor_index(parse_word_spec("abk"), n_max=n_max)
+    with pytest.raises(PreconditionError, match="not-linear-within-window"):
+        require_stable_slope(index)
 
 
 def test_build_all_markers_orders_and_serialization():
