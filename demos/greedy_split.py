@@ -9,24 +9,25 @@
 from factorlang import (
     LeveledLanguage,
     PreconditionError,
+    build_decomposition,
+    build_factor_index,
     greedy_two_sets,
     thue_morse,
-    witness_split,
 )
 
 # Thue-Morse prefixes form a language with exactly one word per length, so
-# g(n) = n and the budget slope is K = 1.
-prefixes = LeveledLanguage(thue_morse().prefix(64)[:n] for n in range(1, 65))
-s_lang, t_lang = greedy_two_sets(prefixes, 1)
+# g(n) = n and the budget slope is K = 1. The greedy route of
+# build_decomposition splits the prefixes of the window up to n_max and
+# records the leftmost cut of each, shortest first.
+dec = build_decomposition(build_factor_index(thue_morse(), n_max=64), "greedy", budget=1)
+s_lang, t_lang = dec.s_lang, dec.t_lang
 
 print("tm prefixes up to 64, budget slope 1:")
 print(f"  per-length max: S = {s_lang.per_length_max()},"
       f" T = {t_lang.per_length_max()} (cap would be 3)")
 print(f"  |S| = {s_lang.total()}, |T| = {t_lang.total()}")
 
-all_prefixes = list(prefixes.words())
-for v in [all_prefixes[5], all_prefixes[40]]:
-    rec = witness_split(v, s_lang, t_lang)
+for rec in [dec.records[5], dec.records[40]]:
     print(f"  {rec.v!r} = {rec.s!r} + {rec.t!r}")
 
 # The same pass on a language that genuinely needs more than two factors per

@@ -8,27 +8,29 @@
 
 from factorlang import (
     PreconditionError,
+    build_decomposition,
     build_factor_index,
     parse_word_spec,
     sturmian_split_sets,
     verify_cover,
-    witness_split,
 )
 
+# build_decomposition runs the route: the sets, one split record per factor
+# and the cover report of verify_cover.
 index = build_factor_index(parse_word_spec("fib"), n_max=64)
-s1, s2 = sturmian_split_sets(index)
+dec = build_decomposition(index, "sturmian")
+s1, s2 = dec.s_lang, dec.t_lang
 
 print("fib, n_max 64:")
 for n in [1, 2, 5, 21, 64]:
     print(f"  length {n}: |S1| = {s1.cardinality(n)}, |S2| = {s2.cardinality(n)}")
 print(f"  S1 at length 2: {sorted(w for w in s1.words() if len(w) == 2)}")
 
-report = verify_cover(index, s1, s2)
-print(f"  coverage: {report.coverage:.6f} over {report.total} factors")
+print(f"  coverage: {dec.report.coverage:.6f} over {dec.report.total} factors")
 
-# witness_split finds the leftmost cut certifying membership in S1 * S2.
+# Each record holds the factor's leftmost cut certifying membership in S1 * S2.
 v = index.source.prefix(40)[7:29]
-rec = witness_split(v, s1, s2)
+rec = next(r for r in dec.records if r.v == v)
 print(f"  {rec.v!r} = {rec.s!r} + {rec.t!r}")
 
 # The construction checks the Sturmian signature before trusting it, so a

@@ -26,7 +26,6 @@ from .decompose import (
     compositions_count,
     greedy_two_sets,
     product_complexity_bound,
-    refine_decomposition,
     split_factor,
     split_records_to_csv,
     split_sets_bound,
@@ -48,7 +47,6 @@ from .experiments import (
     product_bound_audit,
     resolve_model,
     staircase_pair_count,
-    staircase_pair_count_bruteforce,
     staircase_word,
     staircase_word_length,
     witness_pair_count,
@@ -122,7 +120,6 @@ __all__ = [
     "pq_block_product",
     "product_bound_audit",
     "product_complexity_bound",
-    "refine_decomposition",
     "require_stable_slope",
     "resolve_model",
     "split_factor",
@@ -130,7 +127,6 @@ __all__ = [
     "split_sets_bound",
     "stabilized_profile",
     "staircase_pair_count",
-    "staircase_pair_count_bruteforce",
     "staircase_word",
     "staircase_word_length",
     "sturmian_characteristic",

@@ -15,9 +15,12 @@ indexed factor while each keeps a bounded number of words per length:
   inserting the two halves of the cheapest split under a per-length budget.
 
 :func:`verify_cover` re-checks any claimed decomposition by membership alone,
-independently of how the sets were produced. :func:`build_decomposition` is
-the one entry point that runs a route, by name, on a factor index and returns
-its sets, records and cover report.
+independently of how the sets were produced. It reads one cut mask per word
+from per-start and per-end membership masks; :func:`witness_split` reads the
+same masks for the Sturmian and greedy records, whose cut is the leftmost
+one, the mask's lowest set bit. :func:`build_decomposition` is the one entry
+point that runs a route, by name, on a factor index and returns its sets,
+records and cover report.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ class LeveledLanguage:
         if n == 0:
             return 1 if self.includes_epsilon else 0
         return len(self.by_length.get(n, ()))
-
-    def accumulative(self, n: int) -> int:
-        """Number of words of lengths 1..n (the empty word is not counted)."""
-        return sum(len(ws) for ln, ws in self.by_length.items() if ln <= n)
 
     def lengths(self) -> list[int]:
         out = sorted(self.by_length)
@@ -316,36 +315,31 @@ class CoverReport:
         return max([v for k, v in self.t_cardinalities.items() if k > 0], default=0)
 
 
-def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
-                 t_lang: LeveledLanguage, n_max: int | None = None) -> CoverReport:
-    """Check by membership that every indexed factor is a word of S times T.
+def _cut_masks(window: str, rows, s_lang: LeveledLanguage,
+               t_lang: LeveledLanguage):
+    """Yield (n, row, masks) for each row, row by row.
 
-    This deliberately ignores any split records: a factor counts as covered
-    when some cut puts its left part in S and its right part in T. Every
-    indexed factor is ``w[i:i+n]`` for its first-occurrence start i, so the
-    membership probes are made per start and per end, not per factor and cut:
+    ``rows[n-1]`` lists the starts i of the words ``window[i:i+n]`` of length
+    n, and ``masks[k]`` is the cut mask of the word at ``row[k]``: bit c set
+    when ``window[i:i+c]`` is in S and ``window[i+c:i+n]`` is in T. The
+    membership probes are made per start and per end, not per word and cut:
 
     * for each start i, a mask with bit c set when ``w[i:i+c]`` is in S;
     * for each end j, a mask with bit ``hi - l`` set when ``w[j-l:j]`` is in
-      T, where hi is the checked length range;
+      T, where hi = len(rows) is the longest length;
 
     both relative to their own position, probing only lengths that S or T
-    hold and no longer than the longest factor starting (ending) there. The
-    factor (i, n) is covered exactly when some c + l = n, that is when the
-    start mask of i meets the end mask of i + n shifted down by hi - n.
+    hold and no longer than the longest word starting (ending) there. The
+    mask of (i, n) is the start mask of i ANDed with the end mask of i + n
+    shifted down by hi - n.
     """
-    hi = index.n_max if n_max is None else n_max
-    if not 1 <= hi <= index.n_max:
-        raise PreconditionError(
-            "out-of-range", f"cover range 1..{hi} outside the indexed 1..{index.n_max}")
-    rows = [index.factor_starts(n).tolist() for n in range(1, hi + 1)]
+    hi = len(rows)
     longest_from: dict[int, int] = {}
     longest_to: dict[int, int] = {}
     for n, row in enumerate(rows, start=1):
         for i in row:
             longest_from[i] = n
             longest_to[i + n] = n
-    window = index.window
     s_lens = s_lang.lengths()
     t_lens = t_lang.lengths()
     from_start = {
@@ -356,16 +350,52 @@ def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
         j: sum(1 << (hi - l) for l in t_lens[:bisect_right(t_lens, top)]
                if window[j - l:j] in t_lang)
         for j, top in longest_to.items()}
-    uncovered = []
-    total = 0
     for n, row in enumerate(rows, start=1):
-        total += len(row)
-        for i in row:
-            if not from_start[i] & (to_end[i + n] >> (hi - n)):
-                uncovered.append(window[i:i + n])
-    return CoverReport(total=total, uncovered=uncovered,
+        yield n, row, [from_start[i] & (to_end[i + n] >> (hi - n)) for i in row]
+
+
+def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
+                 t_lang: LeveledLanguage, n_max: int | None = None) -> CoverReport:
+    """Check by membership that every indexed factor is a word of S times T.
+
+    This deliberately ignores any split records: a factor counts as covered
+    when some cut puts its left part in S and its right part in T. Every
+    indexed factor is ``w[i:i+n]`` for its first-occurrence start i, and it
+    is covered exactly when its :func:`_cut_masks` mask is not zero.
+    """
+    hi = index.n_max if n_max is None else n_max
+    if not 1 <= hi <= index.n_max:
+        raise PreconditionError(
+            "out-of-range", f"cover range 1..{hi} outside the indexed 1..{index.n_max}")
+    rows = [index.factor_starts(n).tolist() for n in range(1, hi + 1)]
+    window = index.window
+    uncovered = []
+    for n, row, masks in _cut_masks(window, rows, s_lang, t_lang):
+        uncovered.extend(window[i:i + n] for i, m in zip(row, masks) if not m)
+    return CoverReport(total=sum(map(len, rows)), uncovered=uncovered,
                        s_cardinalities=_cardinalities(s_lang),
                        t_cardinalities=_cardinalities(t_lang))
+
+
+def witness_split(window: str, rows, s_lang: LeveledLanguage,
+                  t_lang: LeveledLanguage) -> list[SplitRecord]:
+    """The leftmost cut of each word ``window[i:i+n]``, i in ``rows[n-1]``,
+    with both parts in the given sets, in row order.
+
+    The cut is the lowest set bit of the word's :func:`_cut_masks` mask; a
+    word whose mask is zero has no cut and is refused.
+    """
+    records = []
+    for n, row, masks in _cut_masks(window, rows, s_lang, t_lang):
+        for i, m in zip(row, masks):
+            if not m:
+                raise VerificationError(
+                    "coverage-incomplete", f"no split found for {window[i:i + n]!r}")
+            cut = i + (m & -m).bit_length() - 1
+            records.append(SplitRecord(v=window[i:i + n], s=window[i:cut],
+                                       t=window[cut:i + n], order=None,
+                                       position=None, occurrence_class=None))
+    return records
 
 
 def _cardinalities(lang: LeveledLanguage) -> dict[int, int]:
@@ -443,15 +473,6 @@ def thue_morse_split_sets(index: FactorIndex):
                            occurrence_class=None)
 
     return s1, s2, cut
-
-
-def witness_split(v: str, s_lang: LeveledLanguage, t_lang: LeveledLanguage) -> SplitRecord:
-    """The leftmost cut of ``v`` with both parts in the given sets."""
-    for c in range(len(v) + 1):
-        if v[:c] in s_lang and v[c:] in t_lang:
-            return SplitRecord(v=v, s=v[:c], t=v[c:], order=None,
-                               position=None, occurrence_class=None)
-    raise VerificationError("coverage-incomplete", f"no split found for {v!r}")
 
 
 # -- Sturmian route -------------------------------------------------------------
@@ -551,27 +572,6 @@ def greedy_two_sets(lang: LeveledLanguage, budget_slope: int):
     return s_lang, t_lang
 
 
-def refine_decomposition(parts, budget_slopes):
-    """Apply the greedy split to each language of a product, in order.
-
-    ``parts`` is a sequence of languages whose concatenation covers some
-    target; each is split under its own slope and the resulting 2k languages
-    are returned in product order [S1, T1, S2, T2, ...].
-    """
-    parts = list(parts)
-    budget_slopes = list(budget_slopes)
-    if len(parts) != len(budget_slopes):
-        raise PreconditionError(
-            "out-of-range",
-            f"{len(parts)} parts but {len(budget_slopes)} budget slopes")
-    out = []
-    for part, slope in zip(parts, budget_slopes):
-        s_lang, t_lang = greedy_two_sets(part, slope)
-        out.append(s_lang)
-        out.append(t_lang)
-    return out
-
-
 # -- one entry point for the four routes ----------------------------------------
 
 
@@ -599,9 +599,12 @@ def build_decomposition(index: FactorIndex, method: str,
     The marker, tm and sturmian routes split every indexed factor, and their
     report comes from :func:`verify_cover`. The greedy route splits the
     prefixes of the window up to length n_max under the per-length budget
-    slope ``budget``; its report counts those prefixes, each certified by the
-    :func:`witness_split` record that would have raised had it no cut.
-    A ``budget`` below 1 is refused on every route, not only on greedy.
+    slope ``budget``; its report counts those prefixes. The sturmian and
+    greedy records come from one :func:`witness_split` call over their words
+    (the index rows, or the start 0 at every length for the prefixes): each
+    is the leftmost cut read from the cover masks, and a word with no cut is
+    refused there. A ``budget`` below 1 is refused on every route, not only
+    on greedy.
     """
     if budget < 1:
         raise PreconditionError(
@@ -624,12 +627,12 @@ def build_decomposition(index: FactorIndex, method: str,
                    for v, start in index.factors_with_positions(n)]
     elif method == "sturmian":
         s_lang, t_lang = sturmian_split_sets(index)
-        records = [witness_split(v, s_lang, t_lang) for n in range(1, n_max + 1)
-                   for v, _ in index.factors_with_positions(n)]
+        rows = [index.factor_starts(n).tolist() for n in range(1, n_max + 1)]
+        records = witness_split(index.window, rows, s_lang, t_lang)
     elif method == "greedy":
         prefixes = LeveledLanguage(index.window[:n] for n in range(1, n_max + 1))
         s_lang, t_lang = greedy_two_sets(prefixes, budget)
-        records = [witness_split(v, s_lang, t_lang) for v in prefixes.words()]
+        records = witness_split(index.window, [[0]] * n_max, s_lang, t_lang)
         extras = {"budget": budget}
         report = CoverReport(total=prefixes.total(), uncovered=[],
                              s_cardinalities=_cardinalities(s_lang),

@@ -63,20 +63,6 @@ def staircase_pair_count(n: int) -> int:
     return total
 
 
-def staircase_pair_count_bruteforce(n: int) -> int:
-    """Direct enumeration with no cutoff on k, for cross-checking."""
-    total = 0
-    k = 3
-    while staircase_word_length(k, 1) <= n:
-        l = 1
-        while staircase_word_length(k, l) <= n:
-            if l * l >= n:
-                total += 1
-            l += 1
-        k += 1
-    return total
-
-
 def witness_pair_count(n: int, k: int) -> int:
     """Number of (p, q) with p + q < (n - 2) / (2k - 1), 1 <= q <= isqrt(p)
     and a repetition count k(p, q) = p of at least 2k - 1.
@@ -183,10 +169,6 @@ class ProductBoundReport:
     @property
     def ok(self) -> bool:
         return self.measured <= self.bound
-
-    @property
-    def margin(self) -> int:
-        return self.bound - self.measured
 
 
 def product_bound_audit(sets: list[LeveledLanguage], index: FactorIndex,

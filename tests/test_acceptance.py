@@ -26,7 +26,6 @@ from factorlang import (
     parse_word_spec,
     split_sets_bound,
     staircase_pair_count,
-    staircase_pair_count_bruteforce,
     staircase_word_length,
     sturmian_split_sets,
     thue_morse,
@@ -34,8 +33,8 @@ from factorlang import (
     ultimately_periodic,
     verify_cover,
     witness_pair_count,
-    witness_split,
 )
+from oracles import slicing_witness_split, staircase_pair_count_bruteforce
 
 
 @contextmanager
@@ -107,7 +106,7 @@ def test_criterion_4_greedy_on_prefixes(capsys):
         assert s_lang.per_length_max() <= 3
         assert t_lang.per_length_max() <= 3
         for v in prefixes.words():
-            witness_split(v, s_lang, t_lang)
+            slicing_witness_split(v, s_lang, t_lang)
 
 
 def test_criterion_5_quadratic_growth(capsys):

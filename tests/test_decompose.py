@@ -26,7 +26,6 @@ from factorlang import (
     greedy_two_sets,
     parse_word_spec,
     product_complexity_bound,
-    refine_decomposition,
     split_factor,
     split_records_to_csv,
     split_sets_bound,
@@ -38,6 +37,7 @@ from factorlang import (
 )
 from factorlang import decompose
 from factorlang.decompose import CoverReport, _max_valuation_boundary
+from oracles import slicing_witness_split
 
 
 # -- leveled languages ---------------------------------------------------------
@@ -50,7 +50,6 @@ def test_leveled_language_basics():
     assert "ab" in lang and "aa" not in lang
     assert lang.cardinality(2) == 2
     assert lang.cardinality(0) == 1
-    assert lang.accumulative(2) == 3
     assert lang.lengths() == [0, 1, 2]
     assert lang.per_length_max() == 2
     assert list(lang.words()) == ["", "a", "ab", "ba"]
@@ -225,6 +224,31 @@ def slicing_verify_cover(index, s_lang, t_lang, n_max=None) -> CoverReport:
                        s_cardinalities=s_cards, t_cardinalities=t_cards)
 
 
+def assert_witness_split_matches_oracle(index, s_lang, t_lang, hi):
+    """The bulk witness_split over the index rows up to ``hi`` gives the
+    oracle's record for every factor the oracle splits, and refuses the full
+    rows with coverage-incomplete exactly when the oracle refuses some
+    factor."""
+    window = index.window
+    rows = [index.factor_starts(n).tolist() for n in range(1, hi + 1)]
+    split_rows, expected, refused = [], [], False
+    for n, row in enumerate(rows, start=1):
+        split_rows.append([])
+        for i in row:
+            try:
+                expected.append(slicing_witness_split(window[i:i + n], s_lang, t_lang))
+            except VerificationError:
+                refused = True
+            else:
+                split_rows[-1].append(i)
+    assert witness_split(window, split_rows, s_lang, t_lang) == expected
+    if refused:
+        with pytest.raises(VerificationError, match="coverage-incomplete"):
+            witness_split(window, rows, s_lang, t_lang)
+    else:
+        assert witness_split(window, rows, s_lang, t_lang) == expected
+
+
 COVER_SPECS = ["tm", "fib", "abk", "ultper:01|10", "ultper:0|011"]
 
 
@@ -267,6 +291,7 @@ def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
     hi = data.draw(st.integers(min_value=1, max_value=n_max))
     assert verify_cover(index, s_lang, t_lang, hi) == \
         slicing_verify_cover(index, s_lang, t_lang, hi)
+    assert_witness_split_matches_oracle(index, s_lang, t_lang, hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,6 +305,7 @@ def test_mask_cover_matches_slicing_oracle_on_thinned_routes(spec, n_max, data):
     s_lang, t_lang = without(s_lang, drop_s), without(t_lang, drop_t)
     report = verify_cover(index, s_lang, t_lang)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
+    assert_witness_split_matches_oracle(index, s_lang, t_lang, n_max)
 
 
 @pytest.mark.parametrize("spec", ["tm", "fib"])
@@ -482,10 +508,15 @@ def test_thue_morse_cut_known_start_matches_lookup(tm_index):
 def test_witness_split():
     s = LeveledLanguage(["0"])
     t = LeveledLanguage(["1"], include_epsilon=True)
-    rec = witness_split("01", s, t)
+    rec = slicing_witness_split("01", s, t)
     assert (rec.s, rec.t) == ("0", "1")
     with pytest.raises(VerificationError, match="coverage-incomplete"):
-        witness_split("11", s, t)
+        slicing_witness_split("11", s, t)
+    # the bulk form over the words "0" and "01" of the window "011"
+    assert witness_split("011", [[0], [0]], s, t) == [
+        slicing_witness_split("0", s, t), rec]
+    with pytest.raises(VerificationError, match="coverage-incomplete"):
+        witness_split("011", [[], [1]], s, t)
 
 
 # -- Sturmian route --------------------------------------------------------------
@@ -521,7 +552,7 @@ def test_greedy_on_prefixes(tm_index):
     assert s_lang.per_length_max() <= 3
     assert t_lang.per_length_max() <= 3
     for v in prefixes.words():
-        witness_split(v, s_lang, t_lang)  # raises if uncovered
+        slicing_witness_split(v, s_lang, t_lang)  # raises if uncovered
 
 
 def test_greedy_trivial_epsilon():
@@ -552,8 +583,8 @@ def test_greedy_prefix_language_always_feasible(word):
     s_lang, t_lang = greedy_two_sets(prefixes, 1)
     assert s_lang.per_length_max() <= 3
     assert t_lang.per_length_max() <= 3
-    for v in prefixes.words():
-        witness_split(v, s_lang, t_lang)
+    oracle = [slicing_witness_split(v, s_lang, t_lang) for v in prefixes.words()]
+    assert witness_split(word, [[0]] * len(word), s_lang, t_lang) == oracle
 
 
 @settings(max_examples=40, deadline=None)
@@ -568,20 +599,7 @@ def test_greedy_respects_cap_when_it_succeeds(words, budget):
     assert s_lang.per_length_max() <= 2 * budget + 1
     assert t_lang.per_length_max() <= 2 * budget + 1
     for v in lang.words():
-        witness_split(v, s_lang, t_lang)
-
-
-def test_refine_decomposition():
-    parts = [
-        LeveledLanguage(("01" * 8)[:n] for n in range(1, 9)),
-        LeveledLanguage(("10" * 8)[:n] for n in range(1, 9)),
-    ]
-    out = refine_decomposition(parts, [1, 1])
-    assert len(out) == 4
-    for lang in out:
-        assert lang.per_length_max() <= 3
-    with pytest.raises(PreconditionError, match="out-of-range"):
-        refine_decomposition(parts, [1])
+        slicing_witness_split(v, s_lang, t_lang)
 
 
 # -- one entry point ---------------------------------------------------------------
