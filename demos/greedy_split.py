@@ -19,7 +19,8 @@ from factorlang import (
 # g(n) = n and the budget slope is K = 1. The greedy route of
 # build_decomposition splits the prefixes of the window up to n_max and
 # records the leftmost cut of each, shortest first.
-dec = build_decomposition(build_factor_index(thue_morse(), n_max=64), "greedy", budget=1)
+index = build_factor_index(thue_morse(), n_max=64)
+dec = build_decomposition(index, "greedy", budget=1)
 s_lang, t_lang = dec.s_lang, dec.t_lang
 
 print("tm prefixes up to 64, budget slope 1:")
@@ -27,8 +28,10 @@ print(f"  per-length max: S = {s_lang.per_length_max()},"
       f" T = {t_lang.per_length_max()} (cap would be 3)")
 print(f"  |S| = {s_lang.total()}, |T| = {t_lang.total()}")
 
+window = index.window
 for rec in [dec.records[5], dec.records[40]]:
-    print(f"  {rec.v!r} = {rec.s!r} + {rec.t!r}")
+    print(f"  {window[rec.start:rec.end]!r} = "
+          f"{window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r}")
 
 # The same pass on a language that genuinely needs more than two factors per
 # product cannot succeed, and says so. All binary words up to length 6 have

@@ -37,11 +37,13 @@ for spec in ["tm", "fib"]:
     print(f"  per-length max: S = {s_lang.per_length_max()}, "
           f"T = {t_lang.per_length_max()}, bound {bound:.1f}")
 
-    # one split in detail: split_factor reads where the markers occur from a
-    # table built once per window (build_st builds its own)
-    v = index.source.prefix(200)[60:60 + 5 * d]
-    rec = split_factor(MarkerOccurrences(index, markers), v)
-    print(f"  {rec.v!r}\n    = {rec.s!r} + {rec.t!r} "
+    # one split in detail: split_factor cuts the span window[60:60 + 5D],
+    # reading where the markers occur from a table built once per window
+    # (build_st builds its own); the record holds positions, not words
+    window = index.window
+    rec = split_factor(MarkerOccurrences(index, markers), 60, 5 * d)
+    print(f"  {window[rec.start:rec.end]!r}\n"
+          f"    = {window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r} "
           f"(order {rec.order}, occurrence {rec.occurrence_class.label})")
     print()
 

@@ -28,10 +28,12 @@ print(f"  S1 at length 2: {sorted(w for w in s1.words() if len(w) == 2)}")
 
 print(f"  coverage: {dec.report.coverage:.6f} over {dec.report.total} factors")
 
-# Each record holds the factor's leftmost cut certifying membership in S1 * S2.
-v = index.source.prefix(40)[7:29]
-rec = next(r for r in dec.records if r.v == v)
-print(f"  {rec.v!r} = {rec.s!r} + {rec.t!r}")
+# Each record holds the factor's leftmost cut certifying membership in S1 * S2,
+# as a span of the window at the factor's first occurrence.
+window = index.window
+v = window[7:29]
+rec = next(r for r in dec.records if window[r.start:r.end] == v)
+print(f"  {v!r} = {window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r}")
 
 # The construction checks the Sturmian signature before trusting it, so a
 # word with the wrong complexity is rejected instead of silently producing

@@ -20,11 +20,12 @@ for m in [1, 2, 3, 8, 31, 64]:
     print(f"  length {m}: |S1| = {s1.cardinality(m)}, |S2| = {s2.cardinality(m)}")
 
 print()
-print("sample cuts (boundary position is absolute in the window):")
+print("sample cuts at first occurrences (boundary position is absolute in the window):")
+window = index.window
 for v in ["11", "0110", "10010110", min(index.factors_of_length(21))]:
-    rec = cut(v)
-    print(f"  {v!r} -> {rec.s!r} + {rec.t!r}  (order {rec.order}, "
-          f"boundary at {rec.position})")
+    rec = cut(window.find(v), len(v))
+    print(f"  {v!r} -> {window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r}"
+          f"  (order {rec.order}, boundary at {rec.position})")
 
 report = verify_cover(index, s1, s2)
 print()

@@ -59,19 +59,24 @@ class RunConfig:
         return " ".join(parts)
 
 
-def _write_atomic(path: Path, text: str):
-    """Write ``text`` to ``path`` through a temp file and a rename. A path
-    that cannot be written (its parent is a file, it is a directory, no
-    permission) is refused as ``unwritable-output``; no temp file is left."""
+def _write_atomic(path: Path, chunks):
+    """Write the text chunks of the iterable ``chunks`` to ``path`` through a
+    temp file and a rename, one chunk at a time. The temp file is removed
+    whatever exception interrupts the write; a path that cannot be written
+    (its parent is a file, it is a directory, no permission) is refused as
+    ``unwritable-output``, and any other exception propagates as it is."""
     tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
-        raise PreconditionError("unwritable-output", f"cannot write {path}: {exc}")
+        if isinstance(exc, OSError):
+            raise PreconditionError("unwritable-output", f"cannot write {path}: {exc}")
+        raise
 
 
 def _read_set_file(path: str, set_name: str) -> LeveledLanguage:
@@ -123,7 +128,7 @@ def cmd_complexity(args) -> int:
             f" {2 * profile.n_work}; enlarge --window")
     csv = profile.to_csv()
     if args.out:
-        _write_atomic(Path(args.out), csv)
+        _write_atomic(Path(args.out), (csv,))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv)
@@ -137,7 +142,7 @@ def cmd_decompose(args) -> int:
     s_lang, t_lang, report = dec.s_lang, dec.t_lang, dec.report
     out_dir = Path(args.out)
     if dec.markers is not None:
-        _write_atomic(out_dir / "markers.jsonl", markers_to_jsonl(dec.markers))
+        _write_atomic(out_dir / "markers.jsonl", (markers_to_jsonl(dec.markers),))
 
     config = RunConfig("decompose", (
         ("method", args.method),
@@ -159,11 +164,11 @@ def cmd_decompose(args) -> int:
         "t_total": t_lang.total(),
     }
     stats.update(dec.extras)
-    _write_atomic(out_dir / "S.jsonl", s_lang.to_jsonl("S"))
-    _write_atomic(out_dir / "T.jsonl", t_lang.to_jsonl("T"))
-    _write_atomic(out_dir / "splits.csv", split_records_to_csv(dec.records))
+    _write_atomic(out_dir / "S.jsonl", (s_lang.to_jsonl("S"),))
+    _write_atomic(out_dir / "T.jsonl", (t_lang.to_jsonl("T"),))
+    _write_atomic(out_dir / "splits.csv", split_records_to_csv(index.window, dec.records))
     _write_atomic(out_dir / "stats.json",
-                  json.dumps(stats, sort_keys=True, indent=2) + "\n")
+                  (json.dumps(stats, sort_keys=True, indent=2) + "\n",))
     print(f"word: {args.spec}")
     print(f"method: {args.method}")
     print(f"factors: {report.total}")
@@ -255,7 +260,7 @@ def cmd_experiment(args) -> int:
     lines.extend(",".join(str(x) for x in row) for row in rows)
     csv = "\n".join(lines) + "\n"
     if args.out:
-        _write_atomic(Path(args.out), csv)
+        _write_atomic(Path(args.out), (csv,))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(csv)

@@ -21,6 +21,12 @@ same masks for the Sturmian and greedy records, whose cut is the leftmost
 one, the mask's lowest set bit. :func:`build_decomposition` is the one entry
 point that runs a route, by name, on a factor index and returns its sets,
 records and cover report.
+
+Every route cuts window positions read from
+:meth:`FactorIndex.factor_starts`, so a split record is a span of the
+window, start <= cut <= end, and never holds a word. The words v, s and t
+are sliced from the window where a set needs them, and for splits.csv in
+:func:`split_records_to_csv` alone, one line at a time.
 """
 
 from __future__ import annotations
@@ -119,42 +125,54 @@ class LeveledLanguage:
         return lang
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitRecord:
-    """One factor's decomposition witness: ``v = s + t``.
+    """One factor's decomposition witness, as a span of the window.
 
-    For marker splits, ``order`` is the marker order, ``position`` the window
-    position of the chosen marker occurrence and ``occurrence_class`` its
-    classification. Short factors that go into S wholesale carry their first
-    occurrence position and no order or class. The doubling-morphism route
-    stores the 2-adic valuation of the cut boundary as ``order`` and the
-    1-based boundary position as ``position``.
+    The factor is ``v = window[start:end]``, cut into ``s = window[start:cut]``
+    and ``t = window[cut:end]``. For marker splits, ``order`` is the marker
+    order, ``position`` the window position of the chosen marker occurrence
+    and ``occurrence_class`` its classification. Short factors that go into
+    S wholesale carry their first occurrence position and no order or class.
+    The doubling-morphism route stores the 2-adic valuation of the cut
+    boundary as ``order`` and the 1-based boundary position as ``position``.
+    The Sturmian and greedy records carry the cut alone.
     """
 
-    v: str
-    s: str
-    t: str
+    start: int
+    cut: int
+    end: int
     order: int | None
     position: int | None
     occurrence_class: OccurrenceClass | None
 
     def __post_init__(self):
-        if self.s + self.t != self.v:
+        if not self.start <= self.cut <= self.end:
             raise PreconditionError(
-                "bad-split", f"parts {self.s!r} + {self.t!r} do not rebuild {self.v!r}")
+                "bad-split", f"cut {self.cut} outside the span [{self.start}, {self.end}]")
 
 
 SPLIT_CSV_HEADER = "v,s,t,k,pos,class"
 
 
-def split_records_to_csv(records) -> str:
-    lines = [SPLIT_CSV_HEADER]
+def split_records_to_csv(window: str, records):
+    """Yield the lines of splits.csv, one per record after the header,
+    slicing each record's v, s and t from ``window``."""
+    yield SPLIT_CSV_HEADER + "\n"
     for r in records:
         k = "" if r.order is None else str(r.order)
         pos = "" if r.position is None else str(r.position)
         label = "" if r.occurrence_class is None else r.occurrence_class.label
-        lines.append(f"{r.v},{r.s},{r.t},{k},{pos},{label}")
-    return "\n".join(lines) + "\n"
+        yield (f"{window[r.start:r.end]},{window[r.start:r.cut]},{window[r.cut:r.end]},"
+               f"{k},{pos},{label}\n")
+
+
+def _check_span(window: str, start: int, n: int):
+    """Refuse a span ``[start, start + n)`` that reaches outside ``window``."""
+    if start < 0 or start + n > len(window):
+        raise PreconditionError(
+            "out-of-range",
+            f"span [{start}, {start + n}) outside the window of {len(window)} letters")
 
 
 # -- marker construction ------------------------------------------------------
@@ -199,35 +217,30 @@ class MarkerOccurrences:
         return self._classes[key]
 
 
-def split_factor(occurrences: MarkerOccurrences, v: str,
-                 start: int | None = None) -> SplitRecord:
-    """Cut ``v`` at the midpoint of a chosen marker occurrence.
+def split_factor(occurrences: MarkerOccurrences, start: int, n: int) -> SplitRecord:
+    """Cut the factor ``v = window[start:start + n]`` at the midpoint of a
+    chosen marker occurrence.
 
-    The order is the largest one with a marker occurring inside ``v``; within
-    that order the marker with the leftmost occurrence is chosen. Among the
-    occurrences of that marker inside the first window occurrence of ``v``,
-    an extreme one (initial or final) is preferred, the first of them; if all
-    are internal the first classified occurrence is used, and if none can be
-    classified the first occurrence, with no class. The cut falls at the
-    middle of the marker, so s ends with its left half and t starts with its
-    right half.
+    The order is the largest one with a marker occurring inside the span;
+    within that order the marker with the leftmost occurrence is chosen.
+    Among the occurrences of that marker inside the span, an extreme one
+    (initial or final) is preferred, the first of them; if all are internal
+    the first classified occurrence is used, and if none can be classified
+    the first occurrence, with no class. The cut falls at the middle of the
+    marker, so s ends with its left half and t starts with its right half.
 
-    ``start`` is the first window occurrence of ``v`` when the caller already
-    knows it (the factor index lists it); otherwise it is looked up. The
-    occurrences are read from ``occurrences`` by bisection, not searched for.
+    The routes pass a factor's first occurrence, as the factor index lists
+    it. The occurrences are read from ``occurrences`` by bisection, not
+    searched for.
     """
     index = occurrences.index
     d = occurrences.D
-    if len(v) < 2 * d:
+    if n < 2 * d:
         raise PreconditionError(
             "precondition-violation",
-            f"marker splitting needs |v| >= {2 * d}, got {len(v)}")
-    if start is None:
-        start = index.window.find(v)
-        if start == -1:
-            raise PreconditionError(
-                "precondition-violation", f"{v!r} is not a factor of the window")
-    end = start + len(v)
+            f"marker splitting needs |v| >= {2 * d}, got {n}")
+    _check_span(index.window, start, n)
+    end = start + n
     for order in occurrences.orders:
         length = 2 ** order
         starts = occurrences.starts[order]
@@ -246,12 +259,10 @@ def split_factor(occurrences: MarkerOccurrences, v: str,
                 chosen = (pos, cls)
                 break
         pos, cls = chosen or first_classified or (starts[at], None)
-        cut = pos + length // 2
-        return SplitRecord(v=v, s=index.window[start:cut], t=index.window[cut:end],
-                           order=order, position=pos, occurrence_class=cls)
+        return SplitRecord(start, pos + length // 2, end, order, pos, cls)
     raise VerificationError(
         "no-marker-found",
-        f"no marker of any order occurs in {v!r} (undersized window?)")
+        f"no marker of any order occurs in {index.window[start:end]!r} (undersized window?)")
 
 
 def split_sets_bound(R: int, C: int, D: int) -> float:
@@ -263,9 +274,10 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
     """Split every indexed factor into S and T via marker midpoints.
 
     Factors shorter than 2D go into S wholesale, paired with the empty word;
-    the rest are cut by :func:`split_factor`, all reading one
-    :class:`MarkerOccurrences` table built here. Returns (S, T, records)
-    with one record per indexed factor in (length, word) order.
+    the rest are cut by :func:`split_factor` at their first occurrence, all
+    reading one :class:`MarkerOccurrences` table built here. Returns
+    (S, T, records) with one record per indexed factor in (length, word)
+    order.
     """
     if markers is None:
         markers = build_all_markers(index)
@@ -273,17 +285,17 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
     d = occurrences.D
     s_lang = LeveledLanguage()
     t_lang = LeveledLanguage(include_epsilon=True)
+    window = index.window
     records = []
     for n in range(1, index.n_max + 1):
-        for v, first in index.factors_with_positions(n):
+        for i in index.factor_starts(n).tolist():
             if n < 2 * d:
-                s_lang.add(v)
-                records.append(SplitRecord(v=v, s=v, t="", order=None,
-                                           position=first, occurrence_class=None))
+                s_lang.add(window[i:i + n])
+                records.append(SplitRecord(i, i + n, i + n, None, i, None))
             else:
-                rec = split_factor(occurrences, v, first)
-                s_lang.add(rec.s)
-                t_lang.add(rec.t)
+                rec = split_factor(occurrences, i, n)
+                s_lang.add(window[i:rec.cut])
+                t_lang.add(window[rec.cut:rec.end])
                 records.append(rec)
     return s_lang, t_lang, records
 
@@ -355,7 +367,7 @@ def _cut_masks(window: str, rows, s_lang: LeveledLanguage,
 
 
 def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
-                 t_lang: LeveledLanguage, n_max: int | None = None) -> CoverReport:
+                 t_lang: LeveledLanguage) -> CoverReport:
     """Check by membership that every indexed factor is a word of S times T.
 
     This deliberately ignores any split records: a factor counts as covered
@@ -363,11 +375,7 @@ def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
     indexed factor is ``w[i:i+n]`` for its first-occurrence start i, and it
     is covered exactly when its :func:`_cut_masks` mask is not zero.
     """
-    hi = index.n_max if n_max is None else n_max
-    if not 1 <= hi <= index.n_max:
-        raise PreconditionError(
-            "out-of-range", f"cover range 1..{hi} outside the indexed 1..{index.n_max}")
-    rows = [index.factor_starts(n).tolist() for n in range(1, hi + 1)]
+    rows = [index.factor_starts(n).tolist() for n in range(1, index.n_max + 1)]
     window = index.window
     uncovered = []
     for n, row, masks in _cut_masks(window, rows, s_lang, t_lang):
@@ -380,7 +388,7 @@ def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
 def witness_split(window: str, rows, s_lang: LeveledLanguage,
                   t_lang: LeveledLanguage) -> list[SplitRecord]:
     """The leftmost cut of each word ``window[i:i+n]``, i in ``rows[n-1]``,
-    with both parts in the given sets, in row order.
+    with both parts in the given sets, as spans in row order.
 
     The cut is the lowest set bit of the word's :func:`_cut_masks` mask; a
     word whose mask is zero has no cut and is refused.
@@ -391,10 +399,8 @@ def witness_split(window: str, rows, s_lang: LeveledLanguage,
             if not m:
                 raise VerificationError(
                     "coverage-incomplete", f"no split found for {window[i:i + n]!r}")
-            cut = i + (m & -m).bit_length() - 1
-            records.append(SplitRecord(v=window[i:i + n], s=window[i:cut],
-                                       t=window[cut:i + n], order=None,
-                                       position=None, occurrence_class=None))
+            records.append(SplitRecord(i, i + (m & -m).bit_length() - 1, i + n,
+                                       None, None, None))
     return records
 
 
@@ -423,12 +429,10 @@ def thue_morse_split_sets(index: FactorIndex):
 
     S1 holds every suffix (and S2 every prefix) of the n-fold images of both
     letters under 0->01, 1->10, which gives exactly two words per length. The
-    returned ``cut(v, start=None)`` splits a factor at the boundary of
-    maximal 2-adic valuation inside its first occurrence, preferring a
-    boundary that keeps both parts non-empty; the valuation makes the left
-    part a suffix, and the right part a prefix, of some iterate. ``start`` is
-    that first occurrence when the caller already knows it (the factor index
-    lists it); otherwise it is looked up.
+    returned ``cut(start, n)`` splits the factor ``window[start:start + n]``
+    at the boundary of maximal 2-adic valuation inside that span, keeping
+    both parts non-empty when n >= 2; the valuation makes the left part a
+    suffix, and the right part a prefix, of some iterate.
 
     The route holds for the Thue-Morse word only, whatever spec names it, so
     the window is compared with the Thue-Morse prefix of the same length.
@@ -451,26 +455,14 @@ def thue_morse_split_sets(index: FactorIndex):
         s2.add(block[:m])
         s2.add(coblock[:m])
 
-    def cut(v: str, start: int | None = None) -> SplitRecord:
-        if not 1 <= len(v) <= n_max:
+    def cut(start: int, n: int) -> SplitRecord:
+        if not 1 <= n <= n_max:
             raise PreconditionError(
                 "out-of-range", f"cut is defined for lengths 1..{n_max}")
-        if start is None:
-            start = index.window.find(v)
-            if start == -1:
-                raise PreconditionError(
-                    "precondition-violation", f"{v!r} is not a factor of the window")
-        last = start + len(v) - 1
-        if len(v) == 1:
-            boundary = start + 1
-            val = (boundary & -boundary).bit_length() - 1
-            return SplitRecord(v=v, s=v, t="", order=val, position=boundary,
-                               occurrence_class=None)
-        boundary, val = _max_valuation_boundary(start + 1, last)
-        s = window[start:boundary]
-        t = window[boundary:start + len(v)]
-        return SplitRecord(v=v, s=s, t=t, order=val, position=boundary,
-                           occurrence_class=None)
+        _check_span(window, start, n)
+        # a single letter has the one boundary start + 1, which leaves t empty
+        boundary, val = _max_valuation_boundary(start + 1, start + max(n - 1, 1))
+        return SplitRecord(start, boundary, start + n, val, boundary, None)
 
     return s1, s2, cut
 
@@ -623,8 +615,8 @@ def build_decomposition(index: FactorIndex, method: str,
                   "bound": split_sets_bound(r, c, d)}
     elif method == "tm":
         s_lang, t_lang, cut = thue_morse_split_sets(index)
-        records = [cut(v, start) for n in range(1, n_max + 1)
-                   for v, start in index.factors_with_positions(n)]
+        records = [cut(i, n) for n in range(1, n_max + 1)
+                   for i in index.factor_starts(n).tolist()]
     elif method == "sturmian":
         s_lang, t_lang = sturmian_split_sets(index)
         rows = [index.factor_starts(n).tolist() for n in range(1, n_max + 1)]

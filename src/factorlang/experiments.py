@@ -100,14 +100,12 @@ _MODELS: dict[str, Callable[[int], float]] = {
 }
 
 
-def resolve_model(model) -> tuple[str, Callable[[int], float]]:
+def resolve_model(model: str) -> tuple[str, Callable[[int], float]]:
     """Accepts a model name, or ``n2f:<fname>`` for a run-count weighted
-    quadratic, or any callable."""
-    if callable(model):
-        return getattr(model, "__name__", "custom"), model
+    quadratic."""
     if model in _MODELS:
         return model, _MODELS[model]
-    if isinstance(model, str) and model.startswith("n2f:"):
+    if model.startswith("n2f:"):
         from .words import _resolve_f
         f_fn, f_name = _resolve_f(model.split(":", 1)[1])
         return f"n2f:{f_name}", lambda n: float(n * n * f_fn(n))
@@ -139,7 +137,7 @@ class GrowthFit:
         return self.spread <= max_spread
 
 
-def growth_fit(profile: ComplexityProfile, model, lo: int, hi: int) -> GrowthFit:
+def growth_fit(profile: ComplexityProfile, model: str, lo: int, hi: int) -> GrowthFit:
     """Min and max of p(n) / model(n) over lo <= n <= hi."""
     if not 1 <= lo <= hi <= profile.n_max:
         raise PreconditionError(

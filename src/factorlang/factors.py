@@ -105,15 +105,10 @@ class FactorIndex:
         self._check_range(n)
         return int(self._g[n - 1])
 
-    def slope_constants(self, up_to: int | None = None) -> tuple[int, int]:
-        """Smallest integer slopes (C, K) with p(n) <= C*n and g(n) <= K*n.
-
-        Computed over lengths 1..up_to (default: the whole indexed range), so
-        both constants are stamped by that range.
-        """
-        hi = self.n_max if up_to is None else up_to
-        self._check_range(hi)
-        return _slopes(self._p[:hi], self._g[:hi])
+    def slope_constants(self) -> tuple[int, int]:
+        """Smallest integer slopes (C, K) with p(n) <= C*n and g(n) <= K*n
+        over the whole indexed range, so both constants are stamped by it."""
+        return _slopes(self._p, self._g)
 
     def profile(self) -> ComplexityProfile:
         return ComplexityProfile.from_counts(self.source_spec, self.n_work, self._p)
@@ -167,11 +162,6 @@ class FactorIndex:
         """The distinct factors of length ``n``."""
         text = self.window
         return {text[i:i + n] for i in self.factor_starts(n).tolist()}
-
-    def factors_with_positions(self, n: int) -> list[tuple[str, int]]:
-        """(factor, first occurrence start) pairs of length ``n``, sorted."""
-        text = self.window
-        return [(text[i:i + n], i) for i in self.factor_starts(n).tolist()]
 
     # -- special factors -----------------------------------------------------
 
@@ -239,13 +229,13 @@ def _slopes(p: np.ndarray, g: np.ndarray) -> tuple[int, int]:
     return int(np.max(-(-p // ns))), int(np.max(-(-g // ns)))
 
 
-def _window_length(n_work: int | None, n_max: int, stabilization_factor: int) -> int:
+def _window_length(n_work: int | None, n_max: int) -> int:
     """The window length a request names, after the checks on ``n_max`` and
     on the window's size."""
     if n_max < 1:
         raise PreconditionError("out-of-range", f"n_max must be >= 1, got {n_max}")
     if n_work is None:
-        n_work = stabilization_factor * n_max
+        n_work = DEFAULT_STABILIZATION_FACTOR * n_max
     if n_work < 2 * n_max:
         raise PreconditionError(
             "window-too-small",
@@ -255,16 +245,14 @@ def _window_length(n_work: int | None, n_max: int, stabilization_factor: int) ->
 
 
 def build_factor_index(source: WordSource, n_work: int | None = None,
-                       n_max: int = DEFAULT_N_MAX,
-                       stabilization_factor: int = DEFAULT_STABILIZATION_FACTOR,
-                       ) -> FactorIndex:
+                       n_max: int = DEFAULT_N_MAX) -> FactorIndex:
     """Index the length-``n_work`` prefix of ``source`` up to factor length ``n_max``.
 
-    ``n_work`` defaults to ``stabilization_factor * n_max``. Windows shorter
-    than ``2 * n_max`` are rejected, since then even a single factor of
-    maximal length cannot have two occurrences.
+    ``n_work`` defaults to ``DEFAULT_STABILIZATION_FACTOR * n_max``. Windows
+    shorter than ``2 * n_max`` are rejected, since then even a single factor
+    of maximal length cannot have two occurrences.
     """
-    n_work = _window_length(n_work, n_max, stabilization_factor)
+    n_work = _window_length(n_work, n_max)
     return FactorIndex(source, source.prefix(n_work), n_max)
 
 
@@ -273,7 +261,7 @@ def window_profile(source: WordSource, n_work: int | None = None,
     """The complexity profile of the length-``n_work`` window, checked and
     defaulted as in :func:`build_factor_index` and in the same order, from a
     count-only automaton instead of an index."""
-    n_work = _window_length(n_work, n_max, DEFAULT_STABILIZATION_FACTOR)
+    n_work = _window_length(n_work, n_max)
     sam = SuffixAutomaton(source.prefix(n_work), count_only=True)
     return ComplexityProfile.from_counts(source.spec, n_work, sam.length_counts(n_max))
 
@@ -289,7 +277,7 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
     count-only automaton over the doubled window gives both profiles, since
     it counts the factors of each of its prefixes.
     """
-    n_work = _window_length(n_work, n_max, DEFAULT_STABILIZATION_FACTOR)
+    n_work = _window_length(n_work, n_max)
     source.check_length(n_work)
     sam = SuffixAutomaton(source.prefix(2 * n_work), count_only=True)
     p = sam.length_counts(n_max, prefix=n_work)

@@ -187,15 +187,15 @@ def require_stable_slope(index: FactorIndex) -> int:
     return c_full
 
 
-def build_all_markers(index: FactorIndex, D: int | None = None) -> dict[int, MarkerSet]:
+def build_all_markers(index: FactorIndex) -> dict[int, MarkerSet]:
     """Marker sets for every order the window can support, keyed by order.
 
     Orders run from 1 up to the largest k with D * 2^k <= n_max, so the
     containment property of every returned set is verified, not extrapolated.
-    D defaults to C + 1 for the window's slope C; overriding it is for
-    experiments only. A window whose profile has a plateau p(n+1) = p(n)
-    looks ultimately periodic (or is too short to show otherwise); such a
-    word has no markers, so it is refused before any order is tried.
+    D is C + 1 for the window's slope C. A window whose profile has a
+    plateau p(n+1) = p(n) looks ultimately periodic (or is too short to show
+    otherwise); such a word has no markers, so it is refused before any
+    order is tried.
     """
     plateau = index.detect_eventual_periodicity()
     if plateau is not None:
@@ -204,11 +204,7 @@ def build_all_markers(index: FactorIndex, D: int | None = None) -> dict[int, Mar
             f"p({plateau + 1}) = p({plateau}): the word is ultimately periodic, or"
             f" the window of {index.n_work} letters is too short to show otherwise;"
             " the marker construction needs an aperiodic word")
-    c = require_stable_slope(index)
-    if D is None:
-        D = c + 1
-    elif D < 2:
-        raise PreconditionError("out-of-range", f"D must be >= 2, got {D}")
+    D = require_stable_slope(index) + 1
     top = (index.n_max // D).bit_length() - 1
     if top < 1:
         raise PreconditionError(

@@ -3,13 +3,14 @@
 from factorlang import SplitRecord, VerificationError, staircase_word_length
 
 
-def slicing_witness_split(v, s_lang, t_lang) -> SplitRecord:
-    """Oracle for witness_split: the leftmost cut of ``v`` with both parts
-    in the given sets, found by trying every cut from the left."""
-    for c in range(len(v) + 1):
+def slicing_witness_split(window, start, n, s_lang, t_lang) -> SplitRecord:
+    """Oracle for witness_split: the leftmost cut of ``window[start:start+n]``
+    with both parts in the given sets, found by trying every cut from the
+    left."""
+    v = window[start:start + n]
+    for c in range(n + 1):
         if v[:c] in s_lang and v[c:] in t_lang:
-            return SplitRecord(v=v, s=v[:c], t=v[c:], order=None,
-                               position=None, occurrence_class=None)
+            return SplitRecord(start, start + c, start + n, None, None, None)
     raise VerificationError("coverage-incomplete", f"no split found for {v!r}")
 
 

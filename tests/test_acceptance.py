@@ -83,8 +83,7 @@ def test_criterion_3_marker_construction(capsys):
             for rec in records:
                 if rec.order is None:
                     continue
-                for part in (rec.s, rec.t):
-                    l = len(part)
+                for l in (rec.cut - rec.start, rec.end - rec.cut):
                     if l >= 2 * d:
                         assert l / (2 * d) < 2 ** rec.order <= 2 * l
             c, _ = index.slope_constants()
@@ -100,13 +99,13 @@ def test_criterion_3_marker_construction(capsys):
 
 def test_criterion_4_greedy_on_prefixes(capsys):
     with verdict(capsys, "4 greedy on tm prefixes, budget 1, three words per length", 5):
-        prefixes = LeveledLanguage(
-            thue_morse().prefix(64)[:n] for n in range(1, 65))
+        word = thue_morse().prefix(64)
+        prefixes = LeveledLanguage(word[:n] for n in range(1, 65))
         s_lang, t_lang = greedy_two_sets(prefixes, 1)
         assert s_lang.per_length_max() <= 3
         assert t_lang.per_length_max() <= 3
-        for v in prefixes.words():
-            slicing_witness_split(v, s_lang, t_lang)
+        for n in range(1, 65):
+            slicing_witness_split(word, 0, n, s_lang, t_lang)
 
 
 def test_criterion_5_quadratic_growth(capsys):

@@ -3,6 +3,7 @@
 import io
 import json
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlang import factors
-from factorlang.cli import RunConfig, run
+from factorlang.cli import RunConfig, _write_atomic, run
 from factorlang.decompose import METHODS
 
 
@@ -121,6 +122,46 @@ def test_decompose_marker_outputs(tmp_path, capsys):
     keys = [(r["len"], r["word"]) for r in s_rows]
     assert keys == sorted(keys)
     assert all(r["set"] == "S" for r in s_rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "marker", "tm", "--n-max", "192"],
+    ["decompose", "tm", "tm", "--n-max", "192"],
+    ["decompose", "sturmian", "fib", "--n-max", "256"],
+])
+def test_decompose_peak_memory_below_splits_csv(tmp_path, capsys, argv):
+    # the records are spans of the window and splits.csv is written line by
+    # line, so the run never holds the file's text, nor one word per record
+    out = tmp_path / "dc"
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (out / "splits.csv").stat().st_size
+
+
+class Halfway(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [Halfway, KeyboardInterrupt])
+def test_write_atomic_removes_temp_file_when_chunks_raise(tmp_path, error):
+    target = tmp_path / "splits.csv"
+    target.write_text("old\n")
+    listed = []
+
+    def chunks():
+        yield "new\n"
+        listed.extend(sorted(p.name for p in tmp_path.iterdir()))
+        raise error("halfway")
+
+    with pytest.raises(error, match="halfway"):
+        _write_atomic(target, chunks())
+    assert len(listed) == 2  # the temp file existed while the chunks ran
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["splits.csv"]
+    assert target.read_text() == "old\n"
 
 
 def test_decompose_tm_per_length_line(tmp_path, capsys):

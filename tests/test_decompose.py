@@ -89,20 +89,23 @@ def test_leveled_language_round_trip_random(words):
 
 
 def test_split_record_must_rebuild():
-    with pytest.raises(PreconditionError, match="bad-split"):
-        SplitRecord(v="ab", s="a", t="a", order=None, position=None,
-                    occurrence_class=None)
+    # the cut must lie inside [start, end] for s + t to rebuild v
+    for start, cut, end in [(2, 1, 4), (2, 5, 4), (3, 3, 2)]:
+        with pytest.raises(PreconditionError, match="bad-split"):
+            SplitRecord(start, cut, end, None, None, None)
+    # the cut may sit at either end of the span
+    for cut in (2, 3, 4):
+        assert SplitRecord(2, cut, 4, None, None, None).cut == cut
 
 
 def test_split_records_csv():
     records = [
-        SplitRecord(v="ab", s="a", t="b", order=1, position=4,
-                    occurrence_class=None),
-        SplitRecord(v="a", s="a", t="", order=None, position=0,
-                    occurrence_class=None),
+        SplitRecord(1, 2, 3, 1, 4, None),
+        SplitRecord(1, 2, 2, None, 0, None),
     ]
-    assert split_records_to_csv(records) == (
-        "v,s,t,k,pos,class\nab,a,b,1,4,\na,a,,,0,\n")
+    lines = split_records_to_csv("cab", records)
+    assert "".join(lines) == "v,s,t,k,pos,class\nab,a,b,1,4,\na,a,,,0,\n"
+    assert "".join(split_records_to_csv("cab", [])) == "v,s,t,k,pos,class\n"
 
 
 # -- marker route ----------------------------------------------------------------
@@ -129,20 +132,23 @@ def test_split_factor_invariants(index_name, request):
     occurrences = MarkerOccurrences(index, markers)
     d = _family_d(markers)
     top = max(markers)
+    window = index.window
     for n in (2 * d, 3 * d, 40, 97, 128):
-        for v in sorted(index.factors_of_length(n)):
-            rec = split_factor(occurrences, v)
-            assert rec.s + rec.t == v
+        for i in index.factor_starts(n).tolist():
+            v = window[i:i + n]
+            rec = split_factor(occurrences, i, n)
+            assert (rec.start, rec.end) == (i, i + n)
+            s, t = window[i:rec.cut], window[rec.cut:i + n]
             half = 2 ** (rec.order - 1)
-            assert len(rec.s) >= half and len(rec.t) >= half
+            assert len(s) >= half and len(t) >= half
             # the cut sits at the midpoint of an order-k marker occurrence
-            joint = rec.s[-half:] + rec.t[:half]
+            joint = s[-half:] + t[:half]
             assert joint in markers[rec.order].markers
             # no higher order in the family has a marker inside v
             for higher in range(rec.order + 1, top + 1):
                 assert not any(m in v for m in markers[higher].markers)
             # both sufficiently long parts obey the block-length inequality
-            for part in (rec.s, rec.t):
+            for part in (s, t):
                 l = len(part)
                 if l >= 2 * d:
                     assert l / (2 * d) < 2 ** rec.order <= 2 * l
@@ -152,22 +158,24 @@ def test_split_factor_rejects_short_and_foreign(tm_index):
     markers = build_all_markers(tm_index)
     occurrences = MarkerOccurrences(tm_index, markers)
     d = _family_d(markers)
-    short = thue_morse().prefix(2 * d - 1)
     with pytest.raises(PreconditionError, match="precondition-violation"):
-        split_factor(occurrences, short)
-    with pytest.raises(PreconditionError, match="precondition-violation"):
-        split_factor(occurrences, "2" * 2 * d)
+        split_factor(occurrences, 0, 2 * d - 1)
+    # a span reaching outside the window is no factor of it
+    for start in (-1, tm_index.n_work - 2 * d + 1):
+        with pytest.raises(PreconditionError, match="out-of-range"):
+            split_factor(occurrences, start, 2 * d)
 
 
 def test_split_factor_leftmost_fib(fib_index):
     markers = build_all_markers(fib_index)
     d = _family_d(markers)
     v = fibonacci_word().prefix(2 * d)
-    rec = split_factor(MarkerOccurrences(fib_index, markers), v)
-    assert rec.s + rec.t == v
+    rec = split_factor(MarkerOccurrences(fib_index, markers), 0, 2 * d)
+    s, t = v[:rec.cut], v[rec.cut:rec.end]
+    assert (rec.start, rec.end) == (0, 2 * d)
     half = 2 ** (rec.order - 1)
-    assert rec.s.endswith((rec.s[-half:]))
-    assert (rec.s[-half:] + rec.t[:half]) in markers[rec.order].markers
+    assert rec.cut == rec.position + half
+    assert (s[-half:] + t[:half]) in markers[rec.order].markers
 
 
 @pytest.mark.parametrize("index_name", ["tm_index", "fib_index"])
@@ -191,30 +199,28 @@ def test_build_st_coverage_and_bound(index_name, request):
     assert len(records) == report.total
 
 
-def test_verify_cover_degenerate_cases(tm_index):
+def test_verify_cover_degenerate_cases():
+    index = build_factor_index(thue_morse(), n_max=16)
     everything = LeveledLanguage(
-        w for n in range(1, 17) for w in tm_index.factors_of_length(n))
+        w for n in range(1, 17) for w in index.factors_of_length(n))
     just_epsilon = LeveledLanguage(include_epsilon=True)
-    report = verify_cover(tm_index, everything, just_epsilon, n_max=16)
+    report = verify_cover(index, everything, just_epsilon)
     assert report.coverage == 1.0
     empty = LeveledLanguage()
-    report = verify_cover(tm_index, empty, just_epsilon, n_max=16)
+    report = verify_cover(index, empty, just_epsilon)
     assert report.coverage == 0.0
     assert len(report.uncovered) == report.total
-    with pytest.raises(PreconditionError, match="out-of-range"):
-        verify_cover(tm_index, everything, just_epsilon, n_max=500)
 
 
-def slicing_verify_cover(index, s_lang, t_lang, n_max=None) -> CoverReport:
+def slicing_verify_cover(index, s_lang, t_lang) -> CoverReport:
     """Oracle for verify_cover: try every cut of every factor by slicing."""
-    hi = index.n_max if n_max is None else n_max
     s_lens = set(s_lang.lengths())
     t_lens = set(t_lang.lengths())
     uncovered = []
     total = 0
-    for n in range(1, hi + 1):
+    for n in range(1, index.n_max + 1):
         cuts = [c for c in range(n + 1) if c in s_lens and (n - c) in t_lens]
-        for v, _ in index.factors_with_positions(n):
+        for v in sorted(index.factors_of_length(n)):
             total += 1
             if not any(v[:c] in s_lang and v[c:] in t_lang for c in cuts):
                 uncovered.append(v)
@@ -236,7 +242,7 @@ def assert_witness_split_matches_oracle(index, s_lang, t_lang, hi):
         split_rows.append([])
         for i in row:
             try:
-                expected.append(slicing_witness_split(window[i:i + n], s_lang, t_lang))
+                expected.append(slicing_witness_split(window, i, n, s_lang, t_lang))
             except VerificationError:
                 refused = True
             else:
@@ -289,8 +295,10 @@ def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
     s_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     t_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     hi = data.draw(st.integers(min_value=1, max_value=n_max))
-    assert verify_cover(index, s_lang, t_lang, hi) == \
-        slicing_verify_cover(index, s_lang, t_lang, hi)
+    # the same window, indexed up to hi
+    up_to_hi = build_factor_index(parse_word_spec(spec), n_work=8 * n_max, n_max=hi)
+    assert verify_cover(up_to_hi, s_lang, t_lang) == \
+        slicing_verify_cover(up_to_hi, s_lang, t_lang)
     assert_witness_split_matches_oracle(index, s_lang, t_lang, hi)
 
 
@@ -320,19 +328,11 @@ def test_mask_cover_reports_uncovered_in_oracle_order(spec):
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
 
-def test_split_factor_known_start_matches_lookup(tm_index):
-    markers = build_all_markers(tm_index)
-    occurrences = MarkerOccurrences(tm_index, markers)
-    d = _family_d(markers)
-    for n in (2 * d, 50, 128):
-        for v, start in tm_index.factors_with_positions(n):
-            assert split_factor(occurrences, v, start) == \
-                split_factor(occurrences, v)
-
-
-def scanning_split_factor(index, markers, v, start):
-    """Oracle for split_factor: search ``v`` for every marker of every order
-    and classify each occurrence of the chosen marker afresh."""
+def scanning_split_factor(index, markers, start, n):
+    """Oracle for split_factor: search ``v = window[start:start+n]`` for
+    every marker of every order and classify each occurrence of the chosen
+    marker afresh."""
+    v = index.window[start:start + n]
     for order in sorted(markers, reverse=True):
         half = 2 ** (order - 1)
         hits = [(v.find(m), m) for m in markers[order].markers]
@@ -360,12 +360,8 @@ def scanning_split_factor(index, markers, v, start):
                 break
         if chosen_rel is None:
             chosen_rel, chosen_class = first_classified or (rel_positions[0], None)
-        cut = start + chosen_rel + half
-        s = index.window[start:cut]
-        t = index.window[cut:start + len(v)]
-        return SplitRecord(v=v, s=s, t=t, order=order,
-                           position=start + chosen_rel,
-                           occurrence_class=chosen_class)
+        return SplitRecord(start, start + chosen_rel + half, start + n, order,
+                           start + chosen_rel, chosen_class)
     raise VerificationError("no-marker-found", f"no marker occurs in {v!r}")
 
 
@@ -390,18 +386,20 @@ def test_build_st_matches_scanning_oracle(spec, n_max, window, monkeypatch):
     monkeypatch.undo()
     # one classification per distinct occurrence, however many factors hold it
     assert calls and set(calls.values()) == {1}
+    window = index.window
     expected = []
     for n in range(1, n_max + 1):
-        for v, start in index.factors_with_positions(n):
+        for v in sorted(index.factors_of_length(n)):
+            start = window.find(v)
             if n < 2 * d:
-                expected.append(SplitRecord(v=v, s=v, t="", order=None,
-                                            position=start, occurrence_class=None))
+                expected.append(SplitRecord(start, start + n, start + n, None, start, None))
             else:
-                expected.append(scanning_split_factor(index, markers, v, start))
+                expected.append(scanning_split_factor(index, markers, start, n))
     # dataclass equality compares every field, the occurrence class included
     assert records == expected
-    assert list(s_lang.words()) == sorted({r.s for r in expected}, key=lambda w: (len(w), w))
-    assert list(t_lang.words()) == sorted({r.t for r in expected}, key=lambda w: (len(w), w))
+    by_words = lambda w: (len(w), w)  # noqa: E731
+    assert list(s_lang.words()) == sorted({window[r.start:r.cut] for r in expected}, key=by_words)
+    assert list(t_lang.words()) == sorted({window[r.cut:r.end] for r in expected}, key=by_words)
 
 
 def brute_starts(window, word):
@@ -439,14 +437,14 @@ def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
         markers[order] = MarkerSet(order=order, markers=frozenset(chosen), D=2)
     occurrences = MarkerOccurrences(index, markers)
     for n in range(4, n_max + 1):
-        for v, start in index.factors_with_positions(n):
+        for start in index.factor_starts(n).tolist():
             try:
-                expected = scanning_split_factor(index, markers, v, start)
+                expected = scanning_split_factor(index, markers, start, n)
             except VerificationError:
                 with pytest.raises(VerificationError, match="no-marker-found"):
-                    split_factor(occurrences, v, start)
+                    split_factor(occurrences, start, n)
                 continue
-            assert split_factor(occurrences, v, start) == expected
+            assert split_factor(occurrences, start, n) == expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,18 +476,21 @@ def test_thue_morse_sets_counts_and_cuts(tm_index):
     for m in range(1, 65):
         assert s1.cardinality(m) == 2
         assert s2.cardinality(m) == 2
-    rec = cut("11")
-    assert (rec.s, rec.t) == ("1", "1")
+    window = tm_index.window
+    assert window[1:3] == "11"
+    rec = cut(1, 2)
+    assert (window[rec.start:rec.cut], window[rec.cut:rec.end]) == ("1", "1")
     assert rec.position == 2  # boundary after the second letter, 1-based
-    rec = cut("0")
-    assert (rec.s, rec.t) == ("0", "")
+    rec = cut(0, 1)
+    assert (rec.start, rec.cut, rec.end) == (0, 1, 1)
     report = verify_cover(tm_index, s1, s2)
     assert report.coverage == 1.0
     # each cut produces parts from the sets themselves
     for n in (1, 2, 7, 32, 128):
-        for v in tm_index.factors_of_length(n):
-            rec = cut(v)
-            assert rec.s in s1 and rec.t in s2
+        for i in tm_index.factor_starts(n).tolist():
+            rec = cut(i, n)
+            assert (rec.start, rec.end) == (i, i + n)
+            assert window[i:rec.cut] in s1 and window[rec.cut:i + n] in s2
 
 
 def test_thue_morse_sets_window_guard(fib_index):
@@ -498,23 +499,16 @@ def test_thue_morse_sets_window_guard(fib_index):
         thue_morse_split_sets(fib_index)
 
 
-def test_thue_morse_cut_known_start_matches_lookup(tm_index):
-    _, _, cut = thue_morse_split_sets(tm_index)
-    for n in (1, 2, 50, 128):
-        for v, start in tm_index.factors_with_positions(n):
-            assert cut(v, start) == cut(v)
-
-
 def test_witness_split():
     s = LeveledLanguage(["0"])
     t = LeveledLanguage(["1"], include_epsilon=True)
-    rec = slicing_witness_split("01", s, t)
-    assert (rec.s, rec.t) == ("0", "1")
+    rec = slicing_witness_split("01", 0, 2, s, t)
+    assert (rec.start, rec.cut, rec.end) == (0, 1, 2)
     with pytest.raises(VerificationError, match="coverage-incomplete"):
-        slicing_witness_split("11", s, t)
+        slicing_witness_split("11", 0, 2, s, t)
     # the bulk form over the words "0" and "01" of the window "011"
     assert witness_split("011", [[0], [0]], s, t) == [
-        slicing_witness_split("0", s, t), rec]
+        slicing_witness_split("011", 0, 1, s, t), rec]
     with pytest.raises(VerificationError, match="coverage-incomplete"):
         witness_split("011", [[], [1]], s, t)
 
@@ -547,12 +541,13 @@ def test_sturmian_other_directive():
 
 
 def test_greedy_on_prefixes(tm_index):
-    prefixes = LeveledLanguage(thue_morse().prefix(64)[:n] for n in range(1, 65))
+    word = thue_morse().prefix(64)
+    prefixes = LeveledLanguage(word[:n] for n in range(1, 65))
     s_lang, t_lang = greedy_two_sets(prefixes, 1)
     assert s_lang.per_length_max() <= 3
     assert t_lang.per_length_max() <= 3
-    for v in prefixes.words():
-        slicing_witness_split(v, s_lang, t_lang)  # raises if uncovered
+    for n in range(1, 65):
+        slicing_witness_split(word, 0, n, s_lang, t_lang)  # raises if uncovered
 
 
 def test_greedy_trivial_epsilon():
@@ -583,7 +578,8 @@ def test_greedy_prefix_language_always_feasible(word):
     s_lang, t_lang = greedy_two_sets(prefixes, 1)
     assert s_lang.per_length_max() <= 3
     assert t_lang.per_length_max() <= 3
-    oracle = [slicing_witness_split(v, s_lang, t_lang) for v in prefixes.words()]
+    oracle = [slicing_witness_split(word, 0, n, s_lang, t_lang)
+              for n in range(1, len(word) + 1)]
     assert witness_split(word, [[0]] * len(word), s_lang, t_lang) == oracle
 
 
@@ -599,7 +595,7 @@ def test_greedy_respects_cap_when_it_succeeds(words, budget):
     assert s_lang.per_length_max() <= 2 * budget + 1
     assert t_lang.per_length_max() <= 2 * budget + 1
     for v in lang.words():
-        slicing_witness_split(v, s_lang, t_lang)
+        slicing_witness_split(v, 0, len(v), s_lang, t_lang)
 
 
 # -- one entry point ---------------------------------------------------------------
@@ -612,11 +608,13 @@ def test_build_decomposition_routes(method, spec):
     dec = build_decomposition(index, method)
     assert dec.report.coverage == 1.0
     assert (dec.markers is not None) == (method == "marker")
+    window = index.window
     for rec in dec.records:
-        assert rec.s in dec.s_lang and rec.t in dec.t_lang
+        assert window[rec.start:rec.cut] in dec.s_lang
+        assert window[rec.cut:rec.end] in dec.t_lang
     if method == "greedy":
         # one record per prefix of the window, each a certificate of its cover
-        assert [r.v for r in dec.records] == [index.window[:n] for n in range(1, 33)]
+        assert [(r.start, r.end) for r in dec.records] == [(0, n) for n in range(1, 33)]
         assert dec.report.total == 32
     else:
         assert dec.report == verify_cover(index, dec.s_lang, dec.t_lang)

@@ -115,10 +115,6 @@ def test_resolve_model():
     assert fn(math.e) == pytest.approx(math.e)
     name, fn = resolve_model("n2f:isqrt")
     assert fn(100) == 100 ** 2 * 10
-    def septuple(n):
-        return 7 * n
-    name, fn = resolve_model(septuple)
-    assert name == "septuple" and fn(3) == 21
     with pytest.raises(PreconditionError, match="bad-model"):
         resolve_model("n7")
 

@@ -179,9 +179,8 @@ def test_factor_enumeration_and_positions(spec):
     for n in range(1, 25):
         oracle = frame_factors(window, n)
         assert index.factors_of_length(n) == oracle
-        pairs = index.factors_with_positions(n)
+        pairs = [(window[i:i + n], i) for i in index.factor_starts(n).tolist()]
         assert pairs == sorted((word, window.find(word)) for word in oracle)
-        assert index.factor_starts(n).tolist() == [pos for _, pos in pairs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,7 +194,7 @@ def test_factor_table_matches_brute_force_at_every_length(spec, n_max, extra):
     window = source.prefix(n_work)
     for n in range(1, n_max + 1):
         oracle = sorted(frame_factors(window, n))
-        assert index.factors_with_positions(n) == [(w, window.find(w)) for w in oracle]
+        assert index.factor_starts(n).tolist() == [window.find(w) for w in oracle]
 
 
 def test_thue_morse_profile_values():
@@ -267,11 +266,11 @@ def test_occurrences():
     assert occ[:3] == [1, 7, 13]
     assert occ == [i for i in range(63) if window[i:i + 2] == "11"]
     assert index.occurrences("") == list(range(65))
-    # the tm cut finds a factor's first occurrence itself when not given it
+    # the tm cut refuses a span that reaches outside the window
     _, _, cut = thue_morse_split_sets(index)
-    assert cut("10") == cut("10", start=2)
-    with pytest.raises(PreconditionError, match="precondition-violation"):
-        cut("0000")
+    for start in (-1, 63):
+        with pytest.raises(PreconditionError, match="out-of-range"):
+            cut(start, 2)
     fib = build_factor_index(fibonacci_word(), n_work=64, n_max=16)
     assert fib.occurrences("11") == []
 

@@ -234,6 +234,8 @@ def test_build_all_markers_orders_and_serialization():
 
 
 def test_build_all_markers_needs_room():
-    index = build_factor_index(thue_morse(), n_work=256, n_max=8)
-    with pytest.raises(PreconditionError, match="no-marker-orders"):
-        build_all_markers(index, D=5)
+    # tm has C = 3 up to n_max 5, so D = 4 and order 1 needs spans of 8
+    for n_max in (4, 5):
+        index = build_factor_index(thue_morse(), n_work=256, n_max=n_max)
+        with pytest.raises(PreconditionError, match="no-marker-orders"):
+            build_all_markers(index)
