@@ -27,7 +27,7 @@ for v in ["11", "0110", "10010110", min(index.factors_of_length(21))]:
     print(f"  {v!r} -> {window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r}"
           f"  (order {rec.order}, boundary at {rec.position})")
 
-report = verify_cover(index, s1, s2)
+report = verify_cover(index.window, index.rows(), s1, s2)
 print()
 print(f"coverage of all factors up to length {N_MAX}: {report.coverage:.6f}")
 print(f"factors checked: {report.total}")

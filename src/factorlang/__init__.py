@@ -32,7 +32,6 @@ from .decompose import (
     sturmian_split_sets,
     thue_morse_split_sets,
     verify_cover,
-    witness_split,
 )
 from .errors import (
     FactorLangError,
@@ -47,8 +46,6 @@ from .experiments import (
     product_bound_audit,
     resolve_model,
     staircase_pair_count,
-    staircase_word,
-    staircase_word_length,
     witness_pair_count,
 )
 from .factors import (
@@ -127,8 +124,6 @@ __all__ = [
     "split_sets_bound",
     "stabilized_profile",
     "staircase_pair_count",
-    "staircase_word",
-    "staircase_word_length",
     "sturmian_characteristic",
     "sturmian_split_sets",
     "thue_morse",
@@ -137,5 +132,4 @@ __all__ = [
     "verify_cover",
     "verify_marker_property",
     "witness_pair_count",
-    "witness_split",
 ]

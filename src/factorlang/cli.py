@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .decompose import (
@@ -38,25 +37,6 @@ from .experiments import (
 from .factors import DEFAULT_N_MAX, build_factor_index, stabilized_profile, window_profile
 from .periodicity import markers_to_jsonl
 from .words import parse_word_spec
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical description of one invocation, embedded in reports.
-
-    The canonical string is "<command> key=value ..." with keys sorted.
-    """
-
-    command: str
-    options: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "options", tuple(sorted(self.options)))
-
-    def canonical(self) -> str:
-        parts = [self.command]
-        parts.extend(f"{k}={v}" for k, v in self.options)
-        return " ".join(parts)
 
 
 def _write_atomic(path: Path, chunks):
@@ -144,14 +124,10 @@ def cmd_decompose(args) -> int:
     if dec.markers is not None:
         _write_atomic(out_dir / "markers.jsonl", (markers_to_jsonl(dec.markers),))
 
-    config = RunConfig("decompose", (
-        ("method", args.method),
-        ("word", args.spec),
-        ("n-max", str(args.n_max)),
-        ("window", str(index.n_work)),
-    ))
     stats = {
-        "config": config.canonical(),
+        # the invocation as "<command> key=value ...", keys sorted
+        "config": (f"decompose method={args.method} n-max={args.n_max}"
+                   f" window={index.n_work} word={args.spec}"),
         "method": args.method,
         "word": args.spec,
         "n_max": args.n_max,
@@ -189,10 +165,10 @@ def cmd_verify(args) -> int:
     s_lang = _read_set_file(args.s_file, "S")
     t_lang = _read_set_file(args.t_file, "T")
     index = build_factor_index(source, args.window, args.n_max)
-    report = verify_cover(index, s_lang, t_lang)
+    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
     print(f"factors: {report.total}")
     print(f"coverage: {report.coverage:.6f}")
-    print(f"per-length max: S={report.s_per_length_max} T={report.t_per_length_max}")
+    print(f"per-length max: S={s_lang.per_length_max()} T={t_lang.per_length_max()}")
     if report.uncovered:
         raise VerificationError(
             "coverage-incomplete",

@@ -16,23 +16,26 @@ indexed factor while each keeps a bounded number of words per length:
 
 :func:`verify_cover` re-checks any claimed decomposition by membership alone,
 independently of how the sets were produced. It reads one cut mask per word
-from per-start and per-end membership masks; :func:`witness_split` reads the
-same masks for the Sturmian and greedy records, whose cut is the leftmost
-one, the mask's lowest set bit. :func:`build_decomposition` is the one entry
-point that runs a route, by name, on a factor index and returns its sets,
-records and cover report.
+from per-start and per-end membership masks, and reports, besides the
+uncovered words, each word's leftmost cut, the mask's lowest set bit.
+:func:`build_decomposition` is the one entry point that runs a route, by
+name, on a factor index and returns its sets, records and cover report; every
+route ends in one :func:`verify_cover` call, and the Sturmian and greedy
+records are the cuts it reports.
 
-Every route cuts window positions read from
-:meth:`FactorIndex.factor_starts`, so a split record is a span of the
-window, start <= cut <= end, and never holds a word. The words v, s and t
-are sliced from the window where a set needs them, and for splits.csv in
-:func:`split_records_to_csv` alone, one line at a time.
+The marker, tm and Sturmian routes cut window positions read from
+:meth:`FactorIndex.rows`, and the greedy route cuts the prefixes at start 0,
+so a split record is a span of the window, start <= cut <= end, and never
+holds a word. The words v, s and t are sliced from the window where a set needs
+them, and for splits.csv in :func:`split_records_to_csv` alone, one line at
+a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -287,8 +290,8 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
     t_lang = LeveledLanguage(include_epsilon=True)
     window = index.window
     records = []
-    for n in range(1, index.n_max + 1):
-        for i in index.factor_starts(n).tolist():
+    for n, row in enumerate(index.rows(), start=1):
+        for i in row:
             if n < 2 * d:
                 s_lang.add(window[i:i + n])
                 records.append(SplitRecord(i, i + n, i + n, None, i, None))
@@ -305,10 +308,13 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
 
 @dataclass
 class CoverReport:
+    """What :func:`verify_cover` found: the number of words checked, the
+    uncovered ones in row order, and the leftmost cut of each word in row
+    order (-1 for an uncovered word)."""
+
     total: int
     uncovered: list[str]
-    s_cardinalities: dict[int, int]
-    t_cardinalities: dict[int, int]
+    cuts: array
 
     @property
     def covered(self) -> int:
@@ -318,23 +324,18 @@ class CoverReport:
     def coverage(self) -> float:
         return 1.0 if self.total == 0 else self.covered / self.total
 
-    @property
-    def s_per_length_max(self) -> int:
-        return max([v for k, v in self.s_cardinalities.items() if k > 0], default=0)
 
-    @property
-    def t_per_length_max(self) -> int:
-        return max([v for k, v in self.t_cardinalities.items() if k > 0], default=0)
+def verify_cover(window: str, rows, s_lang: LeveledLanguage,
+                 t_lang: LeveledLanguage) -> CoverReport:
+    """Check by membership that every word ``window[i:i+n]``, i in
+    ``rows[n-1]``, is a word of S times T.
 
-
-def _cut_masks(window: str, rows, s_lang: LeveledLanguage,
-               t_lang: LeveledLanguage):
-    """Yield (n, row, masks) for each row, row by row.
-
-    ``rows[n-1]`` lists the starts i of the words ``window[i:i+n]`` of length
-    n, and ``masks[k]`` is the cut mask of the word at ``row[k]``: bit c set
-    when ``window[i:i+c]`` is in S and ``window[i+c:i+n]`` is in T. The
-    membership probes are made per start and per end, not per word and cut:
+    This deliberately ignores any split records: a word counts as covered
+    when some cut puts its left part in S and its right part in T. The cut
+    mask of the word at (i, n) has bit c set when ``window[i:i+c]`` is in S
+    and ``window[i+c:i+n]`` is in T; its lowest set bit is the word's
+    leftmost cut. The membership probes are made per start and per end, not
+    per word and cut:
 
     * for each start i, a mask with bit c set when ``w[i:i+c]`` is in S;
     * for each end j, a mask with bit ``hi - l`` set when ``w[j-l:j]`` is in
@@ -362,50 +363,14 @@ def _cut_masks(window: str, rows, s_lang: LeveledLanguage,
         j: sum(1 << (hi - l) for l in t_lens[:bisect_right(t_lens, top)]
                if window[j - l:j] in t_lang)
         for j, top in longest_to.items()}
-    for n, row in enumerate(rows, start=1):
-        yield n, row, [from_start[i] & (to_end[i + n] >> (hi - n)) for i in row]
-
-
-def verify_cover(index: FactorIndex, s_lang: LeveledLanguage,
-                 t_lang: LeveledLanguage) -> CoverReport:
-    """Check by membership that every indexed factor is a word of S times T.
-
-    This deliberately ignores any split records: a factor counts as covered
-    when some cut puts its left part in S and its right part in T. Every
-    indexed factor is ``w[i:i+n]`` for its first-occurrence start i, and it
-    is covered exactly when its :func:`_cut_masks` mask is not zero.
-    """
-    rows = [index.factor_starts(n).tolist() for n in range(1, index.n_max + 1)]
-    window = index.window
     uncovered = []
-    for n, row, masks in _cut_masks(window, rows, s_lang, t_lang):
+    cuts = array("q")
+    for n, row in enumerate(rows, start=1):
+        masks = [from_start[i] & (to_end[i + n] >> (hi - n)) for i in row]
         uncovered.extend(window[i:i + n] for i, m in zip(row, masks) if not m)
-    return CoverReport(total=sum(map(len, rows)), uncovered=uncovered,
-                       s_cardinalities=_cardinalities(s_lang),
-                       t_cardinalities=_cardinalities(t_lang))
-
-
-def witness_split(window: str, rows, s_lang: LeveledLanguage,
-                  t_lang: LeveledLanguage) -> list[SplitRecord]:
-    """The leftmost cut of each word ``window[i:i+n]``, i in ``rows[n-1]``,
-    with both parts in the given sets, as spans in row order.
-
-    The cut is the lowest set bit of the word's :func:`_cut_masks` mask; a
-    word whose mask is zero has no cut and is refused.
-    """
-    records = []
-    for n, row, masks in _cut_masks(window, rows, s_lang, t_lang):
-        for i, m in zip(row, masks):
-            if not m:
-                raise VerificationError(
-                    "coverage-incomplete", f"no split found for {window[i:i + n]!r}")
-            records.append(SplitRecord(i, i + (m & -m).bit_length() - 1, i + n,
-                                       None, None, None))
-    return records
-
-
-def _cardinalities(lang: LeveledLanguage) -> dict[int, int]:
-    return {n: lang.cardinality(n) for n in lang.lengths()}
+        # the lowest set bit; a zero mask gives -1
+        cuts.extend([(m & -m).bit_length() - 1 for m in masks])
+    return CoverReport(total=len(cuts), uncovered=uncovered, cuts=cuts)
 
 
 # -- doubling-morphism route ---------------------------------------------------
@@ -588,14 +553,21 @@ def build_decomposition(index: FactorIndex, method: str,
                         budget: int = 1) -> Decomposition:
     """Run the route ``method`` on ``index`` and check what it built.
 
-    The marker, tm and sturmian routes split every indexed factor, and their
-    report comes from :func:`verify_cover`. The greedy route splits the
-    prefixes of the window up to length n_max under the per-length budget
-    slope ``budget``; its report counts those prefixes. The sturmian and
-    greedy records come from one :func:`witness_split` call over their words
-    (the index rows, or the start 0 at every length for the prefixes): each
-    is the leftmost cut read from the cover masks, and a word with no cut is
-    refused there. A ``budget`` below 1 is refused on every route, not only
+    The marker, tm and sturmian routes split every indexed factor, at its
+    first occurrence as :meth:`FactorIndex.rows` lists it. The greedy route
+    splits the prefixes of the window up to length n_max under the
+    per-length budget slope ``budget``. Every route ends in one
+    :func:`verify_cover` call over its words (the index rows, or the start 0
+    at every length for the prefixes), which gives the report. The marker
+    records come from :func:`build_st` and the tm records from the route's
+    ``cut``; the sturmian and greedy records are the leftmost cuts that
+    report holds, and a word with no cut is refused there, before anything
+    is returned.
+
+    The marker route also refuses a window whose first half has fewer
+    factors of some length up to n_max than the whole window: the profile
+    still grows with the window, which a quadratic word's does at every
+    window length. A ``budget`` below 1 is refused on every route, not only
     on greedy.
     """
     if budget < 1:
@@ -604,9 +576,17 @@ def build_decomposition(index: FactorIndex, method: str,
     n_max = index.n_max
     markers = None
     extras = {}
-    report = None
+    records = None
     if method == "marker":
         markers = build_all_markers(index)
+        grown = index.half_window_growth()
+        if grown is not None:
+            raise PreconditionError(
+                "not-linear-within-window",
+                f"p({grown}) is larger on the whole window of {index.n_work} letters"
+                f" than on its first {index.n_work // 2}: the complexity is not linear,"
+                " or the window is too short to show every factor (enlarge --window);"
+                " the marker construction needs linear complexity")
         s_lang, t_lang, records = build_st(index, markers)
         c, k = index.slope_constants()
         d = next(iter(markers.values())).D
@@ -615,25 +595,25 @@ def build_decomposition(index: FactorIndex, method: str,
                   "bound": split_sets_bound(r, c, d)}
     elif method == "tm":
         s_lang, t_lang, cut = thue_morse_split_sets(index)
-        records = [cut(i, n) for n in range(1, n_max + 1)
-                   for i in index.factor_starts(n).tolist()]
+        records = [cut(i, n) for n, row in enumerate(index.rows(), start=1) for i in row]
     elif method == "sturmian":
         s_lang, t_lang = sturmian_split_sets(index)
-        rows = [index.factor_starts(n).tolist() for n in range(1, n_max + 1)]
-        records = witness_split(index.window, rows, s_lang, t_lang)
     elif method == "greedy":
         prefixes = LeveledLanguage(index.window[:n] for n in range(1, n_max + 1))
         s_lang, t_lang = greedy_two_sets(prefixes, budget)
-        records = witness_split(index.window, [[0]] * n_max, s_lang, t_lang)
         extras = {"budget": budget}
-        report = CoverReport(total=prefixes.total(), uncovered=[],
-                             s_cardinalities=_cardinalities(s_lang),
-                             t_cardinalities=_cardinalities(t_lang))
     else:
         raise PreconditionError(
             "unknown-method", f"method must be one of {', '.join(METHODS)}, got {method!r}")
-    if report is None:
-        report = verify_cover(index, s_lang, t_lang)
+    rows = [[0]] * n_max if method == "greedy" else index.rows()
+    report = verify_cover(index.window, rows, s_lang, t_lang)
+    if records is None:
+        if report.uncovered:
+            raise VerificationError(
+                "coverage-incomplete", f"no split found for {report.uncovered[0]!r}")
+        cuts = iter(report.cuts)
+        records = [SplitRecord(i, i + next(cuts), i + n, None, None, None)
+                   for n, row in enumerate(rows, start=1) for i in row]
     return Decomposition(s_lang=s_lang, t_lang=t_lang, records=records,
                          extras=extras, markers=markers, report=report)
 

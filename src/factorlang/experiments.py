@@ -17,27 +17,6 @@ from .errors import PreconditionError
 from .factors import ComplexityProfile, FactorIndex
 from .decompose import LeveledLanguage, product_complexity_bound
 
-DEFAULT_SPREAD_QUADRATIC = 4.0
-DEFAULT_SPREAD_NLOGN = 2.5
-
-
-def staircase_word(k: int, l: int) -> str:
-    """The word a b^l a b^(l+1) ... a b^(l+k-1) a with k growing b-runs.
-
-    Its length is k * (l + (k + 1) / 2) + 1, which the construction makes
-    integral for every k and l.
-    """
-    if k < 1 or l < 1:
-        raise PreconditionError("out-of-range", f"need k >= 1 and l >= 1, got {k}, {l}")
-    parts = ["a"]
-    for j in range(k):
-        parts.append("b" * (l + j) + "a")
-    return "".join(parts)
-
-
-def staircase_word_length(k: int, l: int) -> int:
-    return k * (2 * l + k + 1) // 2 + 1
-
 
 def staircase_pair_count(n: int) -> int:
     """Number of pairs (k, l) with k >= 3, l >= sqrt(n) whose staircase word
@@ -53,7 +32,8 @@ def staircase_pair_count(n: int) -> int:
         l_floor += 1
     total = 0
     for k in range(3, math.isqrt(2 * n) + 1):
-        # staircase_word_length(k, l) <= n  <=>  2*k*l <= 2*(n-1) - k*(k+1)
+        # the staircase of (k, l) has k * (2l + k + 1) / 2 + 1 letters, and
+        # that is <= n  <=>  2*k*l <= 2*(n-1) - k*(k+1)
         num = 2 * (n - 1) - k * (k + 1)
         if num < 0:
             break
@@ -116,9 +96,8 @@ def resolve_model(model: str) -> tuple[str, Callable[[int], float]]:
 class GrowthFit:
     """Ratio band of a measured profile against a growth model.
 
-    The fit is accepted at a spread threshold when ratio_max / ratio_min is
-    at most the threshold, a finite-data stand-in for matching the model's
-    order of growth on both sides.
+    A small spread, ratio_max / ratio_min, is a finite-data stand-in for
+    matching the model's order of growth on both sides.
     """
 
     model: str
@@ -132,9 +111,6 @@ class GrowthFit:
         if self.ratio_min <= 0.0:
             return math.inf
         return self.ratio_max / self.ratio_min
-
-    def accepted(self, max_spread: float) -> bool:
-        return self.spread <= max_spread
 
 
 def growth_fit(profile: ComplexityProfile, model: str, lo: int, hi: int) -> GrowthFit:

@@ -84,6 +84,7 @@ class FactorIndex:
         self._p = self._sam.length_counts(n_max)
         self._g = np.cumsum(self._p)
         self._starts: np.ndarray | None = None
+        self._rows: list[list[int]] | None = None
         self._right_intervals = None
         self._left_intervals = None
 
@@ -125,6 +126,20 @@ class FactorIndex:
                 return n
         return None
 
+    def half_window_growth(self) -> int | None:
+        """Smallest n with more factors of length n in the window than in its
+        first half, or None.
+
+        Both counts come from the one automaton, which counts the factors of
+        every prefix of the window. In a window long enough for the linear
+        words studied here, every factor of length up to n_max occurs in the
+        first half already; a quadratic word's counts keep growing with the
+        window.
+        """
+        half = self._sam.length_counts(self.n_max, prefix=self.n_work // 2)
+        grown = np.nonzero(half != self._p)[0]
+        return int(grown[0]) + 1 if len(grown) else None
+
     # -- factor enumeration --------------------------------------------------
 
     def factor_starts(self, n: int) -> np.ndarray:
@@ -135,6 +150,14 @@ class FactorIndex:
             self._starts = self._build_factor_table()
         top = int(self._g[n - 1])
         return self._starts[top - int(self._p[n - 1]):top]
+
+    def rows(self) -> list[list[int]]:
+        """The factor table as one list of starts per length: ``rows()[n-1]``
+        is :meth:`factor_starts` of n as a list. Built once, on first use, and
+        shared by every caller, which must not change it."""
+        if self._rows is None:
+            self._rows = [self.factor_starts(n).tolist() for n in range(1, self.n_max + 1)]
+        return self._rows
 
     def _build_factor_table(self) -> np.ndarray:
         sam = self._sam

@@ -1,10 +1,10 @@
 """Generators for prefixes of the infinite words under study.
 
 A :class:`WordSource` is an immutable recipe for one infinite word together
-with a grow-only prefix cache, so ``letter_at`` and ``prefix`` are pure
-functions of the construction parameters. Words are plain Python strings over
-a small alphabet of single characters ('0'/'1' for the binary substitutive
-words, 'a'/'b' for the block-product words).
+with a grow-only prefix cache, so ``prefix`` is a pure function of the
+construction parameters. Words are plain Python strings over a small
+alphabet of single characters ('0'/'1' for the binary substitutive words,
+'a'/'b' for the block-product words).
 
 Sources can also be described by a compact spec string (``tm``, ``fib``,
 ``sturm:2,(1)``, ``morphic:0->01,1->10@0``, ``ultper:01|10``, ``abk``,
@@ -75,9 +75,8 @@ class WordSource:
     cache only ever extends, so concurrent readers are safe.
     """
 
-    def __init__(self, kind: str, spec: str, alphabet, grow: Callable[[int], str],
+    def __init__(self, spec: str, alphabet, grow: Callable[[int], str],
                  prefix_cap: int = DEFAULT_PREFIX_CAP):
-        self.kind = kind
         self.spec = spec
         self.alphabet = tuple(alphabet)
         self.prefix_cap = prefix_cap
@@ -107,14 +106,6 @@ class WordSource:
             self._cache = got
         return self._cache[:n]
 
-    def letter_at(self, i: int) -> str:
-        """Letter at position ``i`` (0-based)."""
-        if i < 0:
-            raise PreconditionError("out-of-range", f"position must be >= 0, got {i}")
-        if len(self._cache) <= i:
-            self.prefix(i + 1)
-        return self._cache[i]
-
 
 def fixed_point(morphism: Morphism, prefix_cap: int = DEFAULT_PREFIX_CAP,
                 _spec: str | None = None) -> WordSource:
@@ -137,7 +128,7 @@ def fixed_point(morphism: Morphism, prefix_cap: int = DEFAULT_PREFIX_CAP,
     if _spec is None:
         rules = ",".join(f"{a}->{img}" for a, img in sorted(morphism.images.items()))
         _spec = f"morphic:{rules}@{morphism.start}"
-    return WordSource("morphic", _spec, morphism.alphabet, grow, prefix_cap)
+    return WordSource(_spec, morphism.alphabet, grow, prefix_cap)
 
 
 def thue_morse(prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
@@ -181,7 +172,7 @@ def sturmian_characteristic(preperiod=(), period=(1,),
         head = ",".join(str(a) for a in pre)
         tail = "(" + ",".join(str(a) for a in per) + ")"
         _spec = "sturm:" + (head + "," + tail if head else tail)
-    return WordSource("sturmian", _spec, ("0", "1"), grow, prefix_cap)
+    return WordSource(_spec, ("0", "1"), grow, prefix_cap)
 
 
 def fibonacci_word(prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
@@ -202,7 +193,7 @@ def ultimately_periodic(preperiod: str, period: str,
         return preperiod + period * reps
 
     alphabet = sorted(set(preperiod + period))
-    return WordSource("ultper", f"ultper:{preperiod}|{period}", alphabet, grow, prefix_cap)
+    return WordSource(f"ultper:{preperiod}|{period}", alphabet, grow, prefix_cap)
 
 
 def abk_product(prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
@@ -222,7 +213,7 @@ def abk_product(prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
             k += 1
         return "".join(parts)
 
-    return WordSource("abk", "abk", ("a", "b"), grow, prefix_cap)
+    return WordSource("abk", ("a", "b"), grow, prefix_cap)
 
 
 _F_SPECS: dict[str, Callable[[int], int]] = {
@@ -236,23 +227,17 @@ _K_SPECS: dict[str, Callable[[int, int], int]] = {
     "2p": lambda p, q: 2 * p,
 }
 
-_GROWTH_SAMPLE_LIMIT = 64
-
 
 def _resolve_f(spec):
-    if callable(spec):
-        return spec, "custom"
     if spec in _F_SPECS:
         return _F_SPECS[spec], spec
     raise WordSpecError("bad-word-spec", f"unknown run-count function {spec!r}")
 
 
 def _resolve_k(spec):
-    if callable(spec):
-        return spec, "custom"
     if spec in _K_SPECS:
         return _K_SPECS[spec], spec
-    if isinstance(spec, str) and spec.startswith("const:"):
+    if spec.startswith("const:"):
         try:
             c = int(spec.split(":", 1)[1])
         except ValueError:
@@ -263,44 +248,17 @@ def _resolve_k(spec):
     raise WordSpecError("bad-word-spec", f"unknown repetition function {spec!r}")
 
 
-def _validate_pq_growth(f, kpq):
-    """Sampled check of the monotonicity preconditions for the block product.
-
-    f must satisfy f(1) >= 1, f(p) <= p and be non-decreasing; the repetition
-    count must be non-decreasing along the block order, meaning
-    k(p, q) <= k(p, q+1) and k(p, f(p)) <= k(p+1, 1). Unboundedness of f is
-    the caller's promise and is not decidable from samples.
-    """
-    if f(1) < 1:
-        raise PreconditionError("invalid-growth", f"need f(1) >= 1, got f(1) = {f(1)}")
-    for p in range(1, _GROWTH_SAMPLE_LIMIT + 1):
-        if f(p) > p:
-            raise PreconditionError(
-                "invalid-growth", f"need f(p) <= p, got f({p}) = {f(p)}")
-        if f(p + 1) < f(p):
-            raise PreconditionError(
-                "invalid-growth", f"f must be non-decreasing, f({p}) > f({p + 1})")
-        for q in range(1, f(p)):
-            if kpq(p, q + 1) < kpq(p, q):
-                raise PreconditionError(
-                    "invalid-growth",
-                    f"repetition count must be non-decreasing in q at p={p}, q={q}")
-        if kpq(p, f(p)) > kpq(p + 1, 1):
-            raise PreconditionError(
-                "invalid-growth",
-                f"repetition count must not drop across p={p} -> p={p + 1}")
-
-
 def pq_block_product(f="isqrt", kpq="p", prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
     """The concatenation over p = 1, 2, ... and q = 1..f(p) of (a^p b^q)^k(p,q).
 
     ``f`` bounds the b-run lengths used at stage p and ``kpq`` gives the
-    repetition count of each block. Both accept a named spec (f: isqrt, id,
-    ilog2; k: p, 2p, const:<m>) or a callable.
+    repetition count of each block, both by name (f: isqrt, id, ilog2; k: p,
+    2p, const:<m>). Every named f has f(1) >= 1, f(p) <= p and is
+    non-decreasing, and every named k is non-decreasing along the block
+    order, which the construction presumes.
     """
     f_fn, f_name = _resolve_f(f)
     k_fn, k_name = _resolve_k(kpq)
-    _validate_pq_growth(f_fn, k_fn)
 
     def grow(n: int) -> str:
         parts = []
@@ -316,7 +274,7 @@ def pq_block_product(f="isqrt", kpq="p", prefix_cap: int = DEFAULT_PREFIX_CAP) -
             p += 1
         return "".join(parts)
 
-    return WordSource("pq", f"pq:f={f_name},k={k_name}", ("a", "b"), grow, prefix_cap)
+    return WordSource(f"pq:f={f_name},k={k_name}", ("a", "b"), grow, prefix_cap)
 
 
 def _parse_int(token: str, what: str) -> int:

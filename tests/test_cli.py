@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlang import factors
-from factorlang.cli import RunConfig, _write_atomic, run
+from factorlang.cli import _write_atomic, run
 from factorlang.decompose import METHODS
 
 
@@ -219,10 +219,14 @@ def test_decompose_marker_accepts_thue_morse_at_short_ranges(tmp_path, capsys, n
 
 
 def test_decompose_marker_rejects_quadratic_word(tmp_path, capsys):
-    out = tmp_path / "dc"
-    assert run(["decompose", "marker", "abk", "--n-max", "128",
-                "--out", str(out)]) == 3
-    assert "not-linear-within-window" in capsys.readouterr().err
+    # the pq word's largest p(n)/n is reached in the first half of the range,
+    # so no slope comparison sees its growth; the window's first half does
+    for spec in ("abk", "pq:f=isqrt,k=p"):
+        out = tmp_path / spec
+        assert run(["decompose", "marker", spec, "--n-max", "128",
+                    "--out", str(out)]) == 3
+        assert "not-linear-within-window" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_decompose_greedy(tmp_path, capsys):
@@ -364,10 +368,12 @@ def test_experiment_bad_range(capsys):
     assert exc.value.code == 2
 
 
-def test_run_config_round_trip():
-    config = RunConfig("decompose", (("word", "tm"), ("n-max", "64")))
-    text = config.canonical()
-    assert text == "decompose n-max=64 word=tm"
+def test_run_config_round_trip(tmp_path):
+    # stats.json names the invocation as "<command> key=value ...", keys sorted
+    out = tmp_path / "dc"
+    assert run(["decompose", "greedy", "tm", "--n-max", "16", "--out", str(out)]) == 0
+    stats = json.loads(read(out / "stats.json"))
+    assert stats["config"] == "decompose method=greedy n-max=16 window=800 word=tm"
 
 
 FUZZ_SPECS = [

@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,6 @@ from factorlang import (
     thue_morse,
     thue_morse_split_sets,
     verify_cover,
-    witness_split,
 )
 from factorlang import decompose
 from factorlang.decompose import CoverReport, _max_valuation_boundary
@@ -183,7 +183,7 @@ def test_build_st_coverage_and_bound(index_name, request):
     index = request.getfixturevalue(index_name)
     markers = build_all_markers(index)
     s_lang, t_lang, records = build_st(index, markers)
-    report = verify_cover(index, s_lang, t_lang)
+    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
     assert report.coverage == 1.0
     assert report.total == sum(index.complexity(n) for n in range(1, 129))
     c, _ = index.slope_constants()
@@ -204,55 +204,28 @@ def test_verify_cover_degenerate_cases():
     everything = LeveledLanguage(
         w for n in range(1, 17) for w in index.factors_of_length(n))
     just_epsilon = LeveledLanguage(include_epsilon=True)
-    report = verify_cover(index, everything, just_epsilon)
+    report = verify_cover(index.window, index.rows(), everything, just_epsilon)
     assert report.coverage == 1.0
     empty = LeveledLanguage()
-    report = verify_cover(index, empty, just_epsilon)
+    report = verify_cover(index.window, index.rows(), empty, just_epsilon)
     assert report.coverage == 0.0
     assert len(report.uncovered) == report.total
 
 
 def slicing_verify_cover(index, s_lang, t_lang) -> CoverReport:
-    """Oracle for verify_cover: try every cut of every factor by slicing."""
-    s_lens = set(s_lang.lengths())
-    t_lens = set(t_lang.lengths())
+    """Oracle for verify_cover over the index rows: try every cut of every
+    factor by slicing, in (length, word) order; the cut of a factor is the
+    one slicing_witness_split finds, -1 where it refuses."""
     uncovered = []
-    total = 0
+    cuts = array("q")
     for n in range(1, index.n_max + 1):
-        cuts = [c for c in range(n + 1) if c in s_lens and (n - c) in t_lens]
         for v in sorted(index.factors_of_length(n)):
-            total += 1
-            if not any(v[:c] in s_lang and v[c:] in t_lang for c in cuts):
-                uncovered.append(v)
-    s_cards = {n: s_lang.cardinality(n) for n in s_lang.lengths()}
-    t_cards = {n: t_lang.cardinality(n) for n in t_lang.lengths()}
-    return CoverReport(total=total, uncovered=uncovered,
-                       s_cardinalities=s_cards, t_cardinalities=t_cards)
-
-
-def assert_witness_split_matches_oracle(index, s_lang, t_lang, hi):
-    """The bulk witness_split over the index rows up to ``hi`` gives the
-    oracle's record for every factor the oracle splits, and refuses the full
-    rows with coverage-incomplete exactly when the oracle refuses some
-    factor."""
-    window = index.window
-    rows = [index.factor_starts(n).tolist() for n in range(1, hi + 1)]
-    split_rows, expected, refused = [], [], False
-    for n, row in enumerate(rows, start=1):
-        split_rows.append([])
-        for i in row:
             try:
-                expected.append(slicing_witness_split(window, i, n, s_lang, t_lang))
+                cuts.append(slicing_witness_split(v, 0, n, s_lang, t_lang).cut)
             except VerificationError:
-                refused = True
-            else:
-                split_rows[-1].append(i)
-    assert witness_split(window, split_rows, s_lang, t_lang) == expected
-    if refused:
-        with pytest.raises(VerificationError, match="coverage-incomplete"):
-            witness_split(window, rows, s_lang, t_lang)
-    else:
-        assert witness_split(window, rows, s_lang, t_lang) == expected
+                uncovered.append(v)
+                cuts.append(-1)
+    return CoverReport(total=len(cuts), uncovered=uncovered, cuts=cuts)
 
 
 COVER_SPECS = ["tm", "fib", "abk", "ultper:01|10", "ultper:0|011"]
@@ -295,11 +268,10 @@ def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
     s_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     t_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     hi = data.draw(st.integers(min_value=1, max_value=n_max))
-    # the same window, indexed up to hi
+    # the same window, indexed up to hi, has the first hi rows
     up_to_hi = build_factor_index(parse_word_spec(spec), n_work=8 * n_max, n_max=hi)
-    assert verify_cover(up_to_hi, s_lang, t_lang) == \
+    assert verify_cover(index.window, index.rows()[:hi], s_lang, t_lang) == \
         slicing_verify_cover(up_to_hi, s_lang, t_lang)
-    assert_witness_split_matches_oracle(index, s_lang, t_lang, hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,13 +279,12 @@ def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
 def test_mask_cover_matches_slicing_oracle_on_thinned_routes(spec, n_max, data):
     index = small_index(spec, n_max)
     s_lang, t_lang = route_sets(spec, index)
-    assert verify_cover(index, s_lang, t_lang).coverage == 1.0
+    assert verify_cover(index.window, index.rows(), s_lang, t_lang).coverage == 1.0
     drop_s = data.draw(st.sets(st.sampled_from(list(s_lang.words())), max_size=4))
     drop_t = data.draw(st.sets(st.sampled_from(list(t_lang.words())), max_size=4))
     s_lang, t_lang = without(s_lang, drop_s), without(t_lang, drop_t)
-    report = verify_cover(index, s_lang, t_lang)
+    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
-    assert_witness_split_matches_oracle(index, s_lang, t_lang, n_max)
 
 
 @pytest.mark.parametrize("spec", ["tm", "fib"])
@@ -323,7 +294,7 @@ def test_mask_cover_reports_uncovered_in_oracle_order(spec):
     # without the empty word in T the short factors, kept whole in S, and
     # the factors cut into that T word lose their cover
     t_lang = without(t_lang, {"", max(t_lang.words())})
-    report = verify_cover(index, s_lang, t_lang)
+    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
     assert len(report.uncovered) > 5
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
@@ -483,7 +454,7 @@ def test_thue_morse_sets_counts_and_cuts(tm_index):
     assert rec.position == 2  # boundary after the second letter, 1-based
     rec = cut(0, 1)
     assert (rec.start, rec.cut, rec.end) == (0, 1, 1)
-    report = verify_cover(tm_index, s1, s2)
+    report = verify_cover(tm_index.window, tm_index.rows(), s1, s2)
     assert report.coverage == 1.0
     # each cut produces parts from the sets themselves
     for n in (1, 2, 7, 32, 128):
@@ -506,11 +477,12 @@ def test_witness_split():
     assert (rec.start, rec.cut, rec.end) == (0, 1, 2)
     with pytest.raises(VerificationError, match="coverage-incomplete"):
         slicing_witness_split("11", 0, 2, s, t)
-    # the bulk form over the words "0" and "01" of the window "011"
-    assert witness_split("011", [[0], [0]], s, t) == [
-        slicing_witness_split("011", 0, 1, s, t), rec]
-    with pytest.raises(VerificationError, match="coverage-incomplete"):
-        witness_split("011", [[], [1]], s, t)
+    # verify_cover reports the same leftmost cuts, for the words "0" and "01"
+    # of the window "011", and -1 for its uncovered word "11"
+    assert verify_cover("011", [[0], [0]], s, t) == CoverReport(
+        total=2, uncovered=[], cuts=array("q", [1, rec.cut]))
+    assert verify_cover("011", [[], [1]], s, t) == CoverReport(
+        total=1, uncovered=["11"], cuts=array("q", [-1]))
 
 
 # -- Sturmian route --------------------------------------------------------------
@@ -522,7 +494,7 @@ def test_sturmian_sets(fib_index):
         assert s1.cardinality(n) == 2
         assert s2.cardinality(n) == 2
     assert s1.by_length[2] == {"00", "01"}
-    report = verify_cover(fib_index, s1, s2)
+    report = verify_cover(fib_index.window, fib_index.rows(), s1, s2)
     assert report.coverage == 1.0
 
 
@@ -534,7 +506,7 @@ def test_sturmian_rejects_thue_morse(tm_index):
 def test_sturmian_other_directive():
     index = build_factor_index(parse_word_spec("sturm:2,(1)"), n_max=64)
     s1, s2 = sturmian_split_sets(index)
-    assert verify_cover(index, s1, s2).coverage == 1.0
+    assert verify_cover(index.window, index.rows(), s1, s2).coverage == 1.0
 
 
 # -- greedy route ----------------------------------------------------------------
@@ -578,9 +550,10 @@ def test_greedy_prefix_language_always_feasible(word):
     s_lang, t_lang = greedy_two_sets(prefixes, 1)
     assert s_lang.per_length_max() <= 3
     assert t_lang.per_length_max() <= 3
-    oracle = [slicing_witness_split(word, 0, n, s_lang, t_lang)
+    oracle = [slicing_witness_split(word, 0, n, s_lang, t_lang).cut
               for n in range(1, len(word) + 1)]
-    assert witness_split(word, [[0]] * len(word), s_lang, t_lang) == oracle
+    report = verify_cover(word, [[0]] * len(word), s_lang, t_lang)
+    assert report.uncovered == [] and list(report.cuts) == oracle
 
 
 @settings(max_examples=40, deadline=None)
@@ -615,10 +588,49 @@ def test_build_decomposition_routes(method, spec):
     if method == "greedy":
         # one record per prefix of the window, each a certificate of its cover
         assert [(r.start, r.end) for r in dec.records] == [(0, n) for n in range(1, 33)]
+        assert dec.report == verify_cover(window, [[0]] * 32, dec.s_lang, dec.t_lang)
         assert dec.report.total == 32
     else:
-        assert dec.report == verify_cover(index, dec.s_lang, dec.t_lang)
+        assert dec.report == verify_cover(window, index.rows(), dec.s_lang, dec.t_lang)
         assert dec.report.total == index.accumulative(32) == len(dec.records)
+    if method in ("sturmian", "greedy"):
+        # the records are the leftmost cuts the report holds
+        assert [r.cut - r.start for r in dec.records] == list(dec.report.cuts)
+
+
+def test_build_decomposition_sturmian_makes_one_cover_pass(fib_index, monkeypatch):
+    calls = collections.Counter()
+    contains = LeveledLanguage.__contains__
+
+    def counted(lang, word):
+        calls["probes"] += 1
+        return contains(lang, word)
+
+    monkeypatch.setattr(LeveledLanguage, "__contains__", counted)
+    dec = build_decomposition(fib_index, "sturmian")
+    route = calls["probes"]
+    calls.clear()
+    verify_cover(fib_index.window, fib_index.rows(), dec.s_lang, dec.t_lang)
+    assert route == calls["probes"] > 0
+
+
+def test_build_decomposition_refuses_an_uncovered_word(fib_index, monkeypatch):
+    # sets that cover the factor "0" of length 1 but not "1": the sturmian
+    # route reads its records from the cover check and must refuse there
+    monkeypatch.setattr(decompose, "sturmian_split_sets", lambda index: (
+        LeveledLanguage(["0"]), LeveledLanguage(include_epsilon=True)))
+    with pytest.raises(VerificationError, match="coverage-incomplete: no split found for '1'"):
+        build_decomposition(fib_index, "sturmian")
+
+
+def test_build_decomposition_marker_refuses_growing_profile():
+    # Thue-Morse shows every factor up to length 32 in the first half of a
+    # window from 256 letters on
+    for window, grows in ((64, True), (128, True), (256, False)):
+        index = build_factor_index(thue_morse(), n_work=window, n_max=32)
+        assert (index.half_window_growth() is not None) == grows
+    with pytest.raises(PreconditionError, match="not-linear-within-window"):
+        build_decomposition(build_factor_index(thue_morse(), n_work=128, n_max=32), "marker")
 
 
 def test_build_decomposition_unknown_method(fib_index):

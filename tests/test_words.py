@@ -16,6 +16,7 @@ from factorlang import (
     sturmian_characteristic,
     thue_morse,
     ultimately_periodic,
+    words,
 )
 
 TM_64 = "0110100110010110100101100110100110010110011010010110100110010110"
@@ -79,14 +80,18 @@ def test_pq_prefix_and_blocks():
     assert "aaaabb" in pq.prefix(400)
 
 
-def test_pq_rejects_oversized_run_function():
-    with pytest.raises(PreconditionError, match="invalid-growth"):
-        pq_block_product(f=lambda n: n + 1)
-
-
-def test_pq_rejects_decreasing_repetitions():
-    with pytest.raises(PreconditionError, match="invalid-growth"):
-        pq_block_product(kpq=lambda p, q: 100 - p)
+@pytest.mark.parametrize("f_name", ["isqrt", "id", "ilog2"])
+@pytest.mark.parametrize("k_name", ["p", "2p", "const:1", "const:2", "const:3"])
+def test_pq_named_growth_meets_the_sampler_preconditions(f_name, k_name):
+    # f(1) >= 1, f(p) <= p and f non-decreasing; k(p, q) non-decreasing along
+    # the block order: in q within a stage, and across p -> p + 1
+    f, _ = words._resolve_f(f_name)
+    k, _ = words._resolve_k(k_name)
+    assert f(1) >= 1
+    for p in range(1, 65):
+        assert f(p) <= p and f(p) <= f(p + 1)
+        assert all(k(p, q) <= k(p, q + 1) for q in range(1, f(p)))
+        assert k(p, f(p)) <= k(p + 1, 1)
 
 
 def test_pq_constant_repetition_spec():
@@ -117,7 +122,6 @@ def test_morphism_images_stay_in_alphabet():
 def test_prefix_consistency_and_cap():
     tm = thue_morse()
     assert tm.prefix(100).startswith(tm.prefix(40))
-    assert tm.letter_at(5) == tm.prefix(6)[5]
     small = thue_morse(prefix_cap=64)
     with pytest.raises(PreconditionError, match="resource-limit"):
         small.prefix(65)
