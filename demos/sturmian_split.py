@@ -47,5 +47,5 @@ except PreconditionError as exc:
 # thin even though the word itself looks quite different.
 other = build_factor_index(parse_word_spec("sturm:2,(1)"), n_max=32)
 o1, o2 = sturmian_split_sets(other)
-print(f"\nsturm:2,(1) prefix: {other.source.prefix(20)}")
+print(f"\nsturm:2,(1) prefix: {other.window[:20]}")
 print(f"coverage: {verify_cover(other.window, other.rows(), o1, o2).coverage:.6f}")

@@ -20,8 +20,8 @@ from per-start and per-end membership masks, and reports, besides the
 uncovered words, each word's leftmost cut, the mask's lowest set bit.
 :func:`build_decomposition` is the one entry point that runs a route, by
 name, on a factor index and returns its sets, records and cover report; every
-route ends in one :func:`verify_cover` call, and the Sturmian and greedy
-records are the cuts it reports.
+route ends in one :func:`verify_cover` call, an uncovered word is refused on
+every route, and the Sturmian and greedy records are the cuts it reports.
 
 The marker, tm and Sturmian routes cut window positions read from
 :meth:`FactorIndex.rows`, and the greedy route cuts the prefixes at start 0,
@@ -48,53 +48,41 @@ from .words import Morphism, thue_morse
 class LeveledLanguage:
     """A finite language organized by word length.
 
-    Words of length >= 1 live in per-length sets; the empty word is a flag so
-    that cardinality and membership stay uniform. Iteration is sorted by
-    (length, word) to keep every downstream artifact deterministic.
+    ``by_length[n]`` holds the words of length n; the empty word is the one
+    word of length 0, so ``LeveledLanguage([""])`` is {ε}. Iteration is
+    sorted by (length, word) to keep every downstream artifact
+    deterministic.
     """
 
-    def __init__(self, words=(), include_epsilon: bool = False):
+    def __init__(self, words=()):
         self.by_length: dict[int, set[str]] = {}
-        self.includes_epsilon = bool(include_epsilon)
         for w in words:
             self.add(w)
 
     def add(self, word: str):
-        if word == "":
-            self.includes_epsilon = True
-        else:
-            self.by_length.setdefault(len(word), set()).add(word)
+        self.by_length.setdefault(len(word), set()).add(word)
 
     def __contains__(self, word: str) -> bool:
-        if word == "":
-            return self.includes_epsilon
         bucket = self.by_length.get(len(word))
         return bucket is not None and word in bucket
 
     def cardinality(self, n: int) -> int:
-        if n == 0:
-            return 1 if self.includes_epsilon else 0
         return len(self.by_length.get(n, ()))
 
     def lengths(self) -> list[int]:
-        out = sorted(self.by_length)
-        if self.includes_epsilon:
-            out.insert(0, 0)
-        return out
+        return sorted(self.by_length)
 
     def per_length_max(self) -> int:
-        return max((len(ws) for ws in self.by_length.values()), default=0)
+        """The most words of one length, the empty word aside."""
+        return max((len(ws) for n, ws in self.by_length.items() if n), default=0)
 
     def words(self):
         """All words sorted by (length, word), the empty word first."""
-        if self.includes_epsilon:
-            yield ""
         for n in sorted(self.by_length):
             yield from sorted(self.by_length[n])
 
     def total(self) -> int:
-        return sum(len(ws) for ws in self.by_length.values()) + (
-            1 if self.includes_epsilon else 0)
+        return sum(len(ws) for ws in self.by_length.values())
 
     def to_jsonl(self, set_name: str) -> str:
         lines = [json.dumps({"len": len(w), "word": w, "set": set_name},
@@ -273,7 +261,7 @@ def split_sets_bound(R: int, C: int, D: int) -> float:
     return R * (math.log2(D) + 2) * (1 + 4 * C * (2 * D + 1))
 
 
-def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
+def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     """Split every indexed factor into S and T via marker midpoints.
 
     Factors shorter than 2D go into S wholesale, paired with the empty word;
@@ -282,12 +270,10 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet] | None = None):
     (S, T, records) with one record per indexed factor in (length, word)
     order.
     """
-    if markers is None:
-        markers = build_all_markers(index)
     occurrences = MarkerOccurrences(index, markers)
     d = occurrences.D
     s_lang = LeveledLanguage()
-    t_lang = LeveledLanguage(include_epsilon=True)
+    t_lang = LeveledLanguage([""])
     window = index.window
     records = []
     for n, row in enumerate(index.rows(), start=1):
@@ -412,8 +398,8 @@ def thue_morse_split_sets(index: FactorIndex):
     block, coblock = "0", "1"
     for _ in range(rounds):
         block, coblock = morphism.apply(block), morphism.apply(coblock)
-    s1 = LeveledLanguage(include_epsilon=True)
-    s2 = LeveledLanguage(include_epsilon=True)
+    s1 = LeveledLanguage([""])
+    s2 = LeveledLanguage([""])
     for m in range(1, n_max + 1):
         s1.add(block[-m:])
         s1.add(coblock[-m:])
@@ -450,8 +436,8 @@ def sturmian_split_sets(index: FactorIndex):
                 "not-sturmian",
                 f"p({n}) = {index.complexity(n)}, expected {n + 1}")
     alphabet = index.alphabet
-    s1 = LeveledLanguage(include_epsilon=True)
-    s2 = LeveledLanguage(include_epsilon=True)
+    s1 = LeveledLanguage([""])
+    s2 = LeveledLanguage([""])
     for length in range(1, index.n_max + 1):
         if length == 1:
             rs_set = ls_set = {""}
@@ -558,11 +544,11 @@ def build_decomposition(index: FactorIndex, method: str,
     splits the prefixes of the window up to length n_max under the
     per-length budget slope ``budget``. Every route ends in one
     :func:`verify_cover` call over its words (the index rows, or the start 0
-    at every length for the prefixes), which gives the report. The marker
-    records come from :func:`build_st` and the tm records from the route's
-    ``cut``; the sturmian and greedy records are the leftmost cuts that
-    report holds, and a word with no cut is refused there, before anything
-    is returned.
+    at every length for the prefixes), which gives the report; a word with
+    no cut is refused there, on every route, before anything is returned.
+    The marker records come from :func:`build_st` and the tm records from
+    the route's ``cut``; the sturmian and greedy records are the leftmost
+    cuts that report holds.
 
     The marker route also refuses a window whose first half has fewer
     factors of some length up to n_max than the whole window: the profile
@@ -607,10 +593,10 @@ def build_decomposition(index: FactorIndex, method: str,
             "unknown-method", f"method must be one of {', '.join(METHODS)}, got {method!r}")
     rows = [[0]] * n_max if method == "greedy" else index.rows()
     report = verify_cover(index.window, rows, s_lang, t_lang)
+    if report.uncovered:
+        raise VerificationError(
+            "coverage-incomplete", f"no split found for {report.uncovered[0]!r}")
     if records is None:
-        if report.uncovered:
-            raise VerificationError(
-                "coverage-incomplete", f"no split found for {report.uncovered[0]!r}")
         cuts = iter(report.cuts)
         records = [SplitRecord(i, i + next(cuts), i + n, None, None, None)
                    for n, row in enumerate(rows, start=1) for i in row]

@@ -28,9 +28,7 @@ class ComplexityProfile:
     """Complexity counts of one window, stamped with where they came from.
 
     ``p[i]`` is the number of distinct factors of length i+1 and ``g[i]`` the
-    cumulative count over lengths 1..i+1. ``C`` and ``K`` are the smallest
-    integer slopes with p(n) <= C*n and g(n) <= K*n over the indexed range;
-    they are properties of this window and range, not of the infinite word.
+    cumulative count over lengths 1..i+1.
     """
 
     source_spec: str
@@ -38,18 +36,13 @@ class ComplexityProfile:
     n_max: int
     p: tuple[int, ...]
     g: tuple[int, ...]
-    C: int
-    K: int
 
     @classmethod
     def from_counts(cls, source_spec: str, n_work: int,
                     p: np.ndarray) -> ComplexityProfile:
         """The profile of per-length counts ``p`` (index 0 = length 1)."""
-        g = np.cumsum(p)
-        c, k = _slopes(p, g)
         return cls(source_spec=source_spec, n_work=n_work, n_max=len(p),
-                   p=tuple(int(x) for x in p), g=tuple(int(x) for x in g),
-                   C=c, K=k)
+                   p=tuple(int(x) for x in p), g=tuple(int(x) for x in np.cumsum(p)))
 
     def to_csv(self) -> str:
         lines = ["n,p,g"]
@@ -62,19 +55,17 @@ class FactorIndex:
     """Queries over the distinct factors of ``window`` up to length ``n_max``.
 
     Counts come from the suffix automaton's length intervals. Factors are
-    enumerated from one table, built on first use: the first-occurrence
-    start of each of the g(n_max) indexed factors, in (length, word) order,
-    so the p(n) starts of length n are the slice [g(n-1), g(n)). A state
-    covering the lengths [minlen, maxlen] and first ending at ``first_end``
-    contributes the start first_end - n + 1 for each n in
-    [minlen, min(maxlen, n_max)], and one ``np.repeat`` expands every
-    interval at once; only the word order within a length compares slices of
-    the window. The table holds integers, never factor strings, and runs
-    that only count factors never build it.
+    enumerated from one table, :meth:`rows`, built on first use: for each
+    length n, the first-occurrence starts of the p(n) distinct factors of
+    that length, in word order. A state covering the lengths
+    [minlen, maxlen] and first ending at ``first_end`` contributes the start
+    first_end - n + 1 for each n in [minlen, min(maxlen, n_max)], and one
+    ``np.repeat`` expands every interval at once; only the word order within
+    a length compares slices of the window. The table holds integers, never
+    factor strings, and runs that only count factors never build it.
     """
 
     def __init__(self, source: WordSource, window: str, n_max: int):
-        self.source = source
         self.source_spec = source.spec
         self.window = window
         self.n_work = len(window)
@@ -83,7 +74,6 @@ class FactorIndex:
         self._sam = SuffixAutomaton(window)
         self._p = self._sam.length_counts(n_max)
         self._g = np.cumsum(self._p)
-        self._starts: np.ndarray | None = None
         self._rows: list[list[int]] | None = None
         self._right_intervals = None
         self._left_intervals = None
@@ -142,24 +132,13 @@ class FactorIndex:
 
     # -- factor enumeration --------------------------------------------------
 
-    def factor_starts(self, n: int) -> np.ndarray:
-        """First-occurrence starts of the distinct factors of length ``n``,
-        in lexicographic order of the factors (a view of the factor table)."""
-        self._check_range(n)
-        if self._starts is None:
-            self._starts = self._build_factor_table()
-        top = int(self._g[n - 1])
-        return self._starts[top - int(self._p[n - 1]):top]
-
     def rows(self) -> list[list[int]]:
-        """The factor table as one list of starts per length: ``rows()[n-1]``
-        is :meth:`factor_starts` of n as a list. Built once, on first use, and
-        shared by every caller, which must not change it."""
-        if self._rows is None:
-            self._rows = [self.factor_starts(n).tolist() for n in range(1, self.n_max + 1)]
-        return self._rows
-
-    def _build_factor_table(self) -> np.ndarray:
+        """The factor table: ``rows()[n-1]`` lists the first-occurrence
+        starts of the distinct factors of length n, in lexicographic order of
+        the factors. Built once, on first use, and shared by every caller,
+        which must not change it."""
+        if self._rows is not None:
+            return self._rows
         sam = self._sam
         lo = sam.minlen[1:]
         hi = np.minimum(sam.maxlen[1:], self.n_max)
@@ -170,21 +149,21 @@ class FactorIndex:
         block_start = np.cumsum(counts) - counts
         lengths = np.repeat(lo - block_start, counts) + np.arange(int(counts.sum()))
         starts = np.repeat(end + 1, counts) - lengths
-        starts = starts[np.argsort(lengths, kind="stable")]
+        starts = starts[np.argsort(lengths, kind="stable")].tolist()
         text = self.window
+        rows = []
         top = 0
         for n in range(1, self.n_max + 1):
             bottom, top = top, int(self._g[n - 1])
-            row = starts[bottom:top].tolist()
-            row.sort(key=lambda i: text[i:i + n])
-            starts[bottom:top] = row
-        starts.flags.writeable = False  # callers get views of the table
-        return starts
+            rows.append(sorted(starts[bottom:top], key=lambda i: text[i:i + n]))
+        self._rows = rows
+        return rows
 
     def factors_of_length(self, n: int) -> set[str]:
         """The distinct factors of length ``n``."""
+        self._check_range(n)
         text = self.window
-        return {text[i:i + n] for i in self.factor_starts(n).tolist()}
+        return {text[i:i + n] for i in self.rows()[n - 1]}
 
     # -- special factors -----------------------------------------------------
 
@@ -235,8 +214,6 @@ class FactorIndex:
             raise PreconditionError(
                 "out-of-range",
                 f"occurrence queries are limited to length <= {self.n_max}")
-        if word == "":
-            return list(range(self.n_work + 1))
         out = []
         start = self.window.find(word)
         while start != -1:

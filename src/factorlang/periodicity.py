@@ -211,12 +211,7 @@ def build_all_markers(index: FactorIndex) -> dict[int, MarkerSet]:
             "no-marker-orders",
             f"n_max = {index.n_max} cannot fit even order 1 (D = {D} needs"
             f" spans of {2 * D})")
-    out = {}
-    for order in range(1, top + 1):
-        out[order] = MarkerSet(order=order,
-                               markers=build_markers(index, order, D - 1).markers,
-                               D=D)
-    return out
+    return {order: build_markers(index, order, D - 1) for order in range(1, top + 1)}
 
 
 def markers_to_jsonl(family: dict[int, MarkerSet]) -> str:

@@ -10,6 +10,10 @@ Sources can also be described by a compact spec string (``tm``, ``fib``,
 ``sturm:2,(1)``, ``morphic:0->01,1->10@0``, ``ultper:01|10``, ``abk``,
 ``pq:f=isqrt,k=p``); :func:`parse_word_spec` turns one into a source and
 ``source.spec`` is the canonical round-trip form.
+
+Every source refuses a prefix longer than :data:`PREFIX_CAP` letters with
+``resource-limit``; the cap is read when a prefix is requested, so a test can
+lower it with ``monkeypatch.setattr(words, "PREFIX_CAP", ...)``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable
 
 from .errors import PreconditionError, WordSpecError
 
-DEFAULT_PREFIX_CAP = 2 ** 24
+PREFIX_CAP = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -59,10 +63,6 @@ class Morphism:
                 f"image of start letter must begin with it and have length >= 2,"
                 f" got {self.start!r} -> {head!r}")
 
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted(self.images))
-
     def apply(self, word: str) -> str:
         return "".join(map(self.images.__getitem__, word))
 
@@ -75,11 +75,8 @@ class WordSource:
     cache only ever extends, so concurrent readers are safe.
     """
 
-    def __init__(self, spec: str, alphabet, grow: Callable[[int], str],
-                 prefix_cap: int = DEFAULT_PREFIX_CAP):
+    def __init__(self, spec: str, grow: Callable[[int], str]):
         self.spec = spec
-        self.alphabet = tuple(alphabet)
-        self.prefix_cap = prefix_cap
         self._grow = grow
         self._cache = ""
 
@@ -87,13 +84,13 @@ class WordSource:
         return f"WordSource({self.spec!r})"
 
     def check_length(self, n: int):
-        """Refuse a prefix length outside 0..prefix_cap, as ``prefix`` does."""
+        """Refuse a prefix length outside 0..PREFIX_CAP, as ``prefix`` does."""
         if n < 0:
             raise PreconditionError("out-of-range", f"prefix length must be >= 0, got {n}")
-        if n > self.prefix_cap:
+        if n > PREFIX_CAP:
             raise PreconditionError(
                 "resource-limit",
-                f"prefix length {n} exceeds the configured cap {self.prefix_cap}")
+                f"prefix length {n} exceeds the configured cap {PREFIX_CAP}")
 
     def prefix(self, n: int) -> str:
         """First ``n`` letters of the word."""
@@ -107,8 +104,7 @@ class WordSource:
         return self._cache[:n]
 
 
-def fixed_point(morphism: Morphism, prefix_cap: int = DEFAULT_PREFIX_CAP,
-                _spec: str | None = None) -> WordSource:
+def fixed_point(morphism: Morphism, _spec: str | None = None) -> WordSource:
     """Fixed point of a prolongable morphism, starting from its start letter.
 
     Generation consumes the word letter by letter and appends each letter's
@@ -128,17 +124,15 @@ def fixed_point(morphism: Morphism, prefix_cap: int = DEFAULT_PREFIX_CAP,
     if _spec is None:
         rules = ",".join(f"{a}->{img}" for a, img in sorted(morphism.images.items()))
         _spec = f"morphic:{rules}@{morphism.start}"
-    return WordSource(_spec, morphism.alphabet, grow, prefix_cap)
+    return WordSource(_spec, grow)
 
 
-def thue_morse(prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
+def thue_morse() -> WordSource:
     """The Thue-Morse word 01101001... (fixed point of 0->01, 1->10)."""
-    return fixed_point(Morphism({"0": "01", "1": "10"}, "0"), prefix_cap, _spec="tm")
+    return fixed_point(Morphism({"0": "01", "1": "10"}, "0"), _spec="tm")
 
 
-def sturmian_characteristic(preperiod=(), period=(1,),
-                            prefix_cap: int = DEFAULT_PREFIX_CAP,
-                            _spec: str | None = None) -> WordSource:
+def sturmian_characteristic(preperiod=(), period=(1,), _spec: str | None = None) -> WordSource:
     """Characteristic Sturmian word for an eventually periodic directive.
 
     The directive entries a_1, a_2, ... (all positive) drive the standard-word
@@ -172,16 +166,15 @@ def sturmian_characteristic(preperiod=(), period=(1,),
         head = ",".join(str(a) for a in pre)
         tail = "(" + ",".join(str(a) for a in per) + ")"
         _spec = "sturm:" + (head + "," + tail if head else tail)
-    return WordSource(_spec, ("0", "1"), grow, prefix_cap)
+    return WordSource(_spec, grow)
 
 
-def fibonacci_word(prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
+def fibonacci_word() -> WordSource:
     """The Fibonacci word 01001010..., the all-ones directive Sturmian word."""
-    return sturmian_characteristic((), (1,), prefix_cap, _spec="fib")
+    return sturmian_characteristic((), (1,), _spec="fib")
 
 
-def ultimately_periodic(preperiod: str, period: str,
-                        prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
+def ultimately_periodic(preperiod: str, period: str) -> WordSource:
     """The word preperiod . period . period . ... with a non-empty period."""
     if period == "":
         raise PreconditionError("empty-period", "period must be non-empty")
@@ -192,11 +185,10 @@ def ultimately_periodic(preperiod: str, period: str,
         reps = (n - len(preperiod)) // len(period) + 1
         return preperiod + period * reps
 
-    alphabet = sorted(set(preperiod + period))
-    return WordSource(f"ultper:{preperiod}|{period}", alphabet, grow, prefix_cap)
+    return WordSource(f"ultper:{preperiod}|{period}", grow)
 
 
-def abk_product(prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
+def abk_product() -> WordSource:
     """The concatenation of the blocks a b^k for k = 1, 2, 3, ...
 
     The same word is obtained by erasing the leading c from the fixed point
@@ -213,7 +205,7 @@ def abk_product(prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
             k += 1
         return "".join(parts)
 
-    return WordSource("abk", ("a", "b"), grow, prefix_cap)
+    return WordSource("abk", grow)
 
 
 _F_SPECS: dict[str, Callable[[int], int]] = {
@@ -248,7 +240,7 @@ def _resolve_k(spec):
     raise WordSpecError("bad-word-spec", f"unknown repetition function {spec!r}")
 
 
-def pq_block_product(f="isqrt", kpq="p", prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
+def pq_block_product(f="isqrt", kpq="p") -> WordSource:
     """The concatenation over p = 1, 2, ... and q = 1..f(p) of (a^p b^q)^k(p,q).
 
     ``f`` bounds the b-run lengths used at stage p and ``kpq`` gives the
@@ -274,7 +266,7 @@ def pq_block_product(f="isqrt", kpq="p", prefix_cap: int = DEFAULT_PREFIX_CAP) -
             p += 1
         return "".join(parts)
 
-    return WordSource(f"pq:f={f_name},k={k_name}", ("a", "b"), grow, prefix_cap)
+    return WordSource(f"pq:f={f_name},k={k_name}", grow)
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -306,7 +298,7 @@ def _parse_directive(body: str):
     return (), tuple(entries)
 
 
-def _parse_morphic(body: str, prefix_cap: int) -> WordSource:
+def _parse_morphic(body: str) -> WordSource:
     rules_part, at, start = body.rpartition("@")
     if not at:
         raise WordSpecError("bad-word-spec", "morphic spec needs @<start letter>")
@@ -320,10 +312,10 @@ def _parse_morphic(body: str, prefix_cap: int) -> WordSource:
         if left in images:
             raise WordSpecError("bad-word-spec", f"duplicate rule for letter {left!r}")
         images[left] = right
-    return fixed_point(Morphism(images, start), prefix_cap)
+    return fixed_point(Morphism(images, start))
 
 
-def _parse_pq(body: str, prefix_cap: int) -> WordSource:
+def _parse_pq(body: str) -> WordSource:
     f_spec, k_spec = "isqrt", "p"
     if body:
         for item in body.split(","):
@@ -336,29 +328,29 @@ def _parse_pq(body: str, prefix_cap: int) -> WordSource:
                 k_spec = value
             else:
                 raise WordSpecError("bad-word-spec", f"unknown pq option {key!r}")
-    return pq_block_product(f_spec, k_spec, prefix_cap)
+    return pq_block_product(f_spec, k_spec)
 
 
-def parse_word_spec(text: str, prefix_cap: int = DEFAULT_PREFIX_CAP) -> WordSource:
+def parse_word_spec(text: str) -> WordSource:
     """Build a word source from its spec string."""
     text = text.strip()
     kind, colon, body = text.partition(":")
     if kind == "tm" and not colon:
-        return thue_morse(prefix_cap)
+        return thue_morse()
     if kind == "fib" and not colon:
-        return fibonacci_word(prefix_cap)
+        return fibonacci_word()
     if kind == "abk" and not colon:
-        return abk_product(prefix_cap)
+        return abk_product()
     if kind == "sturm":
         pre, per = _parse_directive(body)
-        return sturmian_characteristic(pre, per, prefix_cap)
+        return sturmian_characteristic(pre, per)
     if kind == "morphic":
-        return _parse_morphic(body, prefix_cap)
+        return _parse_morphic(body)
     if kind == "ultper":
         head, bar, tail = body.partition("|")
         if not bar:
             raise WordSpecError("bad-word-spec", "ultper spec needs <preperiod>|<period>")
-        return ultimately_periodic(head, tail, prefix_cap)
+        return ultimately_periodic(head, tail)
     if kind == "pq":
-        return _parse_pq(body, prefix_cap)
+        return _parse_pq(body)
     raise WordSpecError("bad-word-spec", f"unknown word kind {kind!r}")

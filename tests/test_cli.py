@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlang import factors
+from factorlang import decompose, factors
 from factorlang.cli import _write_atomic, run
 from factorlang.decompose import METHODS
 
@@ -273,6 +273,22 @@ def test_verify_round_trip(tmp_path, capsys):
     assert run(["verify", "tm", "--s-file", str(out / "S.jsonl"),
                 "--t-file", str(out / "T.jsonl"), "--n-max", "64"]) == 0
     assert "coverage: 1.000000" in capsys.readouterr().out
+
+
+def test_decompose_refuses_uncovered_word_before_writing(tmp_path, capsys, monkeypatch):
+    # a tm S missing one of its words: the route must refuse in the cover
+    # check, before any artifact is written
+    route = decompose.thue_morse_split_sets
+
+    def dropping(index):
+        s1, s2, cut = route(index)
+        return decompose.LeveledLanguage(w for w in s1.words() if w != "01"), s2, cut
+
+    monkeypatch.setattr(decompose, "thue_morse_split_sets", dropping)
+    out = tmp_path / "dc"
+    assert run(["decompose", "tm", "tm", "--n-max", "16", "--out", str(out)]) == 4
+    assert "coverage-incomplete: no split found for " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_tampered_set_names_missing_factor(tmp_path, capsys):

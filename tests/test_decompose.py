@@ -45,7 +45,6 @@ from oracles import slicing_witness_split
 
 def test_leveled_language_basics():
     lang = LeveledLanguage(["ab", "ba", "a", ""])
-    assert lang.includes_epsilon
     assert "" in lang
     assert "ab" in lang and "aa" not in lang
     assert lang.cardinality(2) == 2
@@ -63,7 +62,19 @@ def test_leveled_language_jsonl_round_trip():
     assert lines[0] == '{"len": 0, "set": "S", "word": ""}'
     back = LeveledLanguage.from_jsonl(text, "S")
     assert list(back.words()) == list(lang.words())
-    assert back.includes_epsilon
+    assert "" in back
+
+
+def test_leveled_language_of_the_empty_word():
+    lang = LeveledLanguage([""])
+    assert lang.cardinality(0) == 1
+    assert lang.lengths() == [0]
+    assert lang.per_length_max() == 0
+    assert lang.total() == 1
+    text = lang.to_jsonl("T")
+    assert text == '{"len": 0, "set": "T", "word": ""}\n'
+    back = LeveledLanguage.from_jsonl(text, "T")
+    assert list(back.words()) == [""] and back.total() == 1
 
 
 def test_leveled_language_from_jsonl_rejects_bad_rows():
@@ -134,7 +145,7 @@ def test_split_factor_invariants(index_name, request):
     top = max(markers)
     window = index.window
     for n in (2 * d, 3 * d, 40, 97, 128):
-        for i in index.factor_starts(n).tolist():
+        for i in index.rows()[n - 1]:
             v = window[i:i + n]
             rec = split_factor(occurrences, i, n)
             assert (rec.start, rec.end) == (i, i + n)
@@ -193,7 +204,7 @@ def test_build_st_coverage_and_bound(index_name, request):
     assert s_lang.per_length_max() <= bound
     assert t_lang.per_length_max() <= bound
     # short factors are present wholesale, paired with the empty word
-    assert t_lang.includes_epsilon
+    assert "" in t_lang
     for n in range(1, 2 * d):
         assert index.factors_of_length(n) <= s_lang.by_length[n]
     assert len(records) == report.total
@@ -203,7 +214,7 @@ def test_verify_cover_degenerate_cases():
     index = build_factor_index(thue_morse(), n_max=16)
     everything = LeveledLanguage(
         w for n in range(1, 17) for w in index.factors_of_length(n))
-    just_epsilon = LeveledLanguage(include_epsilon=True)
+    just_epsilon = LeveledLanguage([""])
     report = verify_cover(index.window, index.rows(), everything, just_epsilon)
     assert report.coverage == 1.0
     empty = LeveledLanguage()
@@ -290,7 +301,7 @@ def test_mask_cover_matches_slicing_oracle_on_thinned_routes(spec, n_max, data):
 @pytest.mark.parametrize("spec", ["tm", "fib"])
 def test_mask_cover_reports_uncovered_in_oracle_order(spec):
     index = build_factor_index(parse_word_spec(spec), n_max=32)
-    s_lang, t_lang, _ = build_st(index)
+    s_lang, t_lang, _ = build_st(index, build_all_markers(index))
     # without the empty word in T the short factors, kept whole in S, and
     # the factors cut into that T word lose their cover
     t_lang = without(t_lang, {"", max(t_lang.words())})
@@ -408,7 +419,7 @@ def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
         markers[order] = MarkerSet(order=order, markers=frozenset(chosen), D=2)
     occurrences = MarkerOccurrences(index, markers)
     for n in range(4, n_max + 1):
-        for start in index.factor_starts(n).tolist():
+        for start in index.rows()[n - 1]:
             try:
                 expected = scanning_split_factor(index, markers, start, n)
             except VerificationError:
@@ -458,7 +469,7 @@ def test_thue_morse_sets_counts_and_cuts(tm_index):
     assert report.coverage == 1.0
     # each cut produces parts from the sets themselves
     for n in (1, 2, 7, 32, 128):
-        for i in tm_index.factor_starts(n).tolist():
+        for i in tm_index.rows()[n - 1]:
             rec = cut(i, n)
             assert (rec.start, rec.end) == (i, i + n)
             assert window[i:rec.cut] in s1 and window[rec.cut:i + n] in s2
@@ -472,7 +483,7 @@ def test_thue_morse_sets_window_guard(fib_index):
 
 def test_witness_split():
     s = LeveledLanguage(["0"])
-    t = LeveledLanguage(["1"], include_epsilon=True)
+    t = LeveledLanguage(["1", ""])
     rec = slicing_witness_split("01", 0, 2, s, t)
     assert (rec.start, rec.cut, rec.end) == (0, 1, 2)
     with pytest.raises(VerificationError, match="coverage-incomplete"):
@@ -524,7 +535,7 @@ def test_greedy_on_prefixes(tm_index):
 
 def test_greedy_trivial_epsilon():
     s_lang, t_lang = greedy_two_sets(LeveledLanguage([""]), 1)
-    assert s_lang.includes_epsilon and t_lang.includes_epsilon
+    assert "" in s_lang and "" in t_lang
     assert s_lang.per_length_max() == 0
 
 
@@ -618,7 +629,7 @@ def test_build_decomposition_refuses_an_uncovered_word(fib_index, monkeypatch):
     # sets that cover the factor "0" of length 1 but not "1": the sturmian
     # route reads its records from the cover check and must refuse there
     monkeypatch.setattr(decompose, "sturmian_split_sets", lambda index: (
-        LeveledLanguage(["0"]), LeveledLanguage(include_epsilon=True)))
+        LeveledLanguage(["0"]), LeveledLanguage([""])))
     with pytest.raises(VerificationError, match="coverage-incomplete: no split found for '1'"):
         build_decomposition(fib_index, "sturmian")
 
@@ -673,7 +684,7 @@ def test_product_bound_dominates_brute_force(data):
     # realized product complexity against the counting bound
     caps = 2
     def capped_language(tag):
-        lang = LeveledLanguage(include_epsilon=True)
+        lang = LeveledLanguage([""])
         for n in (1, 2, 3):
             words = data.draw(
                 st.sets(st.text(alphabet="01", min_size=n, max_size=n),

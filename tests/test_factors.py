@@ -17,6 +17,7 @@ from factorlang import (
     thue_morse,
     thue_morse_split_sets,
     ultimately_periodic,
+    words,
 )
 from factorlang.factors import window_profile
 
@@ -142,9 +143,10 @@ def test_window_profile_is_the_index_profile():
     assert window_profile(thue_morse(), n_max=8).n_work == 50 * 8
 
 
-def test_window_profile_guards_in_index_order():
+def test_window_profile_guards_in_index_order(monkeypatch):
     # n_max first, then the window's size, then the prefix cap
-    small = parse_word_spec("tm", prefix_cap=1000)
+    monkeypatch.setattr(words, "PREFIX_CAP", 1000)
+    small = parse_word_spec("tm")
     with pytest.raises(PreconditionError, match="out-of-range"):
         window_profile(small, n_work=5000, n_max=0)
     with pytest.raises(PreconditionError, match="window-too-small"):
@@ -179,7 +181,7 @@ def test_factor_enumeration_and_positions(spec):
     for n in range(1, 25):
         oracle = frame_factors(window, n)
         assert index.factors_of_length(n) == oracle
-        pairs = [(window[i:i + n], i) for i in index.factor_starts(n).tolist()]
+        pairs = [(window[i:i + n], i) for i in index.rows()[n - 1]]
         assert pairs == sorted((word, window.find(word)) for word in oracle)
 
 
@@ -194,7 +196,7 @@ def test_factor_table_matches_brute_force_at_every_length(spec, n_max, extra):
     window = source.prefix(n_work)
     for n in range(1, n_max + 1):
         oracle = sorted(frame_factors(window, n))
-        assert index.factor_starts(n).tolist() == [window.find(w) for w in oracle]
+        assert index.rows()[n - 1] == [window.find(w) for w in oracle]
 
 
 def test_thue_morse_profile_values():
@@ -285,6 +287,9 @@ def test_range_guards():
         index.right_special(8)  # extensions do not fit at the cap
     with pytest.raises(PreconditionError, match="out-of-range"):
         index.occurrences("0" * 9)
+    for n in (0, 9):
+        with pytest.raises(PreconditionError, match="out-of-range"):
+            index.factors_of_length(n)
 
 
 def test_window_too_small():
@@ -305,16 +310,17 @@ def test_stabilization_check():
     assert profile == build_factor_index(source, n_work=400, n_max=192).profile()
 
 
-def test_stabilized_profile_guards():
+def test_stabilized_profile_guards(monkeypatch):
     with pytest.raises(PreconditionError, match="out-of-range"):
         stabilized_profile(thue_morse(), n_work=100, n_max=0)
     with pytest.raises(PreconditionError, match="window-too-small"):
         stabilized_profile(thue_morse(), n_work=100, n_max=64)
     # the cap is checked at the window before the doubled window
+    monkeypatch.setattr(words, "PREFIX_CAP", 1000)
     with pytest.raises(PreconditionError, match="prefix length 1001 exceeds"):
-        stabilized_profile(parse_word_spec("tm", prefix_cap=1000), n_work=1001, n_max=8)
+        stabilized_profile(parse_word_spec("tm"), n_work=1001, n_max=8)
     with pytest.raises(PreconditionError, match="prefix length 1200 exceeds"):
-        stabilized_profile(parse_word_spec("tm", prefix_cap=1000), n_work=600, n_max=8)
+        stabilized_profile(parse_word_spec("tm"), n_work=600, n_max=8)
 
 
 def test_csv_export():

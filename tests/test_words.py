@@ -119,23 +119,24 @@ def test_morphism_images_stay_in_alphabet():
         Morphism({"0": "01", "1": "2"}, "0")
 
 
-def test_prefix_consistency_and_cap():
+def test_prefix_consistency_and_cap(monkeypatch):
     tm = thue_morse()
     assert tm.prefix(100).startswith(tm.prefix(40))
-    small = thue_morse(prefix_cap=64)
+    monkeypatch.setattr(words, "PREFIX_CAP", 64)
     with pytest.raises(PreconditionError, match="resource-limit"):
-        small.prefix(65)
+        thue_morse().prefix(65)
     with pytest.raises(PreconditionError, match="out-of-range"):
         tm.prefix(-1)
 
 
-@pytest.mark.parametrize("spec", ["morphic:0->01,1->10@0", "pq:f=isqrt,k=p"])
-def test_parse_word_spec_passes_prefix_cap(spec):
-    source = parse_word_spec(spec, prefix_cap=10)
-    assert source.prefix_cap == 10
-    assert len(source.prefix(10)) == 10
-    with pytest.raises(PreconditionError, match="resource-limit"):
-        source.prefix(11)
+def test_every_spec_kind_reads_the_prefix_cap(monkeypatch):
+    monkeypatch.setattr(words, "PREFIX_CAP", 10)
+    for spec in ("tm", "fib", "abk", "sturm:2,(1)", "morphic:0->01,1->10@0",
+                 "ultper:01|10", "pq:f=isqrt,k=p"):
+        source = parse_word_spec(spec)
+        assert len(source.prefix(10)) == 10
+        with pytest.raises(PreconditionError, match="resource-limit"):
+            source.prefix(11)
 
 
 @pytest.mark.parametrize("spec,head", [
