@@ -129,14 +129,15 @@ def test_prefix_consistency_and_cap(monkeypatch):
         tm.prefix(-1)
 
 
-def test_every_spec_kind_reads_the_prefix_cap(monkeypatch):
+@pytest.mark.parametrize("spec", ["tm", "fib", "abk", "sturm:2,(1)",
+                                  "morphic:0->01,1->10@0", "ultper:01|10",
+                                  "pq:f=isqrt,k=p"])
+def test_parse_word_spec_passes_prefix_cap(monkeypatch, spec):
     monkeypatch.setattr(words, "PREFIX_CAP", 10)
-    for spec in ("tm", "fib", "abk", "sturm:2,(1)", "morphic:0->01,1->10@0",
-                 "ultper:01|10", "pq:f=isqrt,k=p"):
-        source = parse_word_spec(spec)
-        assert len(source.prefix(10)) == 10
-        with pytest.raises(PreconditionError, match="resource-limit"):
-            source.prefix(11)
+    source = parse_word_spec(spec)
+    assert len(source.prefix(10)) == 10
+    with pytest.raises(PreconditionError, match="resource-limit"):
+        source.prefix(11)
 
 
 @pytest.mark.parametrize("spec,head", [
