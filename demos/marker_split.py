@@ -48,8 +48,9 @@ for spec in ["tm", "fib"]:
     print()
 
 # The marker property only exists for linear-complexity words. The abk word
-# is quadratic, so its measured slope keeps growing with the window, and the
-# builder refuses instead of emitting sets whose bound would be meaningless.
+# is quadratic, so its window holds more factors than the window's first
+# half, and the builder refuses before building any marker instead of
+# emitting sets whose bound would be meaningless.
 index = build_factor_index(parse_word_spec("abk"), n_max=128)
 try:
     build_all_markers(index)

@@ -62,7 +62,7 @@ from .periodicity import (
     classify_occurrence,
     markers_to_jsonl,
     minimal_period,
-    require_stable_slope,
+    require_linear_window,
     verify_marker_property,
 )
 from .words import (
@@ -117,7 +117,7 @@ __all__ = [
     "pq_block_product",
     "product_bound_audit",
     "product_complexity_bound",
-    "require_stable_slope",
+    "require_linear_window",
     "resolve_model",
     "split_factor",
     "split_records_to_csv",

@@ -548,13 +548,8 @@ def build_decomposition(index: FactorIndex, method: str,
     no cut is refused there, on every route, before anything is returned.
     The marker records come from :func:`build_st` and the tm records from
     the route's ``cut``; the sturmian and greedy records are the leftmost
-    cuts that report holds.
-
-    The marker route also refuses a window whose first half has fewer
-    factors of some length up to n_max than the whole window: the profile
-    still grows with the window, which a quadratic word's does at every
-    window length. A ``budget`` below 1 is refused on every route, not only
-    on greedy.
+    cuts that report holds. A ``budget`` below 1 is refused on every route,
+    not only on greedy.
     """
     if budget < 1:
         raise PreconditionError(
@@ -565,14 +560,6 @@ def build_decomposition(index: FactorIndex, method: str,
     records = None
     if method == "marker":
         markers = build_all_markers(index)
-        grown = index.half_window_growth()
-        if grown is not None:
-            raise PreconditionError(
-                "not-linear-within-window",
-                f"p({grown}) is larger on the whole window of {index.n_work} letters"
-                f" than on its first {index.n_work // 2}: the complexity is not linear,"
-                " or the window is too short to show every factor (enlarge --window);"
-                " the marker construction needs linear complexity")
         s_lang, t_lang, records = build_st(index, markers)
         c, k = index.slope_constants()
         d = next(iter(markers.values())).D

@@ -157,28 +157,41 @@ def build_markers(index: FactorIndex, order: int, C: int) -> MarkerSet:
     return MarkerSet(order=order, markers=markers, D=D)
 
 
-def require_stable_slope(index: FactorIndex) -> int:
-    """Return C after checking it does not grow across the indexed range.
+def require_linear_window(index: FactorIndex) -> int:
+    """Return the slope C = ceil(max p(n)/n) once the window shows linear
+    complexity, the one precondition of the marker route.
 
-    The marker construction presumes complexity bounded by a fixed multiple
-    of the length, so the largest p(n)/n must be attained on the first half
-    of the range. The word is rejected when that maximum grows more than
-    1.25-fold over the whole range: a quadratic word nearly doubles it (abk:
-    1.31 at n_max 8, up to 1.96), while the linear words tried stay below
-    1.17 from n_max 8 on (Thue-Morse 1.16 at n_max 11). It is also rejected
-    when C = ceil(max p(n)/n) grows over a half range of 16 lengths or more:
-    past n_max 256 the default window is too short for abk's ratio to show
-    (1.06 at n_max 512) but its C still grows, and on shorter ranges a
-    linear word's p(n)/n may still cross an integer (Thue-Morse: 3 up to
-    n = 12, 40/13 at n = 13).
+    The checks run in order: the first half of the window must hold every
+    factor up to n_max (a quadratic word's counts keep growing with the
+    window); the profile must have no plateau p(n+1) = p(n), which an
+    aperiodic word never has (Morse-Hedlund); and the largest p(n)/n must
+    not grow more than 1.25-fold from the first half of the range to the
+    whole. A quadratic word nearly doubles it (abk: 1.31 at n_max 8, up to
+    1.96), while the linear words tried stay below 1.17 from n_max 8 on
+    (Thue-Morse 1.16 at n_max 11).
     """
+    grown = index.half_window_growth()
+    if grown is not None:
+        raise PreconditionError(
+            "not-linear-within-window",
+            f"p({grown}) is larger on the whole window of {index.n_work} letters"
+            f" than on its first {index.n_work // 2}: the complexity is not linear,"
+            " or the window is too short to show every factor (enlarge --window);"
+            " the marker construction needs linear complexity")
+    plateau = index.detect_eventual_periodicity()
+    if plateau is not None:
+        raise PreconditionError(
+            "eventually-periodic",
+            f"p({plateau + 1}) = p({plateau}): the word is ultimately periodic, or"
+            f" the window of {index.n_work} letters is too short to show otherwise;"
+            " the marker construction needs an aperiodic word")
     half = max(1, index.n_max // 2)
     ratios = [c / n for n, c in enumerate(index.profile().p, 1)]
     r_half, r_full = max(ratios[:half]), max(ratios)
     # p(n)/n is exact when n divides p(n) and at least 1/n off an integer
     # otherwise, so ceil gives the integer slope C
     c_half, c_full = math.ceil(r_half), math.ceil(r_full)
-    if r_full > 1.25 * r_half or (half >= 16 and c_full > c_half):
+    if r_full > 1.25 * r_half:
         raise PreconditionError(
             "not-linear-within-window",
             f"complexity slope grows with length (max p(n)/n = {r_half:.3f}, C = {c_half}"
@@ -190,21 +203,13 @@ def require_stable_slope(index: FactorIndex) -> int:
 def build_all_markers(index: FactorIndex) -> dict[int, MarkerSet]:
     """Marker sets for every order the window can support, keyed by order.
 
+    The window must first pass :func:`require_linear_window`, before any
+    marker or factor table is built; D is C + 1 for the slope C it returns.
     Orders run from 1 up to the largest k with D * 2^k <= n_max, so the
-    containment property of every returned set is verified, not extrapolated.
-    D is C + 1 for the window's slope C. A window whose profile has a
-    plateau p(n+1) = p(n) looks ultimately periodic (or is too short to show
-    otherwise); such a word has no markers, so it is refused before any
-    order is tried.
+    containment property of every returned set is verified, not
+    extrapolated.
     """
-    plateau = index.detect_eventual_periodicity()
-    if plateau is not None:
-        raise PreconditionError(
-            "eventually-periodic",
-            f"p({plateau + 1}) = p({plateau}): the word is ultimately periodic, or"
-            f" the window of {index.n_work} letters is too short to show otherwise;"
-            " the marker construction needs an aperiodic word")
-    D = require_stable_slope(index) + 1
+    D = require_linear_window(index) + 1
     top = (index.n_max // D).bit_length() - 1
     if top < 1:
         raise PreconditionError(

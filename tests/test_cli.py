@@ -229,6 +229,22 @@ def test_decompose_marker_rejects_quadratic_word(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["abk", "--n-max", "512"],
+    ["tm", "--n-max", "20", "--window", "40"],
+])
+def test_decompose_marker_names_growth_within_the_window(tmp_path, capsys, args):
+    # abk's default window at n_max 512 also shows a plateau, at p(446) = p(445),
+    # and 40 letters of Thue-Morse one at p(10) = p(9); the growth of the
+    # profile from the window's first half to the whole is the cause named
+    out = tmp_path / "dc"
+    assert run(["decompose", "marker", *args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "not-linear-within-window" in err
+    assert "enlarge --window" in err
+    assert not out.exists()
+
+
 def test_decompose_greedy(tmp_path, capsys):
     out = tmp_path / "dc"
     assert run(["decompose", "greedy", "tm", "--n-max", "64", "--budget", "1",

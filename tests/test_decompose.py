@@ -20,6 +20,7 @@ from factorlang import (
     build_all_markers,
     build_decomposition,
     build_factor_index,
+    build_markers,
     build_st,
     classify_occurrence,
     compositions_count,
@@ -355,7 +356,17 @@ MARKER_SPECS = ["tm", "fib", "sturm:2,(1)", "morphic:0->01,1->00@0"]
                                           (64, 192), (80, 240)])
 def test_build_st_matches_scanning_oracle(spec, n_max, window, monkeypatch):
     index = build_factor_index(parse_word_spec(spec), window, n_max)
-    markers = build_all_markers(index)
+    if window is None:
+        markers = build_all_markers(index)
+    else:
+        # windows of 3*n_max letters are too short for the linearity gate's
+        # half-window check, but build_st must still match the oracle on
+        # them: build each order's verified set as build_all_markers would
+        with pytest.raises(PreconditionError, match="not-linear-within-window"):
+            build_all_markers(index)
+        c, _ = index.slope_constants()
+        top = (n_max // (c + 1)).bit_length() - 1
+        markers = {order: build_markers(index, order, c) for order in range(1, top + 1)}
     d = _family_d(markers)
     calls = collections.Counter()
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlang import (
+    FactorIndex,
     MarkerSet,
     PreconditionError,
     VerificationError,
@@ -19,11 +20,12 @@ from factorlang import (
     markers_to_jsonl,
     minimal_period,
     parse_word_spec,
-    require_stable_slope,
+    require_linear_window,
     thue_morse,
     ultimately_periodic,
     verify_marker_property,
 )
+from factorlang import periodicity
 
 
 def brute_minimal_period(w: str) -> int:
@@ -188,13 +190,13 @@ def test_periodic_source_has_no_markers():
 def test_stable_slope_guard_fires_on_quadratic_word():
     index = build_factor_index(parse_word_spec("abk"), n_max=128)
     with pytest.raises(PreconditionError, match="not-linear-within-window"):
-        require_stable_slope(index)
+        require_linear_window(index)
     # the block product needs a longer window to show its growth at n_max 64
     index = build_factor_index(parse_word_spec("pq:f=isqrt,k=p"), n_work=64000, n_max=64)
     with pytest.raises(PreconditionError, match="not-linear-within-window"):
-        require_stable_slope(index)
-    require_stable_slope(build_factor_index(thue_morse(), n_max=128))
-    require_stable_slope(build_factor_index(fibonacci_word(), n_max=128))
+        require_linear_window(index)
+    require_linear_window(build_factor_index(thue_morse(), n_max=128))
+    require_linear_window(build_factor_index(fibonacci_word(), n_max=128))
 
 
 @pytest.mark.parametrize("spec", ["tm", "fib", "morphic:0->001,1->10@0", "sturm:1,3,(2)"])
@@ -205,17 +207,36 @@ def test_stable_slope_guard_accepts_linear_words_from_n_max_8(spec):
     source = parse_word_spec(spec)
     for n_max in range(8, 80):
         index = build_factor_index(source, n_max=n_max)
-        assert require_stable_slope(index) == index.slope_constants()[0]
+        assert require_linear_window(index) == index.slope_constants()[0]
 
 
 @pytest.mark.parametrize("n_max", [8, 12, 16, 24, 32, 64, 128, 256, 384, 512])
 def test_stable_slope_guard_refuses_quadratic_word_from_n_max_8(n_max):
     # up to n_max 256 the largest p(n)/n grows more than 1.25-fold; at 384
-    # and 512 the default window flattens it (1.18, 1.06) and only the
-    # growth of the integer slope C refuses the word
+    # and 512 the default window flattens it (1.18, 1.06), and the window's
+    # first half holds fewer factors than the whole window
     index = build_factor_index(parse_word_spec("abk"), n_max=n_max)
     with pytest.raises(PreconditionError, match="not-linear-within-window"):
-        require_stable_slope(index)
+        require_linear_window(index)
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("built before the linearity gate refused")
+
+
+@pytest.mark.parametrize("spec,n_max,n_work,code,rule", [
+    ("pq:f=isqrt,k=p", 384, None, "not-linear-within-window", "than on its first"),
+    ("ultper:01|10", 64, None, "eventually-periodic", r"p\(\d+\) = p\(\d+\)"),
+    ("abk", 128, 51200, "not-linear-within-window", "slope grows with length"),
+])
+def test_linear_window_gate_needs_each_rule(spec, n_max, n_work, code, rule, monkeypatch):
+    # each input is refused by one rule of the gate and passes the others:
+    # the half-window growth, the plateau, and the growth of max p(n)/n
+    index = build_factor_index(parse_word_spec(spec), n_work=n_work, n_max=n_max)
+    monkeypatch.setattr(periodicity, "build_markers", _refuse_to_build)
+    monkeypatch.setattr(FactorIndex, "rows", _refuse_to_build)
+    with pytest.raises(PreconditionError, match=f"{code}: .*{rule}"):
+        build_all_markers(index)
 
 
 def test_build_all_markers_orders_and_serialization():
