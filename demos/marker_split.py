@@ -44,7 +44,7 @@ for spec in ["tm", "fib"]:
     rec = split_factor(MarkerOccurrences(index, markers), 60, 5 * d)
     print(f"  {window[rec.start:rec.end]!r}\n"
           f"    = {window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r} "
-          f"(order {rec.order}, occurrence {rec.occurrence_class.label})")
+          f"(order {rec.order}, occurrence {rec.occurrence_class})")
     print()
 
 # The marker property only exists for linear-complexity words. The abk word

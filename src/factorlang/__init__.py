@@ -56,7 +56,6 @@ from .factors import (
 )
 from .periodicity import (
     MarkerSet,
-    OccurrenceClass,
     build_all_markers,
     build_markers,
     classify_occurrence,
@@ -91,7 +90,6 @@ __all__ = [
     "MarkerOccurrences",
     "MarkerSet",
     "Morphism",
-    "OccurrenceClass",
     "PreconditionError",
     "ProductBoundReport",
     "SplitRecord",

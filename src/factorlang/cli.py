@@ -190,7 +190,11 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
         rows = []
         for n in ns:
             count = witness_pair_count(n, args.k)
-            rows.append((n, count, n, f"{count / n:.6f}"))
+            try:
+                rows.append((n, count, n, f"{count / n:.6f}"))
+            except OverflowError:
+                raise PreconditionError(
+                    "out-of-range", f"count / n at n of {len(str(n))} digits is not a float")
         return rows, f"witness pairs at k={args.k} against n"
     if name == "fit":
         lo, hi = args.range

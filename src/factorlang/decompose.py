@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, VerificationError
 from .factors import FactorIndex
-from .periodicity import MarkerSet, build_all_markers, classify_occurrence, OccurrenceClass
-from .words import Morphism, thue_morse
+from .periodicity import MarkerSet, build_all_markers, classify_occurrence
+from .words import thue_morse
 
 
 class LeveledLanguage:
@@ -123,8 +123,9 @@ class SplitRecord:
     The factor is ``v = window[start:end]``, cut into ``s = window[start:cut]``
     and ``t = window[cut:end]``. For marker splits, ``order`` is the marker
     order, ``position`` the window position of the chosen marker occurrence
-    and ``occurrence_class`` its classification. Short factors that go into
-    S wholesale carry their first occurrence position and no order or class.
+    and ``occurrence_class`` its label from :func:`classify_occurrence`, as
+    splits.csv writes it. Short factors that go into S wholesale carry
+    their first occurrence position and no order or class.
     The doubling-morphism route stores the 2-adic valuation of the cut
     boundary as ``order`` and the 1-based boundary position as ``position``.
     The Sturmian and greedy records carry the cut alone.
@@ -135,7 +136,7 @@ class SplitRecord:
     end: int
     order: int | None
     position: int | None
-    occurrence_class: OccurrenceClass | None
+    occurrence_class: str | None
 
     def __post_init__(self):
         if not self.start <= self.cut <= self.end:
@@ -153,9 +154,8 @@ def split_records_to_csv(window: str, records):
     for r in records:
         k = "" if r.order is None else str(r.order)
         pos = "" if r.position is None else str(r.position)
-        label = "" if r.occurrence_class is None else r.occurrence_class.label
         yield (f"{window[r.start:r.end]},{window[r.start:r.cut]},{window[r.cut:r.end]},"
-               f"{k},{pos},{label}\n")
+               f"{k},{pos},{r.occurrence_class or ''}\n")
 
 
 def _check_span(window: str, start: int, n: int):
@@ -195,9 +195,9 @@ class MarkerOccurrences:
             merged = sorted((i, m) for m in ms.markers for i in self.own[m])
             self.starts[order] = [i for i, _ in merged]
             self.marker_at[order] = [m for _, m in merged]
-        self._classes: dict[tuple[int, int], OccurrenceClass | None] = {}
+        self._classes: dict[tuple[int, int], str | None] = {}
 
-    def occurrence_class(self, position: int, order: int) -> OccurrenceClass | None:
+    def occurrence_class(self, position: int, order: int) -> str | None:
         key = (position, order)
         if key not in self._classes:
             try:
@@ -246,7 +246,7 @@ def split_factor(occurrences: MarkerOccurrences, start: int, n: int) -> SplitRec
                 continue
             if first_classified is None:
                 first_classified = (pos, cls)
-            if not cls.internal:
+            if cls != "internal":
                 chosen = (pos, cls)
                 break
         pos, cls = chosen or first_classified or (starts[at], None)
@@ -378,8 +378,11 @@ def _max_valuation_boundary(lo: int, hi: int) -> tuple[int, int]:
 def thue_morse_split_sets(index: FactorIndex):
     """Suffix and prefix sets of the doubling-morphism iterates, with a cut rule.
 
-    S1 holds every suffix (and S2 every prefix) of the n-fold images of both
-    letters under 0->01, 1->10, which gives exactly two words per length. The
+    S1 holds every suffix (and S2 every prefix) of the r-fold images of both
+    letters under 0->01, 1->10, for the least r >= 1 with 2^r >= n_max,
+    which gives exactly two words per length; the images are the Thue-Morse
+    prefix of 2^r letters, which the window check has already generated
+    when the window holds 2 * n_max >= 2^r letters, and its complement. The
     returned ``cut(start, n)`` splits the factor ``window[start:start + n]``
     at the boundary of maximal 2-adic valuation inside that span, keeping
     both parts non-empty when n >= 2; the valuation makes the left part a
@@ -389,15 +392,13 @@ def thue_morse_split_sets(index: FactorIndex):
     the window is compared with the Thue-Morse prefix of the same length.
     """
     n_max, window = index.n_max, index.window
-    if window != thue_morse().prefix(index.n_work):
+    tm = thue_morse()
+    if window != tm.prefix(index.n_work):
         raise PreconditionError(
             "method-mismatch",
             "the doubling-morphism route is specific to the tm word")
-    rounds = max(1, (n_max - 1).bit_length())
-    morphism = Morphism({"0": "01", "1": "10"}, "0")
-    block, coblock = "0", "1"
-    for _ in range(rounds):
-        block, coblock = morphism.apply(block), morphism.apply(coblock)
+    block = tm.prefix(2 ** max(1, (n_max - 1).bit_length()))
+    coblock = block.translate(str.maketrans("01", "10"))
     s1 = LeveledLanguage([""])
     s2 = LeveledLanguage([""])
     for m in range(1, n_max + 1):
@@ -465,10 +466,10 @@ def greedy_two_sets(lang: LeveledLanguage, budget_slope: int):
     Each word v admits len(v) + 1 factorizations v = s + t. The cheapest one
     is taken (fewest missing parts, leftmost cut on ties), and a missing part
     is inserted only while its length holds at most 2 * budget_slope words,
-    so both sets stay below 2 * budget_slope + 1 words per length. Feasibility
-    for every word is guaranteed when the accumulative count of ``lang`` stays
-    within budget_slope * n; a word with no affordable split certifies that
-    the input broke that promise.
+    so neither set holds more than 2 * budget_slope + 1 words per length.
+    Feasibility for every word is guaranteed when the accumulative count of
+    ``lang`` stays within budget_slope * n; a word with no affordable split
+    certifies that the input broke that promise.
     """
     if budget_slope < 1:
         raise PreconditionError(
@@ -507,11 +508,6 @@ def greedy_two_sets(lang: LeveledLanguage, budget_slope: int):
                 f" count must exceed {budget_slope} * n somewhere")
         s_lang.add(v[:best_cut])
         t_lang.add(v[best_cut:])
-        for side, part in ((s_lang, v[:best_cut]), (t_lang, v[best_cut:])):
-            if part and side.cardinality(len(part)) > cap + 1:
-                raise VerificationError(
-                    "budget-overflow",
-                    f"length {len(part)} exceeded {cap + 1} words")
     return s_lang, t_lang
 
 
@@ -545,7 +541,8 @@ def build_decomposition(index: FactorIndex, method: str,
     per-length budget slope ``budget``. Every route ends in one
     :func:`verify_cover` call over its words (the index rows, or the start 0
     at every length for the prefixes), which gives the report; a word with
-    no cut is refused there, on every route, before anything is returned.
+    no cut is refused there, on every route, before anything is returned,
+    and so are sets above the route's per-length claim as ``bound-exceeded``.
     The marker records come from :func:`build_st` and the tm records from
     the route's ``cut``; the sturmian and greedy records are the leftmost
     cuts that report holds. A ``budget`` below 1 is refused on every route,
@@ -566,15 +563,19 @@ def build_decomposition(index: FactorIndex, method: str,
         r = max(len(ms.markers) for ms in markers.values())
         extras = {"C": c, "K": k, "D": d, "R": r, "orders": sorted(markers),
                   "bound": split_sets_bound(r, c, d)}
+        claim = extras["bound"]
     elif method == "tm":
         s_lang, t_lang, cut = thue_morse_split_sets(index)
         records = [cut(i, n) for n, row in enumerate(index.rows(), start=1) for i in row]
+        claim = 2
     elif method == "sturmian":
         s_lang, t_lang = sturmian_split_sets(index)
+        claim = 2
     elif method == "greedy":
         prefixes = LeveledLanguage(index.window[:n] for n in range(1, n_max + 1))
         s_lang, t_lang = greedy_two_sets(prefixes, budget)
         extras = {"budget": budget}
+        claim = 2 * budget + 1
     else:
         raise PreconditionError(
             "unknown-method", f"method must be one of {', '.join(METHODS)}, got {method!r}")
@@ -583,6 +584,10 @@ def build_decomposition(index: FactorIndex, method: str,
     if report.uncovered:
         raise VerificationError(
             "coverage-incomplete", f"no split found for {report.uncovered[0]!r}")
+    most = max(s_lang.per_length_max(), t_lang.per_length_max())
+    if most > claim:
+        raise VerificationError(
+            "bound-exceeded", f"{most} words of one length in S or T, above the claim {claim}")
     if records is None:
         cuts = iter(report.cuts)
         records = [SplitRecord(i, i + next(cuts), i + n, None, None, None)

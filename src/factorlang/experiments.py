@@ -17,6 +17,10 @@ from .errors import PreconditionError
 from .factors import ComplexityProfile, FactorIndex
 from .decompose import LeveledLanguage, product_complexity_bound
 
+# the largest n staircase_pair_count counts, in isqrt(2n) = 1.4 million steps
+# (half a second on a 2-core host); read on each call, so a test can lower it
+STAIRCASE_N_CAP = 10 ** 12
+
 
 def staircase_pair_count(n: int) -> int:
     """Number of pairs (k, l) with k >= 3, l >= sqrt(n) whose staircase word
@@ -25,6 +29,10 @@ def staircase_pair_count(n: int) -> int:
     The count grows like n log n. Only k below sqrt(2n) can contribute: for
     larger k even the shortest staircase at the minimal l is too long.
     """
+    if n > STAIRCASE_N_CAP:
+        raise PreconditionError(
+            "resource-limit",
+            f"staircase pair count at n = {n} exceeds the configured cap {STAIRCASE_N_CAP}")
     if n < 1:
         return 0
     l_floor = math.isqrt(n)

@@ -40,28 +40,10 @@ def minimal_period(word: str) -> tuple[int, str]:
     return p, word[:p]
 
 
-@dataclass(frozen=True)
-class OccurrenceClass:
-    internal: bool
-    initial: bool
-    final: bool
-
-    def __post_init__(self):
-        if self.internal and (self.initial or self.final):
-            raise PreconditionError(
-                "bad-occurrence-class", "internal excludes initial and final")
-
-    @property
-    def label(self) -> str:
-        if self.internal:
-            return "internal"
-        parts = [name for name, flag in
-                 (("initial", self.initial), ("final", self.final)) if flag]
-        return "+".join(parts)
-
-
-def classify_occurrence(window: str, position: int, length: int) -> OccurrenceClass:
-    """Classify the occurrence of window[position:position+length].
+def classify_occurrence(window: str, position: int, length: int) -> str:
+    """Classify the occurrence of window[position:position+length] by the
+    label splits.csv writes: ``"internal"``, ``"initial"``, ``"final"`` or
+    ``"initial+final"``.
 
     Writing p for the minimal period of the occurring factor, the left check
     compares each of the first p letters of the occurrence with the letter p
@@ -69,7 +51,8 @@ def classify_occurrence(window: str, position: int, length: int) -> OccurrenceCl
     compares each of the last p letters with the letter p places later. A
     mismatch inside the window settles the right check early; if the window
     runs out before a mismatch, the classification would be a guess, so it
-    is refused.
+    is refused. The occurrence is internal when both checks hold, initial
+    when the left one fails and final when the right one fails.
     """
     n = length
     if n < 1:
@@ -92,9 +75,9 @@ def classify_occurrence(window: str, position: int, length: int) -> OccurrenceCl
         if window[a + o] != window[a + o + pw]:
             right_ok = False
             break
-    return OccurrenceClass(internal=left_ok and right_ok,
-                           initial=not left_ok,
-                           final=not right_ok)
+    if left_ok:
+        return "internal" if right_ok else "final"
+    return "initial" if right_ok else "initial+final"
 
 
 @dataclass(frozen=True)
@@ -142,11 +125,6 @@ def build_markers(index: FactorIndex, order: int, C: int) -> MarkerSet:
         raise PreconditionError("out-of-range", f"marker order must be >= 1, got {order}")
     length = 2 ** order
     D = C + 1
-    if length > index.n_max - 1 or D * length > index.n_max:
-        raise PreconditionError(
-            "out-of-range",
-            f"order {order} needs markers of length {length} and spans of"
-            f" {D * length}, beyond the indexed range {index.n_max}")
     markers = frozenset(index.right_special(length))
     if not verify_marker_property(index, markers, length, D):
         raise VerificationError(

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlang import decompose, factors
+from factorlang import decompose, experiments, factors
 from factorlang.cli import _write_atomic, run
 from factorlang.decompose import METHODS
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read(path: Path) -> str:
@@ -307,6 +313,23 @@ def test_decompose_refuses_uncovered_word_before_writing(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_decompose_refuses_sets_above_the_route_claim(tmp_path, capsys, monkeypatch):
+    # a third word of length 3 in the tm S: the cover still holds, the
+    # route's claim of two words per length does not
+    route = decompose.thue_morse_split_sets
+
+    def padded(index):
+        s1, s2, cut = route(index)
+        s1.add("000")
+        return s1, s2, cut
+
+    monkeypatch.setattr(decompose, "thue_morse_split_sets", padded)
+    out = tmp_path / "dc"
+    assert run(["decompose", "tm", "tm", "--n-max", "16", "--out", str(out)]) == 4
+    assert "bound-exceeded: 3 words of one length" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_tampered_set_names_missing_factor(tmp_path, capsys):
     out = tmp_path / "dc"
     assert run(["decompose", "tm", "tm", "--n-max", "64", "--out", str(out)]) == 0
@@ -359,6 +382,28 @@ def test_experiment_e_count_rejects_n_below_two(n, capsys):
     err = capsys.readouterr().err
     assert "out-of-range" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["claim-pairs", "--n", "1" + "0" * 700], "out-of-range"),
+    (["e-count", "--n", "100000000000000000000"], "resource-limit"),
+])
+def test_counting_experiments_refuse_what_they_cannot_count(argv, code):
+    # count / n overflows a float at the first, the second would loop for hours
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "factorlang.cli", "experiment", *argv],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 3
+    assert f"error: {code}: " in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_experiment_e_count_refuses_n_above_the_cap(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "STAIRCASE_N_CAP", 5000)
+    assert run(["experiment", "e-count", "--n", "5000"]) == 0
+    assert run(["experiment", "e-count", "--n", "5001"]) == 3
+    assert "resource-limit: staircase pair count at n = 5001 exceeds the configured cap 5000" \
+        in capsys.readouterr().err
 
 
 def test_experiment_fit_fib(capsys):

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlang import (
+    FactorIndex,
     LeveledLanguage,
     MarkerOccurrences,
     MarkerSet,
+    Morphism,
     PreconditionError,
     SplitRecord,
     VerificationError,
@@ -338,7 +340,7 @@ def scanning_split_factor(index, markers, start, n):
                 continue
             if first_classified is None:
                 first_classified = (rel, cls)
-            if not cls.internal:
+            if cls != "internal":
                 chosen_rel, chosen_class = rel, cls
                 break
         if chosen_rel is None:
@@ -484,6 +486,27 @@ def test_thue_morse_sets_counts_and_cuts(tm_index):
             rec = cut(i, n)
             assert (rec.start, rec.end) == (i, i + n)
             assert window[i:rec.cut] in s1 and window[rec.cut:i + n] in s2
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 5, 8, 64, 100, 128])
+@pytest.mark.parametrize("window", ["2 n_max", "default", "n_max"])
+def test_thue_morse_sets_are_the_iterated_blocks(n_max, window):
+    # the suffixes and prefixes of the r-fold images of 0 and 1, r the
+    # least r >= 1 with 2^r >= n_max, iterated by the morphism itself; an
+    # index built directly may hold fewer than 2^r letters
+    doubling = Morphism({"0": "01", "1": "10"}, "0")
+    blocks = ["0", "1"]
+    for _ in range(max(1, math.ceil(math.log2(n_max)))):
+        blocks = [doubling.apply(b) for b in blocks]
+    if window == "n_max":
+        index = FactorIndex(thue_morse(), thue_morse().prefix(n_max), n_max)
+    else:
+        index = build_factor_index(thue_morse(), 2 * n_max if window == "2 n_max" else None,
+                                   n_max)
+    s1, s2, _ = thue_morse_split_sets(index)
+    lengths = range(1, n_max + 1)
+    assert set(s1.words()) == {""} | {b[-m:] for b in blocks for m in lengths}
+    assert set(s2.words()) == {""} | {b[:m] for b in blocks for m in lengths}
 
 
 def test_thue_morse_sets_window_guard(fib_index):

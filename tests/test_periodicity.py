@@ -76,14 +76,12 @@ def test_minimal_period_random_ternary(w):
 
 
 def test_classify_examples():
-    assert classify_occurrence("010101010", 0, 4).label == "internal"
+    assert classify_occurrence("010101010", 0, 4) == "internal"
     # "0101011": the shift test still holds at position 0, breaks at 2
-    assert classify_occurrence("0101011", 0, 4).label == "internal"
-    assert classify_occurrence("0101011", 2, 4).label == "final"
-    assert classify_occurrence("010111", 0, 4).label == "final"
-    assert classify_occurrence("10011", 1, 2).label == "initial+final"
-    oc = classify_occurrence("10011", 1, 2)
-    assert oc.initial and oc.final and not oc.internal
+    assert classify_occurrence("0101011", 0, 4) == "internal"
+    assert classify_occurrence("0101011", 2, 4) == "final"
+    assert classify_occurrence("010111", 0, 4) == "final"
+    assert classify_occurrence("10011", 1, 2) == "initial+final"
 
 
 def test_classify_guards():
@@ -95,10 +93,27 @@ def test_classify_guards():
         classify_occurrence("0101", 0, 0)
 
 
-def test_internal_excludes_extreme_flags():
-    from factorlang import OccurrenceClass
-    with pytest.raises(PreconditionError, match="bad-occurrence-class"):
-        OccurrenceClass(internal=True, initial=True, final=False)
+@settings(max_examples=300)
+@given(st.text(alphabet="01", min_size=2, max_size=60), st.data())
+def test_classify_returns_the_label_of_both_period_checks(window, data):
+    j = data.draw(st.integers(min_value=0, max_value=len(window) - 1))
+    n = data.draw(st.integers(min_value=1, max_value=len(window) - j))
+    p = brute_minimal_period(window[j:j + n])
+    left_ok = all(window[j + o] == window[j + o - p] for o in range(p) if j + o >= p)
+    right = [window[j + o] == window[j + o + p] for o in range(n - p, n)
+             if j + o + p < len(window)]
+    try:
+        label = classify_occurrence(window, j, n)
+    except PreconditionError as exc:
+        # refused only when the window ends before a mismatch on the right
+        assert "insufficient-right-context" in str(exc)
+        assert all(right) and j + n - 1 + p >= len(window)
+        return
+    right_ok = all(right)
+    assert label in ("internal", "initial", "final", "initial+final")
+    assert (label == "internal") == (left_ok and right_ok)
+    assert label.startswith("initial") == (not left_ok)
+    assert label.endswith("final") == (not right_ok)
 
 
 @settings(max_examples=200)
@@ -113,7 +128,7 @@ def test_internal_occurrence_repeats_one_period_away(window, data):
         oc = classify_occurrence(window, j, n)
     except PreconditionError:
         return  # not enough right context to decide
-    if oc.internal:
+    if oc == "internal":
         assert window[j + pw:j + pw + n] == w
         if j >= pw:
             assert window[j - pw:j - pw + n] == w
@@ -129,7 +144,7 @@ def test_every_short_factor_has_a_final_occurrence(spec):
             finals = 0
             for j in index.occurrences(v):
                 try:
-                    if classify_occurrence(window, j, n).final:
+                    if classify_occurrence(window, j, n).endswith("final"):
                         finals += 1
                         break
                 except PreconditionError:
@@ -173,6 +188,17 @@ def test_verify_marker_property_range_guard():
     index = build_factor_index(thue_morse(), n_max=32)
     with pytest.raises(PreconditionError, match="out-of-range"):
         verify_marker_property(index, frozenset({"01"}), 16, 3)
+
+
+def test_build_markers_refuses_orders_beyond_the_index():
+    # tm at n_max 32 has C = 3, so D = 4: order 5 needs markers of length
+    # 32 > n_max - 1, and order 4 spans of 64 > n_max
+    index = build_factor_index(thue_morse(), n_max=32)
+    with pytest.raises(PreconditionError, match="out-of-range: length 32 outside"):
+        build_markers(index, 5, 3)
+    with pytest.raises(PreconditionError, match="out-of-range: marker property at span 64"):
+        build_markers(index, 4, 3)
+    assert build_markers(index, 3, 3).D == 4
 
 
 def test_periodic_source_has_no_markers():
