@@ -24,8 +24,12 @@ the length of the longest suffix of ``text[:pos + 1]`` that occurred before.
 The letter at ``pos`` adds exactly the factors of lengths
 ``floor[pos] + 1 .. pos + 1``, which gives the complexity profile of every
 prefix of the text from the one build. The count-only build
-(``count_only=True``) runs the same loop but keeps only ``floor``, unboxed in
-an ``array('q')``, and ``n_states``: no first ends, no state arrays.
+(``count_only=True``) runs the same loop but records no first ends and makes
+no state arrays: it keeps ``floor``, unboxed in an ``array('q')``,
+``n_states``, and, in one private slot, the build's transition lists, suffix
+links and maxlens as they stand. With those, ``first_unmatched`` runs another
+text through the automaton, which is how a window's profile is checked
+against a longer text without a build over the longer text.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from __future__ import annotations
 from array import array
 
 import numpy as np
+
+# positions per histogram chunk in length_counts
+_CHUNK = 1 << 16
 
 
 def _to_array(values: list, n: int) -> np.ndarray:
@@ -46,7 +53,7 @@ def _to_array(values: list, n: int) -> np.ndarray:
 class SuffixAutomaton:
 
     __slots__ = ("n_states", "maxlen", "minlen", "link", "first_end", "outdeg",
-                 "floor")
+                 "floor", "_walk")
 
     def __init__(self, text: str, count_only: bool = False):
         alphabet = sorted(set(text))
@@ -95,6 +102,7 @@ class SuffixAutomaton:
         self.n_states = n_states
         self.floor = np.frombuffer(floor, dtype=np.int64)
         if count_only:
+            self._walk = trans_of, link, maxlen
             return
         outdeg = np.zeros(n_states, dtype=np.int64)
         for t in trans:
@@ -109,18 +117,64 @@ class SuffixAutomaton:
         minlen[1:] = self.maxlen[self.link[1:]] + 1
         self.minlen = minlen
 
+    def first_unmatched(self, text: str, n: int) -> int | None:
+        """The end position of the first length-``n`` factor of ``text`` that
+        is not a factor of the automaton's text, or None if there is none.
+        Count-only builds alone keep what this needs.
+
+        The walk follows transitions and, where a letter has none, suffix
+        links, keeping the length of the longest suffix of what it has read
+        that is a factor, capped at ``n``; it stops where that length is
+        below ``n`` after ``n`` letters or more. A letter the automaton's
+        text lacks matches nothing.
+        """
+        trans_of, link, maxlen = self._walk
+        state = length = 0
+        for pos, tc in enumerate(map(trans_of.get, text)):
+            if tc is None:
+                state = length = 0
+            else:
+                nxt = tc[state]
+                while nxt == -1 and state:
+                    state = link[state]
+                    nxt = tc[state]
+                    length = maxlen[state]
+                if nxt == -1:
+                    length = 0
+                elif length < n:
+                    state = nxt
+                    length += 1
+                elif maxlen[link[nxt]] >= n:
+                    # the capped length-n suffix is not in nxt, which starts
+                    # at length n + 1, but in its suffix link
+                    state = link[nxt]
+                else:
+                    state = nxt
+            if length < n and pos >= n - 1:
+                return pos
+        return None
+
     def length_counts(self, n_max: int, prefix: int | None = None) -> np.ndarray:
         """Number of distinct factors per length 1..n_max (index 0 = length 1)
         of ``text[:prefix]`` (default: the whole text).
 
         The letter at ``pos`` adds the lengths floor[pos]+1 .. pos+1, clipped
-        at n_max; one difference array over the positions before ``prefix``
-        sums them.
+        at n_max. Before position n_max - 1 the clip never bites, and one
+        difference array sums those intervals. From there on, the letter adds
+        length n <= n_max exactly when floor[pos] < n, so a histogram of
+        min(floor, n_max) and its running sum count the rest. The histogram
+        is taken in chunks, so that no temporary is as long as the text: the
+        count-only build keeps its transition lists alive beside ``floor``.
         """
         m = len(self.floor) if prefix is None else prefix
-        lo = self.floor[:m] + 1
-        hi = np.minimum(np.arange(1, m + 1), n_max)
+        head = min(m, n_max - 1)
+        lo = self.floor[:head] + 1
+        hi = np.arange(1, head + 1)
         keep = lo <= hi
         diff = (np.bincount(lo[keep], minlength=n_max + 2)
                 - np.bincount(hi[keep] + 1, minlength=n_max + 2))
-        return np.cumsum(diff)[1:n_max + 1]
+        below = np.zeros(n_max + 1, dtype=np.int64)
+        for start in range(head, m, _CHUNK):
+            chunk = self.floor[start:min(start + _CHUNK, m)]
+            below += np.bincount(np.minimum(chunk, n_max), minlength=n_max + 1)
+        return np.cumsum(diff)[1:n_max + 1] + np.cumsum(below)[:n_max]

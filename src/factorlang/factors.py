@@ -4,9 +4,10 @@ A :class:`FactorIndex` fixes a window (a prefix of the source of length
 ``n_work``) and a length cap ``n_max``, and answers per-length questions
 about the distinct factors of the window: how many there are, which of them
 are right or left special, where a factor first occurs. All results are
-statements about the window; ``stabilized_profile`` compares the profiles at
-``n_work`` and ``2 * n_work``, both read from one automaton over the doubled
-window, to justify reading them as properties of the infinite word.
+statements about the window; ``stabilized_profile`` justifies reading the
+profile as a property of the infinite word by checking that doubling the
+window leaves it unchanged, with one automaton over the window and a walk of
+the doubled window through it.
 """
 
 from __future__ import annotations
@@ -262,8 +263,7 @@ def window_profile(source: WordSource, n_work: int | None = None,
     defaulted as in :func:`build_factor_index` and in the same order, from a
     count-only automaton instead of an index."""
     n_work = _window_length(n_work, n_max)
-    sam = SuffixAutomaton(source.prefix(n_work), count_only=True)
-    return ComplexityProfile.from_counts(source.spec, n_work, sam.length_counts(n_max))
+    return _count_window(source.spec, source.prefix(n_work), n_max)[1]
 
 
 def stabilized_profile(source: WordSource, n_work: int | None = None,
@@ -273,13 +273,26 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
 
     The window is checked and defaulted as in :func:`build_factor_index`,
     and the prefix cap at ``n_work`` before the one at ``2 * n_work``, so an
-    inadmissible request is refused before any letter is generated. One
-    count-only automaton over the doubled window gives both profiles, since
-    it counts the factors of each of its prefixes.
+    inadmissible request is refused before any letter is generated. The
+    profile comes from the count-only automaton over the window, as in
+    :func:`window_profile`. The doubled window D has the same counts up to
+    ``n_max`` exactly when each of its length-``n_max`` factors occurs in the
+    window W, since every shorter factor of D is a prefix of one of them or
+    a suffix of the last; the factors inside W do, so the check walks
+    ``D[n_work - n_max + 1:]`` through the automaton and stops at the first
+    factor that does not occur.
     """
     n_work = _window_length(n_work, n_max)
     source.check_length(n_work)
-    sam = SuffixAutomaton(source.prefix(2 * n_work), count_only=True)
-    p = sam.length_counts(n_max, prefix=n_work)
-    stable = np.array_equal(p, sam.length_counts(n_max))
-    return ComplexityProfile.from_counts(source.spec, n_work, p), stable
+    doubled = source.prefix(2 * n_work)
+    sam, profile = _count_window(source.spec, doubled[:n_work], n_max)
+    return profile, sam.first_unmatched(doubled[n_work - n_max + 1:], n_max) is None
+
+
+def _count_window(spec: str, window: str,
+                  n_max: int) -> tuple[SuffixAutomaton, ComplexityProfile]:
+    """The count-only automaton over ``window`` and the window's profile
+    read from it."""
+    sam = SuffixAutomaton(window, count_only=True)
+    profile = ComplexityProfile.from_counts(spec, len(window), sam.length_counts(n_max))
+    return sam, profile

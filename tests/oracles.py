@@ -1,6 +1,8 @@
 """Slow, direct forms of fast library functions, shared by the test modules."""
 
-from factorlang import PreconditionError, SplitRecord, VerificationError
+import numpy as np
+
+from factorlang import PreconditionError, SplitRecord, SuffixAutomaton, VerificationError
 
 
 def slicing_witness_split(window, start, n, s_lang, t_lang) -> SplitRecord:
@@ -45,3 +47,54 @@ def staircase_pair_count_bruteforce(n: int) -> int:
             l += 1
         k += 1
     return total
+
+
+def doubled_build_profile(source, n_work, n_max):
+    """Oracle for stabilized_profile: one count-only automaton over the
+    doubled window, which counts the factors of the window and of the
+    doubled window alike. Returns the window's counts and whether the two
+    profiles agree."""
+    sam = SuffixAutomaton(source.prefix(2 * n_work), count_only=True)
+    p = sam.length_counts(n_max, prefix=n_work)
+    return p, bool(np.array_equal(p, sam.length_counts(n_max)))
+
+
+def prefix_doubling_profile(text, n_max):
+    """Oracle for the automaton's counts at scale, sharing no code with it:
+    p(n) for n = 1..n_max from suffix ranks and adjacent LCPs.
+
+    ``ranks[k][i]`` ranks ``text[i:i + 2**k]`` (cut short at the end of the
+    text, a shorter word ranking first) by prefix doubling (Manber and
+    Myers, 1993), up to the first 2**k >= n_max; rank 0 marks positions past
+    the end, and the ranks are int32 to halve the memory. Sorting the
+    suffixes by the last ranks puts the suffixes that share a prefix of
+    length n <= n_max next to each other. Each adjacent LCP, capped at
+    2**k, is found by binary lifting over the rank arrays. Then p(n) is the
+    number of suffixes of length >= n less the number of adjacent pairs with
+    LCP >= n.
+    """
+    n = len(text)
+    if n == 0:
+        return np.zeros(n_max, dtype=np.int64)
+    levels = (n_max - 1).bit_length()
+    pad = 1 << levels
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    rank = np.zeros(n + pad, dtype=np.int32)
+    rank[:n] = np.unique(codes, return_inverse=True)[1] + 1
+    ranks = [rank]
+    for k in range(levels):
+        key = rank[:n] * np.int64(n + 1) + rank[1 << k:n + (1 << k)]
+        rank = np.zeros(n + pad, dtype=np.int32)
+        rank[:n] = np.unique(key, return_inverse=True)[1] + 1
+        ranks.append(rank)
+    order = np.argsort(rank[:n], kind="stable")
+    a, b = order[:-1], order[1:]
+    lcp = np.where(rank[a] == rank[b], pad, 0)
+    for k in reversed(range(levels)):
+        open_ = lcp < pad
+        ia, ib, l = a[open_], b[open_], lcp[open_]
+        lcp[open_] = l + (ranks[k][ia + l] == ranks[k][ib + l]) * (1 << k)
+    pairs = np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)
+    at_least = np.cumsum(pairs[::-1])[::-1]
+    lengths = np.arange(1, n_max + 1)
+    return np.maximum(n - lengths + 1, 0) - at_least[1:]

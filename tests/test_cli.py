@@ -86,6 +86,31 @@ def test_complexity_refuses_over_cap_before_any_build(monkeypatch, capsys):
     assert "prefix length 18000000" in err
 
 
+def test_complexity_builds_one_automaton_over_the_window(monkeypatch, capsys):
+    built = []
+    real = factors.SuffixAutomaton
+
+    def recording(text, **kwargs):
+        built.append(len(text))
+        return real(text, **kwargs)
+
+    monkeypatch.setattr(factors, "SuffixAutomaton", recording)
+    assert run(["complexity", "tm", "--n-max", "8", "--window", "600"]) == 0
+    assert built == [600]
+
+
+def test_complexity_exits_4_when_a_letter_first_appears_past_the_window():
+    # the letter 1 first occurs at position 10, in the doubled window only
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "factorlang.cli", "complexity",
+                           "ultper:0000000000|1", "--n-max", "5", "--window", "10"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 4
+    assert "error: unstable-window: " in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_counting_commands_build_no_factor_index(monkeypatch, capsys):
     def no_index(*args):
         raise AssertionError("a factor index was built")

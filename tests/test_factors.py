@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorlang import (
@@ -20,6 +20,7 @@ from factorlang import (
     words,
 )
 from factorlang.factors import window_profile
+from oracles import doubled_build_profile, prefix_doubling_profile
 
 
 def frame_factors(window: str, n: int) -> set[str]:
@@ -321,6 +322,79 @@ def test_stabilized_profile_guards(monkeypatch):
         stabilized_profile(parse_word_spec("tm"), n_work=1001, n_max=8)
     with pytest.raises(PreconditionError, match="prefix length 1200 exceeds"):
         stabilized_profile(parse_word_spec("tm"), n_work=600, n_max=8)
+
+
+# one period repeated, with one letter changed: a window of such a text may
+# or may not hold every factor of the doubled window
+FLAWED_PERIODIC = st.builds(
+    lambda period, reps, at, letter: "".join(
+        letter if i == at else c for i, c in enumerate(period * reps)),
+    st.text(alphabet="012", min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=100),
+    st.sampled_from("012"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(TEXTS, FLAWED_PERIODIC), st.sampled_from("012"),
+       st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=40))
+@example("0", "0", 1, 0)
+def test_stabilized_profile_matches_the_doubled_build(text, tail, n_max, extra):
+    # the word is text, then tail forever, so tail may be a letter that first
+    # occurs after the window; extra = 0 gives a window of exactly 2 * n_max
+    source = ultimately_periodic(text, tail)
+    n_work = 2 * n_max + extra
+    profile, stable = stabilized_profile(source, n_work, n_max)
+    p, want = doubled_build_profile(source, n_work, n_max)
+    assert list(profile.p) == p.tolist()
+    assert stable == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(TEXTS, TEXTS, st.integers(min_value=1, max_value=12))
+def test_first_unmatched_finds_the_first_new_factor(text, other, n):
+    sam = SuffixAutomaton(text, count_only=True)
+    known = frame_factors(text, n)
+    want = next((pos for pos in range(n - 1, len(other))
+                 if other[pos - n + 1:pos + 1] not in known), None)
+    assert sam.first_unmatched(other, n) == want
+
+
+@pytest.mark.parametrize("spec,unmatched", [
+    ("ultper:0000000001|1", 4),           # 00011 ends the first walked factor
+    ("ultper:1000000000000000000|1", 13),  # 00001 ends the last one
+    ("ultper:0000000000|1", 4),           # a letter the window lacks
+    ("ultper:0000000000000000000|1", 13),
+    ("ultper:|0", None),
+])
+def test_stability_walk_stops_at_the_first_new_factor(spec, unmatched):
+    # window of 10 letters at n_max 5: the walk reads doubled[6:20]
+    source = parse_word_spec(spec)
+    doubled = source.prefix(20)
+    sam = SuffixAutomaton(doubled[:10], count_only=True)
+    assert sam.first_unmatched(doubled[6:], 5) == unmatched
+    profile, stable = stabilized_profile(source, 10, 5)
+    p, want = doubled_build_profile(source, 10, 5)
+    assert list(profile.p) == p.tolist()
+    assert stable == want == (unmatched is None)
+
+
+@pytest.mark.parametrize("spec,stable", [("abk", True), ("pq:f=isqrt,k=p", False)])
+def test_profiles_at_a_million_letters_match_prefix_doubling(spec, stable):
+    source = parse_word_spec(spec)
+    n_work, n_max = 10 ** 6, 1000
+    want = prefix_doubling_profile(source.prefix(n_work), n_max)
+    profile, got = stabilized_profile(source, n_work, n_max)
+    assert list(profile.p) == want.tolist()
+    assert window_profile(source, n_work, n_max) == profile
+    assert got == stable
+    doubled = prefix_doubling_profile(source.prefix(2 * n_work), n_max)
+    assert np.array_equal(doubled, want) == stable
+
+
+@settings(max_examples=80, deadline=None)
+@given(TEXTS, st.integers(min_value=1, max_value=90))
+def test_prefix_doubling_oracle_matches_frame_oracle(text, n_max):
+    assert prefix_doubling_profile(text, n_max).tolist() == frame_profile(text, n_max)
 
 
 def test_csv_export():
