@@ -21,6 +21,7 @@ from .decompose import (
     LeveledLanguage,
     MarkerOccurrences,
     SplitRecord,
+    SplitRecords,
     build_decomposition,
     build_st,
     compositions_count,
@@ -93,6 +94,7 @@ __all__ = [
     "PreconditionError",
     "ProductBoundReport",
     "SplitRecord",
+    "SplitRecords",
     "SuffixAutomaton",
     "VerificationError",
     "WordSource",

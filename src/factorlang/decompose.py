@@ -26,18 +26,27 @@ every route, and the Sturmian and greedy records are the cuts it reports.
 The marker, tm and Sturmian routes cut window positions read from
 :meth:`FactorIndex.rows`, and the greedy route cuts the prefixes at start 0,
 so a split record is a span of the window, start <= cut <= end, and never
-holds a word. The words v, s and t are sliced from the window where a set needs
-them, and for splits.csv in :func:`split_records_to_csv` alone, one line at
-a time.
+holds a word. A route's records are integer columns, :class:`SplitRecords`:
+start, cut, end, order and position as int64 arrays, and the occurrence class
+as a small code. Indexing or iterating them gives one :class:`SplitRecord`
+per row; the routes build no object per record that they keep. The tm cuts
+are one numpy expression over all the rows, and the Sturmian and greedy
+records are the row starts plus the cuts of the cover report. The words v, s
+and t are sliced from the window where a set needs them, and for splits.csv
+in :func:`split_records_to_csv` alone, one line at a time, from the columns
+read back in blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PreconditionError, VerificationError
 from .factors import FactorIndex
@@ -144,18 +153,101 @@ class SplitRecord:
                 "bad-split", f"cut {self.cut} outside the span [{self.start}, {self.end}]")
 
 
+# the occurrence class of a record by its code in SplitRecords.classes; code 0
+# is a record with no class
+OCCURRENCE_CLASSES = (None, "internal", "initial", "final", "initial+final")
+_CLASS_CODE = {label: code for code, label in enumerate(OCCURRENCE_CLASSES)}
+
+# records per block when the columns are filled from, or read back as,
+# Python values
+_BLOCK = 1 << 12
+
+
+class SplitRecords:
+    """The split records of one route, one row per word, as integer columns.
+
+    ``start``, ``cut``, ``end``, ``order`` and ``position`` are int64 arrays,
+    -1 standing for an order or position the record does not carry, and
+    ``classes`` holds codes into :data:`OCCURRENCE_CLASSES`. A scalar given
+    for ``order``, ``position`` or ``classes`` is broadcast to every row
+    without a copy. Any row with its cut outside [start, end] is refused as
+    ``bad-split``. ``records[i]`` and iteration give one :class:`SplitRecord`
+    per row; nothing else builds an object per record.
+    """
+
+    __slots__ = ("start", "cut", "end", "order", "position", "classes")
+
+    def __init__(self, start, cut, end, order=-1, position=-1, classes=0):
+        self.start = np.asarray(start, dtype=np.int64)
+        shape = self.start.shape
+        self.cut = np.broadcast_to(np.asarray(cut, dtype=np.int64), shape)
+        self.end = np.broadcast_to(np.asarray(end, dtype=np.int64), shape)
+        self.order = np.broadcast_to(np.asarray(order, dtype=np.int64), shape)
+        self.position = np.broadcast_to(np.asarray(position, dtype=np.int64), shape)
+        self.classes = np.broadcast_to(np.asarray(classes, dtype=np.int8), shape)
+        bad = np.flatnonzero((self.cut < self.start) | (self.cut > self.end))
+        if bad.size:
+            i = bad[0]
+            raise PreconditionError(
+                "bad-split",
+                f"cut {self.cut[i]} outside the span [{self.start[i]}, {self.end[i]}]")
+
+    @classmethod
+    def from_records(cls, records) -> "SplitRecords":
+        """The columns of an iterable of :class:`SplitRecord`, read a block
+        of records at a time."""
+        start, cut, end, order, position = (array("q") for _ in range(5))
+        classes = array("b")
+        records = iter(records)
+        while block := list(itertools.islice(records, _BLOCK)):
+            start.extend([r.start for r in block])
+            cut.extend([r.cut for r in block])
+            end.extend([r.end for r in block])
+            order.extend([-1 if r.order is None else r.order for r in block])
+            position.extend([-1 if r.position is None else r.position for r in block])
+            classes.extend([_CLASS_CODE[r.occurrence_class] for r in block])
+        return cls(*(np.frombuffer(c, dtype=np.int64) for c in (start, cut, end, order, position)),
+                   np.frombuffer(classes, dtype=np.int8))
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, i: int) -> SplitRecord:
+        return self._record(self.start[i], self.cut[i], self.end[i],
+                            self.order[i], self.position[i], self.classes[i])
+
+    def __iter__(self):
+        return itertools.starmap(self._record, self.tuples())
+
+    def tuples(self):
+        """The records as tuples of Python ints (start, cut, end, order,
+        position, class code), read from the columns a block at a time."""
+        for lo in range(0, len(self), _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            yield from zip(*(column[block].tolist() for column in (
+                self.start, self.cut, self.end, self.order, self.position, self.classes)))
+
+    @staticmethod
+    def _record(start, cut, end, order, position, code) -> SplitRecord:
+        return SplitRecord(int(start), int(cut), int(end),
+                           None if order < 0 else int(order),
+                           None if position < 0 else int(position),
+                           OCCURRENCE_CLASSES[code])
+
+
 SPLIT_CSV_HEADER = "v,s,t,k,pos,class"
 
 
-def split_records_to_csv(window: str, records):
+def split_records_to_csv(window: str, records: SplitRecords):
     """Yield the lines of splits.csv, one per record after the header,
-    slicing each record's v, s and t from ``window``."""
+    slicing each record's v, s and t from ``window``. The columns are read
+    back in blocks, so no list as long as the file is built."""
+    labels = [label or "" for label in OCCURRENCE_CLASSES]
     yield SPLIT_CSV_HEADER + "\n"
-    for r in records:
-        k = "" if r.order is None else str(r.order)
-        pos = "" if r.position is None else str(r.position)
-        yield (f"{window[r.start:r.end]},{window[r.start:r.cut]},{window[r.cut:r.end]},"
-               f"{k},{pos},{r.occurrence_class or ''}\n")
+    for start, cut, end, order, position, code in records.tuples():
+        yield (f"{window[start:end]},{window[start:cut]},{window[cut:end]},"
+               f"{'' if order < 0 else order},{'' if position < 0 else position},"
+               f"{labels[code]}\n")
 
 
 def _check_span(window: str, start: int, n: int):
@@ -268,24 +360,28 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     the rest are cut by :func:`split_factor` at their first occurrence, all
     reading one :class:`MarkerOccurrences` table built here. Returns
     (S, T, records) with one record per indexed factor in (length, word)
-    order.
+    order, as :class:`SplitRecords`; each cut goes into the columns as soon
+    as it is made.
     """
     occurrences = MarkerOccurrences(index, markers)
     d = occurrences.D
     s_lang = LeveledLanguage()
     t_lang = LeveledLanguage([""])
     window = index.window
-    records = []
-    for n, row in enumerate(index.rows(), start=1):
-        for i in row:
-            if n < 2 * d:
-                s_lang.add(window[i:i + n])
-                records.append(SplitRecord(i, i + n, i + n, None, i, None))
-            else:
-                rec = split_factor(occurrences, i, n)
-                s_lang.add(window[i:rec.cut])
-                t_lang.add(window[rec.cut:rec.end])
-                records.append(rec)
+
+    def split_all():
+        for n, row in enumerate(index.rows(), start=1):
+            for i in row:
+                if n < 2 * d:
+                    s_lang.add(window[i:i + n])
+                    yield SplitRecord(i, i + n, i + n, None, i, None)
+                else:
+                    rec = split_factor(occurrences, i, n)
+                    s_lang.add(window[i:rec.cut])
+                    t_lang.add(window[rec.cut:rec.end])
+                    yield rec
+
+    records = SplitRecords.from_records(split_all())
     return s_lang, t_lang, records
 
 
@@ -373,6 +469,30 @@ def _max_valuation_boundary(lo: int, hi: int) -> tuple[int, int]:
     """
     k = (hi ^ (lo - 1)).bit_length() - 1
     return (hi >> k) << k, k
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each positive value of ``x``, exact up to 2^53:
+    the exponent e that ``np.frexp`` gives has 2^(e-1) <= x < 2^e, and below
+    2^53 the conversion to float64 is exact."""
+    return np.frexp(x)[1].astype(np.int64)
+
+
+def _thue_morse_records(window: str, starts: np.ndarray,
+                        lengths: np.ndarray) -> SplitRecords:
+    """The cut of ``thue_morse_split_sets`` for every span (start, n) at once,
+    by the rule of :func:`_max_valuation_boundary` over arrays; a span
+    outside the window is refused as the scalar cut refuses it."""
+    outside = (starts < 0) | (starts + lengths > len(window))
+    if outside.any():
+        i = int(np.argmax(outside))
+        _check_span(window, int(starts[i]), int(lengths[i]))
+    # lo = start + 1, and a single letter has the one boundary start + 1,
+    # which leaves t empty
+    hi = starts + np.maximum(lengths - 1, 1)
+    k = _bit_length(hi ^ starts) - 1
+    boundary = (hi >> k) << k
+    return SplitRecords(starts, boundary, starts + lengths, k, boundary)
 
 
 def thue_morse_split_sets(index: FactorIndex):
@@ -522,7 +642,7 @@ class Decomposition:
 
     s_lang: LeveledLanguage
     t_lang: LeveledLanguage
-    records: list[SplitRecord]
+    records: SplitRecords
     extras: dict
     markers: dict[int, MarkerSet] | None
     report: CoverReport
@@ -543,10 +663,11 @@ def build_decomposition(index: FactorIndex, method: str,
     at every length for the prefixes), which gives the report; a word with
     no cut is refused there, on every route, before anything is returned,
     and so are sets above the route's per-length claim as ``bound-exceeded``.
-    The marker records come from :func:`build_st` and the tm records from
-    the route's ``cut``; the sturmian and greedy records are the leftmost
-    cuts that report holds. A ``budget`` below 1 is refused on every route,
-    not only on greedy.
+    The records are :class:`SplitRecords` columns. The marker records come
+    from :func:`build_st`; the tm records are the route's cuts, computed
+    for all the rows at once after the check; the sturmian and greedy
+    records are the row starts plus the leftmost cuts that report holds. A
+    ``budget`` below 1 is refused on every route, not only on greedy.
     """
     if budget < 1:
         raise PreconditionError(
@@ -565,8 +686,7 @@ def build_decomposition(index: FactorIndex, method: str,
                   "bound": split_sets_bound(r, c, d)}
         claim = extras["bound"]
     elif method == "tm":
-        s_lang, t_lang, cut = thue_morse_split_sets(index)
-        records = [cut(i, n) for n, row in enumerate(index.rows(), start=1) for i in row]
+        s_lang, t_lang, _ = thue_morse_split_sets(index)
         claim = 2
     elif method == "sturmian":
         s_lang, t_lang = sturmian_split_sets(index)
@@ -589,9 +709,15 @@ def build_decomposition(index: FactorIndex, method: str,
         raise VerificationError(
             "bound-exceeded", f"{most} words of one length in S or T, above the claim {claim}")
     if records is None:
-        cuts = iter(report.cuts)
-        records = [SplitRecord(i, i + next(cuts), i + n, None, None, None)
-                   for n, row in enumerate(rows, start=1) for i in row]
+        counts = [len(row) for row in rows]
+        starts = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                             count=sum(counts))
+        lengths = np.repeat(np.arange(1, n_max + 1, dtype=np.int64), counts)
+        if method == "tm":
+            records = _thue_morse_records(index.window, starts, lengths)
+        else:
+            records = SplitRecords(starts, starts + np.array(report.cuts, dtype=np.int64),
+                                   starts + lengths)
     return Decomposition(s_lang=s_lang, t_lang=t_lang, records=records,
                          extras=extras, markers=markers, report=report)
 

@@ -263,7 +263,7 @@ def window_profile(source: WordSource, n_work: int | None = None,
     defaulted as in :func:`build_factor_index` and in the same order, from a
     count-only automaton instead of an index."""
     n_work = _window_length(n_work, n_max)
-    return _count_window(source.spec, source.prefix(n_work), n_max)[1]
+    return _count_window(source.spec, source.prefix(n_work), n_max, walk=False)[1]
 
 
 def stabilized_profile(source: WordSource, n_work: int | None = None,
@@ -285,14 +285,17 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
     n_work = _window_length(n_work, n_max)
     source.check_length(n_work)
     doubled = source.prefix(2 * n_work)
-    sam, profile = _count_window(source.spec, doubled[:n_work], n_max)
+    sam, profile = _count_window(source.spec, doubled[:n_work], n_max, walk=True)
     return profile, sam.first_unmatched(doubled[n_work - n_max + 1:], n_max) is None
 
 
-def _count_window(spec: str, window: str,
-                  n_max: int) -> tuple[SuffixAutomaton, ComplexityProfile]:
+def _count_window(spec: str, window: str, n_max: int,
+                  walk: bool) -> tuple[SuffixAutomaton, ComplexityProfile]:
     """The count-only automaton over ``window`` and the window's profile
-    read from it."""
+    read from it. Unless a ``walk`` follows, the build's transition lists
+    are dropped before the profile is counted."""
     sam = SuffixAutomaton(window, count_only=True)
+    if not walk:
+        del sam._walk
     profile = ComplexityProfile.from_counts(spec, len(window), sam.length_counts(n_max))
     return sam, profile

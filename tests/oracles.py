@@ -16,6 +16,18 @@ def slicing_witness_split(window, start, n, s_lang, t_lang) -> SplitRecord:
     raise VerificationError("coverage-incomplete", f"no split found for {v!r}")
 
 
+def per_record_splits_csv(window, records):
+    """Oracle for split_records_to_csv: the lines of splits.csv written from
+    one SplitRecord at a time, as the writer did before the records were
+    columns."""
+    yield "v,s,t,k,pos,class\n"
+    for r in records:
+        k = "" if r.order is None else str(r.order)
+        pos = "" if r.position is None else str(r.position)
+        yield (f"{window[r.start:r.end]},{window[r.start:r.cut]},{window[r.cut:r.end]},"
+               f"{k},{pos},{r.occurrence_class or ''}\n")
+
+
 def staircase_word(k: int, l: int) -> str:
     """The word a b^l a b^(l+1) ... a b^(l+k-1) a with k growing b-runs.
 

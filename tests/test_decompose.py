@@ -6,6 +6,7 @@ import itertools
 import math
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from factorlang import (
     Morphism,
     PreconditionError,
     SplitRecord,
+    SplitRecords,
     VerificationError,
     build_all_markers,
     build_decomposition,
@@ -38,9 +40,14 @@ from factorlang import (
     thue_morse_split_sets,
     verify_cover,
 )
-from factorlang import decompose
-from factorlang.decompose import CoverReport, _max_valuation_boundary
-from oracles import slicing_witness_split
+from factorlang import decompose, words
+from factorlang.decompose import (
+    CoverReport,
+    _bit_length,
+    _max_valuation_boundary,
+    _thue_morse_records,
+)
+from oracles import per_record_splits_csv, slicing_witness_split
 
 
 # -- leveled languages ---------------------------------------------------------
@@ -112,14 +119,35 @@ def test_split_record_must_rebuild():
         assert SplitRecord(2, cut, 4, None, None, None).cut == cut
 
 
+def test_split_records_columns_refuse_a_cut_outside_the_span():
+    # one vectorised test over every row; the first bad row is named
+    with pytest.raises(PreconditionError, match=r"bad-split: cut 5 outside the span \[2, 4\]"):
+        SplitRecords([0, 2, 3], [1, 5, 2], [1, 4, 2])
+    with pytest.raises(PreconditionError, match=r"bad-split: cut 1 outside the span \[2, 4\]"):
+        SplitRecords([0, 2], [0, 1], [0, 4], order=1, position=0)
+    records = SplitRecords([0, 2, 3], [0, 4, 3], [1, 4, 3])
+    assert len(records) == 3
+    assert records[1] == SplitRecord(2, 4, 4, None, None, None)
+
+
+def test_split_records_columns_view_the_records_they_hold():
+    rows = [SplitRecord(1, 2, 3, 1, 4, None), SplitRecord(1, 2, 2, None, 0, None),
+            SplitRecord(0, 1, 3, 3, 0, "initial+final"), SplitRecord(2, 2, 2, 0, 5, "internal")]
+    records = SplitRecords.from_records(rows)
+    assert list(records) == rows
+    assert [records[i] for i in range(-4, 4)] == rows + rows
+    assert len(SplitRecords.from_records([])) == 0 and list(SplitRecords.from_records([])) == []
+
+
 def test_split_records_csv():
-    records = [
+    records = SplitRecords.from_records([
         SplitRecord(1, 2, 3, 1, 4, None),
         SplitRecord(1, 2, 2, None, 0, None),
-    ]
+    ])
     lines = split_records_to_csv("cab", records)
     assert "".join(lines) == "v,s,t,k,pos,class\nab,a,b,1,4,\na,a,,,0,\n"
-    assert "".join(split_records_to_csv("cab", [])) == "v,s,t,k,pos,class\n"
+    empty = SplitRecords.from_records([])
+    assert "".join(split_records_to_csv("cab", empty)) == "v,s,t,k,pos,class\n"
 
 
 # -- marker route ----------------------------------------------------------------
@@ -390,8 +418,9 @@ def test_build_st_matches_scanning_oracle(spec, n_max, window, monkeypatch):
                 expected.append(SplitRecord(start, start + n, start + n, None, start, None))
             else:
                 expected.append(scanning_split_factor(index, markers, start, n))
-    # dataclass equality compares every field, the occurrence class included
-    assert records == expected
+    # the columns give one SplitRecord per row; dataclass equality compares
+    # every field, the occurrence class included
+    assert list(records) == expected
     by_words = lambda w: (len(w), w)  # noqa: E731
     assert list(s_lang.words()) == sorted({window[r.start:r.cut] for r in expected}, key=by_words)
     assert list(t_lang.words()) == sorted({window[r.cut:r.end] for r in expected}, key=by_words)
@@ -464,6 +493,75 @@ def test_max_valuation_boundary_matches_scan():
     for lo in range(1, 512):
         for hi in range(lo, 512):
             assert _max_valuation_boundary(lo, hi) == scan_max_valuation_boundary(lo, hi)
+
+
+def test_bit_length_is_exact_up_to_the_prefix_cap():
+    values = sorted({v for j in range(words.PREFIX_CAP.bit_length())
+                     for v in (2 ** j - 1, 2 ** j, 2 ** j + 1) if v > 0})
+    assert values[-1] == words.PREFIX_CAP + 1
+    assert _bit_length(np.array(values, dtype=np.int64)).tolist() == [
+        v.bit_length() for v in values]
+
+
+@pytest.fixture(scope="module")
+def tm_index_256():
+    return build_factor_index(thue_morse(), n_max=256)
+
+
+def test_thue_morse_records_match_the_scalar_rule(tm_index_256):
+    # every row of the index: the vectorised cuts against
+    # _max_valuation_boundary, one span at a time
+    spans = [(i, n) for n, row in enumerate(tm_index_256.rows(), start=1) for i in row]
+    starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*spans))
+    records = _thue_morse_records(tm_index_256.window, starts, lengths)
+    assert len(records) == tm_index_256.accumulative(256)
+    expected = []
+    for i, n in spans:
+        boundary, k = _max_valuation_boundary(i + 1, i + max(n - 1, 1))
+        expected.append((i, boundary, i + n, k, boundary, 0))
+    assert list(records.tuples()) == expected
+
+
+def test_thue_morse_records_near_powers_of_two(tm_index_256):
+    # spans that start or end one letter either side of a power of two,
+    # single letters included, against the route's own scalar cut
+    window = tm_index_256.window
+    _, _, cut = thue_morse_split_sets(tm_index_256)
+    marks = [2 ** j + d for j in range(14) for d in (-1, 0, 1)]
+    spans = {(i, n) for m in marks for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 255, 256)
+             for i in (m, m - n) if 0 <= i and i + n <= len(window)}
+    spans |= {(i, 1) for i in range(40)}
+    starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*sorted(spans)))
+    records = _thue_morse_records(window, starts, lengths)
+    assert list(records) == [cut(i, n) for i, n in sorted(spans)]
+    with pytest.raises(PreconditionError, match="out-of-range"):
+        _thue_morse_records(window, np.array([0, len(window) - 3]), np.array([1, 4]))
+
+
+@pytest.mark.parametrize("method,spec", [
+    ("marker", "tm"), ("marker", "fib"), ("tm", "tm"), ("sturmian", "fib"), ("greedy", "tm")])
+def test_splits_csv_matches_the_per_record_writer(method, spec):
+    index = build_factor_index(parse_word_spec(spec), n_max=64)
+    dec = build_decomposition(index, method)
+    assert isinstance(dec.records, SplitRecords)
+    # the records one at a time: the scalar tm cut, the leftmost cuts of the
+    # report, and the marker records as the columns give them back
+    rows = [[0]] * 64 if method == "greedy" else index.rows()
+    spans = [(i, n) for n, row in enumerate(rows, start=1) for i in row]
+    if method == "tm":
+        cut = thue_morse_split_sets(index)[2]
+        expected = [cut(i, n) for i, n in spans]
+    elif method == "marker":
+        expected = list(dec.records)
+    else:
+        expected = [SplitRecord(i, i + c, i + n, None, None, None)
+                    for (i, n), c in zip(spans, dec.report.cuts)]
+    written = "".join(split_records_to_csv(index.window, dec.records))
+    assert written == "".join(per_record_splits_csv(index.window, expected))
+    assert written.count("\n") == len(dec.records) + 1
+    empty = SplitRecords.from_records([])
+    assert ("".join(split_records_to_csv(index.window, empty))
+            == "".join(per_record_splits_csv(index.window, [])) == "v,s,t,k,pos,class\n")
 
 
 def test_thue_morse_sets_counts_and_cuts(tm_index):
