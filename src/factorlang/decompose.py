@@ -17,7 +17,10 @@ indexed factor while each keeps a bounded number of words per length:
 :func:`verify_cover` re-checks any claimed decomposition by membership alone,
 independently of how the sets were produced. It reads one cut mask per word
 from per-start and per-end membership masks, and reports, besides the
-uncovered words, each word's leftmost cut, the mask's lowest set bit.
+uncovered words, each word's leftmost cut, the mask's lowest set bit. A
+Karp-Rabin hash of the window proposes, one numpy pass per length, the
+positions where a word of S or T may occur; membership in the set decides
+each of them, so a hash collision costs time and never changes the report.
 :func:`build_decomposition` is the one entry point that runs a route, by
 name, on a factor index and returns its sets, records and cover report; every
 route ends in one :func:`verify_cover` call, an uncovered word is refused on
@@ -158,8 +161,7 @@ class SplitRecord:
 OCCURRENCE_CLASSES = (None, "internal", "initial", "final", "initial+final")
 _CLASS_CODE = {label: code for code, label in enumerate(OCCURRENCE_CLASSES)}
 
-# records per block when the columns are filled from, or read back as,
-# Python values
+# records per block when the columns are read back as Python values
 _BLOCK = 1 << 12
 
 
@@ -191,23 +193,6 @@ class SplitRecords:
             raise PreconditionError(
                 "bad-split",
                 f"cut {self.cut[i]} outside the span [{self.start[i]}, {self.end[i]}]")
-
-    @classmethod
-    def from_records(cls, records) -> "SplitRecords":
-        """The columns of an iterable of :class:`SplitRecord`, read a block
-        of records at a time."""
-        start, cut, end, order, position = (array("q") for _ in range(5))
-        classes = array("b")
-        records = iter(records)
-        while block := list(itertools.islice(records, _BLOCK)):
-            start.extend([r.start for r in block])
-            cut.extend([r.cut for r in block])
-            end.extend([r.end for r in block])
-            order.extend([-1 if r.order is None else r.order for r in block])
-            position.extend([-1 if r.position is None else r.position for r in block])
-            classes.extend([_CLASS_CODE[r.occurrence_class] for r in block])
-        return cls(*(np.frombuffer(c, dtype=np.int64) for c in (start, cut, end, order, position)),
-                   np.frombuffer(classes, dtype=np.int8))
 
     def __len__(self) -> int:
         return len(self.start)
@@ -316,6 +301,14 @@ def split_factor(occurrences: MarkerOccurrences, start: int, n: int) -> SplitRec
     it. The occurrences are read from ``occurrences`` by bisection, not
     searched for.
     """
+    cut, order, pos, cls = _marker_cut(occurrences, start, n)
+    return SplitRecord(start, cut, start + n, order, pos, cls)
+
+
+def _marker_cut(occurrences: MarkerOccurrences, start: int,
+                n: int) -> tuple[int, int, int, str | None]:
+    """The cut, order, marker position and occurrence class that
+    :func:`split_factor` gives the span (start, n), as plain values."""
     index = occurrences.index
     d = occurrences.D
     if n < 2 * d:
@@ -342,7 +335,7 @@ def split_factor(occurrences: MarkerOccurrences, start: int, n: int) -> SplitRec
                 chosen = (pos, cls)
                 break
         pos, cls = chosen or first_classified or (starts[at], None)
-        return SplitRecord(start, pos + length // 2, end, order, pos, cls)
+        return pos + length // 2, order, pos, cls
     raise VerificationError(
         "no-marker-found",
         f"no marker of any order occurs in {index.window[start:end]!r} (undersized window?)")
@@ -357,31 +350,36 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     """Split every indexed factor into S and T via marker midpoints.
 
     Factors shorter than 2D go into S wholesale, paired with the empty word;
-    the rest are cut by :func:`split_factor` at their first occurrence, all
-    reading one :class:`MarkerOccurrences` table built here. Returns
-    (S, T, records) with one record per indexed factor in (length, word)
-    order, as :class:`SplitRecords`; each cut goes into the columns as soon
-    as it is made.
+    the rest are cut as :func:`split_factor` cuts them, at their first
+    occurrence, all reading one :class:`MarkerOccurrences` table built here.
+    Returns (S, T, records) with one record per indexed factor in
+    (length, word) order, as :class:`SplitRecords`; each cut's fields go
+    straight into the columns, with no record object.
     """
     occurrences = MarkerOccurrences(index, markers)
     d = occurrences.D
     s_lang = LeveledLanguage()
     t_lang = LeveledLanguage([""])
     window = index.window
-
-    def split_all():
-        for n, row in enumerate(index.rows(), start=1):
-            for i in row:
-                if n < 2 * d:
-                    s_lang.add(window[i:i + n])
-                    yield SplitRecord(i, i + n, i + n, None, i, None)
-                else:
-                    rec = split_factor(occurrences, i, n)
-                    s_lang.add(window[i:rec.cut])
-                    t_lang.add(window[rec.cut:rec.end])
-                    yield rec
-
-    records = SplitRecords.from_records(split_all())
+    start, cut, end, order, position = (array("q") for _ in range(5))
+    classes = array("b")
+    for n, row in enumerate(index.rows(), start=1):
+        for i in row:
+            if n < 2 * d:
+                c, k, pos, cls = i + n, -1, i, None
+            else:
+                c, k, pos, cls = _marker_cut(occurrences, i, n)
+            s_lang.add(window[i:c])
+            t_lang.add(window[c:i + n])
+            start.append(i)
+            cut.append(c)
+            end.append(i + n)
+            order.append(k)
+            position.append(pos)
+            classes.append(_CLASS_CODE[cls])
+    records = SplitRecords(*(np.frombuffer(column, dtype=np.int64)
+                             for column in (start, cut, end, order, position)),
+                           np.frombuffer(classes, dtype=np.int8))
     return s_lang, t_lang, records
 
 
@@ -407,6 +405,89 @@ class CoverReport:
         return 1.0 if self.total == 0 else self.covered / self.total
 
 
+def _row_spans(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The words of ``rows`` (``rows[n-1]`` lists starts of length n) as two
+    int64 arrays in row order: the start and the length of each."""
+    counts = [len(row) for row in rows]
+    starts = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                         count=sum(counts))
+    lengths = np.repeat(np.arange(1, len(rows) + 1, dtype=np.int64), counts)
+    return starts, lengths
+
+
+def _check_spans(window: str, starts: np.ndarray, lengths: np.ndarray):
+    """Refuse, as :func:`_check_span` does, the first span outside ``window``."""
+    outside = (starts < 0) | (starts + lengths > len(window))
+    if outside.any():
+        i = int(np.argmax(outside))
+        _check_span(window, int(starts[i]), int(lengths[i]))
+
+
+# The Karp-Rabin hash of the cover check: a word w has the hash
+# sum w[k] * BASE^k modulo MOD, over its code points. MOD is a prime below
+# 2^31, so a product of two residues fits in int64; BASE is invertible modulo
+# it. The hash only proposes candidates; membership decides each one.
+_HASH_MOD = 2 ** 31 - 1
+_HASH_BASE = 1_000_003
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text`` as int64, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                         dtype=np.uint32).astype(np.int64)
+
+
+def _powers(base: int, size: int) -> np.ndarray:
+    """base^0 .. base^(size-1) modulo ``_HASH_MOD``, by log-step doubling:
+    each step multiplies the powers found so far by the next base^(2^j)."""
+    out = np.ones(size, dtype=np.int64)
+    step, factor = 1, base % _HASH_MOD
+    while step < size:
+        out[step:2 * step] = out[:min(step, size - step)] * factor % _HASH_MOD
+        step, factor = 2 * step, factor * factor % _HASH_MOD
+    return out
+
+
+def _membership_masks(window: str, lang: LeveledLanguage, longest: np.ndarray,
+                      hi: int, prefix: np.ndarray, powers: np.ndarray,
+                      inverse: np.ndarray, from_end: bool) -> list[int]:
+    """One mask per window position p: for every length c that ``lang``
+    holds, up to ``longest[p]``, bit c is set when ``window[p:p+c]`` is in
+    ``lang`` or, ``from_end``, bit hi - c when ``window[p-c:p]`` is.
+
+    The positions whose word may be in ``lang`` come, for each length, from
+    one array expression over the hashes of the window's words of that
+    length against those of ``lang``; each of them is then confirmed by
+    membership."""
+    mod = _HASH_MOD
+    empty = 1 << (hi if from_end else 0) if "" in lang else 0
+    masks = [empty] * len(longest)
+    # the positions with a word there, the longest word first
+    at = np.flatnonzero(longest)
+    at = at[np.argsort(-longest[at], kind="stable")]
+    tops = -longest[at]
+    for c in lang.lengths():
+        if not c:
+            continue
+        # the lengths rise, so once no position has a word this long, none
+        # has a longer one
+        count = int(np.searchsorted(tops, -c, side="right"))
+        if not count:
+            break
+        pos = at[:count]
+        begin = pos - c if from_end else pos
+        hashes = (prefix[begin + c] - prefix[begin]) % mod * inverse[begin] % mod
+        words = list(lang.by_length[c])
+        codes = _code_points("".join(words)).reshape(len(words), c)
+        wanted = (codes * powers[:c] % mod).sum(axis=1) % mod
+        candidate = np.isin(hashes, wanted)
+        bit = 1 << (hi - c if from_end else c)
+        for p, b in zip(pos[candidate].tolist(), begin[candidate].tolist()):
+            if window[b:b + c] in lang:
+                masks[p] |= bit
+    return masks
+
+
 def verify_cover(window: str, rows, s_lang: LeveledLanguage,
                  t_lang: LeveledLanguage) -> CoverReport:
     """Check by membership that every word ``window[i:i+n]``, i in
@@ -416,35 +497,46 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
     when some cut puts its left part in S and its right part in T. The cut
     mask of the word at (i, n) has bit c set when ``window[i:i+c]`` is in S
     and ``window[i+c:i+n]`` is in T; its lowest set bit is the word's
-    leftmost cut. The membership probes are made per start and per end, not
+    leftmost cut. The membership tests are made per start and per end, not
     per word and cut:
 
     * for each start i, a mask with bit c set when ``w[i:i+c]`` is in S;
     * for each end j, a mask with bit ``hi - l`` set when ``w[j-l:j]`` is in
       T, where hi = len(rows) is the longest length;
 
-    both relative to their own position, probing only lengths that S or T
-    hold and no longer than the longest word starting (ending) there. The
-    mask of (i, n) is the start mask of i ANDed with the end mask of i + n
+    both relative to their own position, for the lengths that S or T hold
+    and no longer than the longest word starting (ending) there. The mask
+    of (i, n) is the start mask of i ANDed with the end mask of i + n
     shifted down by hi - n.
+
+    Hashing only proposes where a word of S or T may lie. A polynomial
+    prefix hash of ``window[:reach]``, reach the largest end of any row
+    word, gives the hash of every (start, length) of one length in one array
+    expression; ``np.isin`` against the hashes of that length's words of S
+    (T) picks the candidates, and ``slice in s_lang`` (``t_lang``) decides
+    each one. Equal words have equal hashes, so no member is missed, and a
+    collision fails its membership test, so the report is the one that
+    membership alone gives. A span outside the window is refused as
+    ``out-of-range``.
     """
     hi = len(rows)
-    longest_from: dict[int, int] = {}
-    longest_to: dict[int, int] = {}
-    for n, row in enumerate(rows, start=1):
-        for i in row:
-            longest_from[i] = n
-            longest_to[i + n] = n
-    s_lens = s_lang.lengths()
-    t_lens = t_lang.lengths()
-    from_start = {
-        i: sum(1 << c for c in s_lens[:bisect_right(s_lens, top)]
-               if window[i:i + c] in s_lang)
-        for i, top in longest_from.items()}
-    to_end = {
-        j: sum(1 << (hi - l) for l in t_lens[:bisect_right(t_lens, top)]
-               if window[j - l:j] in t_lang)
-        for j, top in longest_to.items()}
+    starts, lengths = _row_spans(rows)
+    _check_spans(window, starts, lengths)
+    ends = starts + lengths
+    reach = int(ends.max(initial=0))
+    longest_from = np.zeros(reach + 1, dtype=np.int64)
+    np.maximum.at(longest_from, starts, lengths)
+    longest_to = np.zeros(reach + 1, dtype=np.int64)
+    np.maximum.at(longest_to, ends, lengths)
+    powers = _powers(_HASH_BASE, reach + 1)
+    inverse = _powers(pow(_HASH_BASE, -1, _HASH_MOD), reach + 1)
+    prefix = np.zeros(reach + 1, dtype=np.int64)
+    np.cumsum(_code_points(window[:reach]) * powers[:reach] % _HASH_MOD, out=prefix[1:])
+    prefix %= _HASH_MOD
+    from_start = _membership_masks(window, s_lang, longest_from, hi, prefix, powers, inverse,
+                                   from_end=False)
+    to_end = _membership_masks(window, t_lang, longest_to, hi, prefix, powers, inverse,
+                               from_end=True)
     uncovered = []
     cuts = array("q")
     for n, row in enumerate(rows, start=1):
@@ -483,10 +575,7 @@ def _thue_morse_records(window: str, starts: np.ndarray,
     """The cut of ``thue_morse_split_sets`` for every span (start, n) at once,
     by the rule of :func:`_max_valuation_boundary` over arrays; a span
     outside the window is refused as the scalar cut refuses it."""
-    outside = (starts < 0) | (starts + lengths > len(window))
-    if outside.any():
-        i = int(np.argmax(outside))
-        _check_span(window, int(starts[i]), int(lengths[i]))
+    _check_spans(window, starts, lengths)
     # lo = start + 1, and a single letter has the one boundary start + 1,
     # which leaves t empty
     hi = starts + np.maximum(lengths - 1, 1)
@@ -709,10 +798,7 @@ def build_decomposition(index: FactorIndex, method: str,
         raise VerificationError(
             "bound-exceeded", f"{most} words of one length in S or T, above the claim {claim}")
     if records is None:
-        counts = [len(row) for row in rows]
-        starts = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
-                             count=sum(counts))
-        lengths = np.repeat(np.arange(1, n_max + 1, dtype=np.int64), counts)
+        starts, lengths = _row_spans(rows)
         if method == "tm":
             records = _thue_morse_records(index.window, starts, lengths)
         else:

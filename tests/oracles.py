@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from factorlang import PreconditionError, SplitRecord, SuffixAutomaton, VerificationError
+from factorlang import (
+    PreconditionError,
+    SplitRecord,
+    SplitRecords,
+    SuffixAutomaton,
+    VerificationError,
+)
+from factorlang.decompose import OCCURRENCE_CLASSES
 
 
 def slicing_witness_split(window, start, n, s_lang, t_lang) -> SplitRecord:
@@ -14,6 +21,15 @@ def slicing_witness_split(window, start, n, s_lang, t_lang) -> SplitRecord:
         if v[:c] in s_lang and v[c:] in t_lang:
             return SplitRecord(start, start + c, start + n, None, None, None)
     raise VerificationError("coverage-incomplete", f"no split found for {v!r}")
+
+
+def record_columns(records) -> SplitRecords:
+    """The columns of a list of SplitRecord, read one record at a time."""
+    return SplitRecords([r.start for r in records], [r.cut for r in records],
+                        [r.end for r in records],
+                        [-1 if r.order is None else r.order for r in records],
+                        [-1 if r.position is None else r.position for r in records],
+                        [OCCURRENCE_CLASSES.index(r.occurrence_class) for r in records])
 
 
 def per_record_splits_csv(window, records):

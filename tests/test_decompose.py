@@ -47,7 +47,7 @@ from factorlang.decompose import (
     _max_valuation_boundary,
     _thue_morse_records,
 )
-from oracles import per_record_splits_csv, slicing_witness_split
+from oracles import per_record_splits_csv, record_columns, slicing_witness_split
 
 
 # -- leveled languages ---------------------------------------------------------
@@ -133,20 +133,20 @@ def test_split_records_columns_refuse_a_cut_outside_the_span():
 def test_split_records_columns_view_the_records_they_hold():
     rows = [SplitRecord(1, 2, 3, 1, 4, None), SplitRecord(1, 2, 2, None, 0, None),
             SplitRecord(0, 1, 3, 3, 0, "initial+final"), SplitRecord(2, 2, 2, 0, 5, "internal")]
-    records = SplitRecords.from_records(rows)
+    records = record_columns(rows)
     assert list(records) == rows
     assert [records[i] for i in range(-4, 4)] == rows + rows
-    assert len(SplitRecords.from_records([])) == 0 and list(SplitRecords.from_records([])) == []
+    assert len(record_columns([])) == 0 and list(record_columns([])) == []
 
 
 def test_split_records_csv():
-    records = SplitRecords.from_records([
+    records = record_columns([
         SplitRecord(1, 2, 3, 1, 4, None),
         SplitRecord(1, 2, 2, None, 0, None),
     ])
     lines = split_records_to_csv("cab", records)
     assert "".join(lines) == "v,s,t,k,pos,class\nab,a,b,1,4,\na,a,,,0,\n"
-    empty = SplitRecords.from_records([])
+    empty = record_columns([])
     assert "".join(split_records_to_csv("cab", empty)) == "v,s,t,k,pos,class\n"
 
 
@@ -339,6 +339,111 @@ def test_mask_cover_reports_uncovered_in_oracle_order(spec):
     report = verify_cover(index.window, index.rows(), s_lang, t_lang)
     assert len(report.uncovered) > 5
     assert report == slicing_verify_cover(index, s_lang, t_lang)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(COVER_SPECS), st.integers(min_value=2, max_value=12), st.data())
+def test_mask_cover_matches_slicing_oracle_when_hashes_collide(spec, n_max, data):
+    # modulo 3 almost every hash collides, so nearly every position is a
+    # candidate and membership alone must decide it
+    index = small_index(spec, n_max)
+    factors = [w for n in range(1, n_max + 1) for w in sorted(index.factors_of_length(n))]
+    words = st.one_of(st.sampled_from([""] + factors),
+                      st.text(alphabet="".join(index.alphabet), max_size=n_max + 2))
+    if data.draw(st.booleans()):
+        s_lang, t_lang = route_sets(spec, index)
+        s_lang = without(s_lang, data.draw(st.sets(st.sampled_from(list(s_lang.words())),
+                                                   max_size=4)))
+    else:
+        s_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
+        t_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "_HASH_MOD", 3)
+        report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    assert report == slicing_verify_cover(index, s_lang, t_lang)
+
+
+def slicing_cover_of_rows(window, rows, s_lang, t_lang) -> CoverReport:
+    """Oracle for verify_cover over any rows: the leftmost cut of each word
+    in row order, found by slicing, -1 for an uncovered word."""
+    uncovered = []
+    cuts = array("q")
+    for n, row in enumerate(rows, start=1):
+        for i in row:
+            try:
+                cuts.append(slicing_witness_split(window, i, n, s_lang, t_lang).cut - i)
+            except VerificationError:
+                uncovered.append(window[i:i + n])
+                cuts.append(-1)
+    return CoverReport(total=len(cuts), uncovered=uncovered, cuts=cuts)
+
+
+def test_mask_cover_with_foreign_letters_and_long_words():
+    # letters the window never holds, one beyond the basic plane and one
+    # lone surrogate, and words longer than n_max, which no cut can use
+    index = small_index("fib", 12)
+    s_lang, t_lang = route_sets("fib", index)
+    for word in ["2", "0\U0001F600", "\U0001F600" * 3, "01\ud800", "0" * 13,
+                 index.window[:14], index.window[:40]]:
+        s_lang.add(word)
+        t_lang.add(word)
+    s_lang, t_lang = without(s_lang, {"", "01"}), without(t_lang, {"0"})
+    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    assert 0 < len(report.uncovered) < report.total
+    assert report == slicing_verify_cover(index, s_lang, t_lang)
+    # a window of foreign letters, against the same sets
+    window = "0\U0001F6000\ud8000" * 4
+    rows = [[0, 1, 3], [0, 1], [1, 2], [0]]
+    assert verify_cover(window, rows, s_lang, t_lang) == \
+        slicing_cover_of_rows(window, rows, s_lang, t_lang)
+
+
+@pytest.mark.parametrize("s_empty,t_empty", [(True, False), (False, True), (True, True)])
+def test_mask_cover_with_the_empty_word_on_either_side(s_empty, t_empty):
+    index = small_index("tm", 12)
+    factors = [w for n in range(1, 5) for w in sorted(index.factors_of_length(n))]
+    s_lang = LeveledLanguage(factors[::2] + [""] * s_empty)
+    t_lang = LeveledLanguage(factors[1::2] + [""] * t_empty)
+    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    assert report == slicing_verify_cover(index, s_lang, t_lang)
+    # "0" is in S and "1" in T: each letter is covered by the empty word on
+    # the other side alone
+    assert [c >= 0 for c in report.cuts[:2]] == [t_empty, s_empty]
+    rows = [[0]] * 12
+    assert verify_cover(index.window, rows, s_lang, t_lang) == \
+        slicing_cover_of_rows(index.window, rows, s_lang, t_lang)
+
+
+def test_mask_cover_on_greedy_prefix_rows():
+    word = thue_morse().prefix(48)
+    s_lang, t_lang = greedy_two_sets(LeveledLanguage(word[:n] for n in range(1, 49)), 1)
+    rows = [[0]] * 48
+    assert verify_cover(word, rows, s_lang, t_lang) == \
+        slicing_cover_of_rows(word, rows, s_lang, t_lang)
+    # without two of its words some prefixes lose their cover
+    thinned_s = without(s_lang, {max(s_lang.words(), key=len)})
+    thinned_t = without(t_lang, {max(t_lang.words(), key=len)})
+    report = verify_cover(word, rows, thinned_s, thinned_t)
+    assert report.uncovered
+    assert report == slicing_cover_of_rows(word, rows, thinned_s, thinned_t)
+
+
+def test_mask_cover_over_a_long_window():
+    # every row word lies inside window[:reach], however long the window
+    index = build_factor_index(thue_morse(), n_work=50_000, n_max=64)
+    s_lang, t_lang, _ = thue_morse_split_sets(index)
+    s_lang = without(s_lang, {w for w in s_lang.words() if len(w) % 7 == 3})
+    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    assert 0 < len(report.uncovered) < report.total == index.accumulative(64)
+    assert report == slicing_verify_cover(index, s_lang, t_lang)
+
+
+def test_mask_cover_refuses_a_span_outside_the_window():
+    s_lang, t_lang = LeveledLanguage(["0"]), LeveledLanguage([""])
+    with pytest.raises(PreconditionError, match="out-of-range"):
+        verify_cover("011", [[0], [0], [0], [0]], s_lang, t_lang)
+    with pytest.raises(PreconditionError, match="out-of-range"):
+        verify_cover("011", [[-1]], s_lang, t_lang)
 
 
 def scanning_split_factor(index, markers, start, n):
@@ -559,7 +664,7 @@ def test_splits_csv_matches_the_per_record_writer(method, spec):
     written = "".join(split_records_to_csv(index.window, dec.records))
     assert written == "".join(per_record_splits_csv(index.window, expected))
     assert written.count("\n") == len(dec.records) + 1
-    empty = SplitRecords.from_records([])
+    empty = record_columns([])
     assert ("".join(split_records_to_csv(index.window, empty))
             == "".join(per_record_splits_csv(index.window, [])) == "v,s,t,k,pos,class\n")
 
