@@ -528,6 +528,9 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
     np.maximum.at(longest_from, starts, lengths)
     longest_to = np.zeros(reach + 1, dtype=np.int64)
     np.maximum.at(longest_to, ends, lengths)
+    # the spans take 24 bytes a word; freed here, they are not held while the
+    # masks are built
+    del starts, lengths, ends
     powers = _powers(_HASH_BASE, reach + 1)
     inverse = _powers(pow(_HASH_BASE, -1, _HASH_MOD), reach + 1)
     prefix = np.zeros(reach + 1, dtype=np.int64)
