@@ -29,9 +29,9 @@ print(f"  per-length max: S = {s_lang.per_length_max()},"
 print(f"  |S| = {s_lang.total()}, |T| = {t_lang.total()}")
 
 window = index.window
-for rec in [dec.records[5], dec.records[40]]:
-    print(f"  {window[rec.start:rec.end]!r} = "
-          f"{window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r}")
+for i in (5, 40):
+    start, cut, end = dec.records.start[i], dec.records.cut[i], dec.records.end[i]
+    print(f"  {window[start:end]!r} = {window[start:cut]!r} + {window[cut:end]!r}")
 
 # The same pass on a language that genuinely needs more than two factors per
 # product cannot succeed, and says so. All binary words up to length 6 have

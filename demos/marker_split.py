@@ -7,17 +7,18 @@
 # inside its periodic context, yields sets S and T whose per-length size is
 # bounded by a constant computed from the word's own slope.
 
+import numpy as np
+
 from factorlang import (
-    MarkerOccurrences,
     PreconditionError,
     build_all_markers,
     build_factor_index,
     build_st,
     parse_word_spec,
-    split_factor,
     split_sets_bound,
     verify_cover,
 )
+from factorlang.decompose import OCCURRENCE_CLASSES
 
 for spec in ["tm", "fib"]:
     index = build_factor_index(parse_word_spec(spec), n_max=128)
@@ -37,14 +38,17 @@ for spec in ["tm", "fib"]:
     print(f"  per-length max: S = {s_lang.per_length_max()}, "
           f"T = {t_lang.per_length_max()}, bound {bound:.1f}")
 
-    # one split in detail: split_factor cuts the span window[60:60 + 5D],
-    # reading where the markers occur from a table built once per window
-    # (build_st builds its own); the record holds positions, not words
+    # one split in detail: the record of the factor window[60:60 + 5D], cut
+    # at its first occurrence; the records are integer columns holding
+    # positions, not words
     window = index.window
-    rec = split_factor(MarkerOccurrences(index, markers), 60, 5 * d)
-    print(f"  {window[rec.start:rec.end]!r}\n"
-          f"    = {window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r} "
-          f"(order {rec.order}, occurrence {rec.occurrence_class})")
+    v = window[60:60 + 5 * d]
+    start = window.find(v)
+    i = np.flatnonzero((records.start == start) & (records.end == start + len(v)))[0]
+    cut = records.cut[i]
+    print(f"  {v!r}\n"
+          f"    = {window[start:cut]!r} + {window[cut:start + len(v)]!r} "
+          f"(order {records.order[i]}, occurrence {OCCURRENCE_CLASSES[records.classes[i]]})")
     print()
 
 # The marker property only exists for linear-complexity words. The abk word

@@ -32,8 +32,8 @@ print(f"  coverage: {dec.report.coverage:.6f} over {dec.report.total} factors")
 # as a span of the window at the factor's first occurrence.
 window = index.window
 v = window[7:29]
-rec = next(r for r in dec.records if window[r.start:r.end] == v)
-print(f"  {v!r} = {window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r}")
+start, cut, end, *_ = next(r for r in dec.records.tuples() if window[r[0]:r[2]] == v)
+print(f"  {v!r} = {window[start:cut]!r} + {window[cut:end]!r}")
 
 # The construction checks the Sturmian signature before trusting it, so a
 # word with the wrong complexity is rejected instead of silently producing

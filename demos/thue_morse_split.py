@@ -13,7 +13,7 @@ from factorlang import build_factor_index, thue_morse, thue_morse_split_sets, ve
 N_MAX = 64
 
 index = build_factor_index(thue_morse(), n_max=N_MAX)
-s1, s2, cut = thue_morse_split_sets(index)
+s1, s2, rule = thue_morse_split_sets(index)
 
 print("per-length cardinalities (they never move):")
 for m in [1, 2, 3, 8, 31, 64]:
@@ -22,10 +22,12 @@ for m in [1, 2, 3, 8, 31, 64]:
 print()
 print("sample cuts at first occurrences (boundary position is absolute in the window):")
 window = index.window
-for v in ["11", "0110", "10010110", min(index.factors_of_length(21))]:
-    rec = cut(window.find(v), len(v))
-    print(f"  {v!r} -> {window[rec.start:rec.cut]!r} + {window[rec.cut:rec.end]!r}"
-          f"  (order {rec.order}, boundary at {rec.position})")
+samples = ["11", "0110", "10010110", min(index.factors_of_length(21))]
+# the rule cuts many spans at once and returns their records as columns
+records = rule([window.find(v) for v in samples], [len(v) for v in samples])
+for v, (start, cut, end, order, position, _) in zip(samples, records.tuples()):
+    print(f"  {v!r} -> {window[start:cut]!r} + {window[cut:end]!r}"
+          f"  (order {order}, boundary at {position})")
 
 report = verify_cover(index.window, index.rows(), s1, s2)
 print()

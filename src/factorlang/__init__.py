@@ -20,14 +20,12 @@ from .decompose import (
     Decomposition,
     LeveledLanguage,
     MarkerOccurrences,
-    SplitRecord,
     SplitRecords,
     build_decomposition,
     build_st,
     compositions_count,
     greedy_two_sets,
     product_complexity_bound,
-    split_factor,
     split_records_to_csv,
     split_sets_bound,
     sturmian_split_sets,
@@ -93,7 +91,6 @@ __all__ = [
     "Morphism",
     "PreconditionError",
     "ProductBoundReport",
-    "SplitRecord",
     "SplitRecords",
     "SuffixAutomaton",
     "VerificationError",
@@ -119,7 +116,6 @@ __all__ = [
     "product_complexity_bound",
     "require_linear_window",
     "resolve_model",
-    "split_factor",
     "split_records_to_csv",
     "split_sets_bound",
     "stabilized_profile",

@@ -118,6 +118,13 @@ def cmd_complexity(args) -> int:
 def cmd_decompose(args) -> int:
     source = parse_word_spec(args.spec)
     index = build_factor_index(source, args.window, args.n_max)
+    # splits.csv writes its words unquoted, so a letter that a CSV reader
+    # takes for syntax would make its rows unreadable
+    for letter in ',"\r\n':
+        if letter in index.alphabet:
+            raise PreconditionError(
+                "bad-alphabet", f"the window holds the letter {letter!r}, which"
+                " splits.csv cannot write unquoted")
     dec = build_decomposition(index, args.method, args.budget)
     s_lang, t_lang, report = dec.s_lang, dec.t_lang, dec.report
     out_dir = Path(args.out)

@@ -31,17 +31,17 @@ The marker, tm and Sturmian routes cut window positions read from
 so a split record is a span of the window, start <= cut <= end, and never
 holds a word. A route's records are integer columns, :class:`SplitRecords`:
 start, cut, end, order and position as int64 arrays, and the occurrence class
-as a small code. Indexing or iterating them gives one :class:`SplitRecord`
-per row; the routes build no object per record that they keep. The tm cuts
-are one numpy expression over all the rows, and the Sturmian and greedy
-records are the row starts plus the cuts of the cover report. The words v, s
-and t are sliced from the window where a set needs them, and for splits.csv
-in :func:`split_records_to_csv` alone, one line at a time, from the columns
-read back in blocks.
+as a small code; no route builds an object per record. The tm cuts are one
+numpy expression over all the rows, and the Sturmian and greedy records are
+the row starts plus the cuts of the cover report. The words v, s and t are
+sliced from the window where a set needs them, and for splits.csv in
+:func:`split_records_to_csv` alone, one line at a time, from the columns read
+back in blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -128,34 +128,6 @@ class LeveledLanguage:
         return lang
 
 
-@dataclass(frozen=True, slots=True)
-class SplitRecord:
-    """One factor's decomposition witness, as a span of the window.
-
-    The factor is ``v = window[start:end]``, cut into ``s = window[start:cut]``
-    and ``t = window[cut:end]``. For marker splits, ``order`` is the marker
-    order, ``position`` the window position of the chosen marker occurrence
-    and ``occurrence_class`` its label from :func:`classify_occurrence`, as
-    splits.csv writes it. Short factors that go into S wholesale carry
-    their first occurrence position and no order or class.
-    The doubling-morphism route stores the 2-adic valuation of the cut
-    boundary as ``order`` and the 1-based boundary position as ``position``.
-    The Sturmian and greedy records carry the cut alone.
-    """
-
-    start: int
-    cut: int
-    end: int
-    order: int | None
-    position: int | None
-    occurrence_class: str | None
-
-    def __post_init__(self):
-        if not self.start <= self.cut <= self.end:
-            raise PreconditionError(
-                "bad-split", f"cut {self.cut} outside the span [{self.start}, {self.end}]")
-
-
 # the occurrence class of a record by its code in SplitRecords.classes; code 0
 # is a record with no class
 OCCURRENCE_CLASSES = (None, "internal", "initial", "final", "initial+final")
@@ -168,13 +140,22 @@ _BLOCK = 1 << 12
 class SplitRecords:
     """The split records of one route, one row per word, as integer columns.
 
+    Row i cuts the factor ``v = window[start[i]:end[i]]`` into
+    ``s = window[start[i]:cut[i]]`` and ``t = window[cut[i]:end[i]]``.
     ``start``, ``cut``, ``end``, ``order`` and ``position`` are int64 arrays,
     -1 standing for an order or position the record does not carry, and
     ``classes`` holds codes into :data:`OCCURRENCE_CLASSES`. A scalar given
     for ``order``, ``position`` or ``classes`` is broadcast to every row
     without a copy. Any row with its cut outside [start, end] is refused as
-    ``bad-split``. ``records[i]`` and iteration give one :class:`SplitRecord`
-    per row; nothing else builds an object per record.
+    ``bad-split``.
+
+    For marker splits, ``order`` is the marker order, ``position`` the window
+    position of the chosen marker occurrence and the class its label from
+    :func:`classify_occurrence`, as splits.csv writes it; short factors that
+    go into S wholesale carry their first occurrence position and no order or
+    class. The doubling-morphism route stores the 2-adic valuation of the cut
+    boundary as ``order`` and the 1-based boundary position as ``position``.
+    The Sturmian and greedy records carry the cut alone.
     """
 
     __slots__ = ("start", "cut", "end", "order", "position", "classes")
@@ -197,13 +178,6 @@ class SplitRecords:
     def __len__(self) -> int:
         return len(self.start)
 
-    def __getitem__(self, i: int) -> SplitRecord:
-        return self._record(self.start[i], self.cut[i], self.end[i],
-                            self.order[i], self.position[i], self.classes[i])
-
-    def __iter__(self):
-        return itertools.starmap(self._record, self.tuples())
-
     def tuples(self):
         """The records as tuples of Python ints (start, cut, end, order,
         position, class code), read from the columns a block at a time."""
@@ -211,13 +185,6 @@ class SplitRecords:
             block = slice(lo, lo + _BLOCK)
             yield from zip(*(column[block].tolist() for column in (
                 self.start, self.cut, self.end, self.order, self.position, self.classes)))
-
-    @staticmethod
-    def _record(start, cut, end, order, position, code) -> SplitRecord:
-        return SplitRecord(int(start), int(cut), int(end),
-                           None if order < 0 else int(order),
-                           None if position < 0 else int(position),
-                           OCCURRENCE_CLASSES[code])
 
 
 SPLIT_CSV_HEADER = "v,s,t,k,pos,class"
@@ -285,9 +252,11 @@ class MarkerOccurrences:
         return self._classes[key]
 
 
-def split_factor(occurrences: MarkerOccurrences, start: int, n: int) -> SplitRecord:
+def _marker_cut(occurrences: MarkerOccurrences, start: int,
+                n: int) -> tuple[int, int, int, str | None]:
     """Cut the factor ``v = window[start:start + n]`` at the midpoint of a
-    chosen marker occurrence.
+    chosen marker occurrence; return the cut, the order, the position of the
+    occurrence and its class.
 
     The order is the largest one with a marker occurring inside the span;
     within that order the marker with the leftmost occurrence is chosen.
@@ -297,18 +266,11 @@ def split_factor(occurrences: MarkerOccurrences, start: int, n: int) -> SplitRec
     the first occurrence, with no class. The cut falls at the middle of the
     marker, so s ends with its left half and t starts with its right half.
 
-    The routes pass a factor's first occurrence, as the factor index lists
-    it. The occurrences are read from ``occurrences`` by bisection, not
-    searched for.
+    :func:`build_st` passes a factor's first occurrence, as the factor
+    index lists it. The occurrences are read from ``occurrences`` by
+    bisection, not searched for. A span shorter than 2D is refused as
+    ``precondition-violation``, one outside the window as ``out-of-range``.
     """
-    cut, order, pos, cls = _marker_cut(occurrences, start, n)
-    return SplitRecord(start, cut, start + n, order, pos, cls)
-
-
-def _marker_cut(occurrences: MarkerOccurrences, start: int,
-                n: int) -> tuple[int, int, int, str | None]:
-    """The cut, order, marker position and occurrence class that
-    :func:`split_factor` gives the span (start, n), as plain values."""
     index = occurrences.index
     d = occurrences.D
     if n < 2 * d:
@@ -350,11 +312,11 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     """Split every indexed factor into S and T via marker midpoints.
 
     Factors shorter than 2D go into S wholesale, paired with the empty word;
-    the rest are cut as :func:`split_factor` cuts them, at their first
-    occurrence, all reading one :class:`MarkerOccurrences` table built here.
-    Returns (S, T, records) with one record per indexed factor in
-    (length, word) order, as :class:`SplitRecords`; each cut's fields go
-    straight into the columns, with no record object.
+    the rest are cut by :func:`_marker_cut` at their first occurrence, all
+    reading one :class:`MarkerOccurrences` table built here. Returns
+    (S, T, records) with one record per indexed factor in (length, word)
+    order, as :class:`SplitRecords`; each cut's fields go straight into the
+    columns.
     """
     occurrences = MarkerOccurrences(index, markers)
     d = occurrences.D
@@ -479,8 +441,9 @@ def _membership_masks(window: str, lang: LeveledLanguage, longest: np.ndarray,
         hashes = (prefix[begin + c] - prefix[begin]) % mod * inverse[begin] % mod
         words = list(lang.by_length[c])
         codes = _code_points("".join(words)).reshape(len(words), c)
-        wanted = (codes * powers[:c] % mod).sum(axis=1) % mod
-        candidate = np.isin(hashes, wanted)
+        wanted = np.sort((codes * powers[:c] % mod).sum(axis=1) % mod)
+        hit = np.searchsorted(wanted, hashes)
+        candidate = wanted[np.minimum(hit, len(wanted) - 1)] == hashes
         bit = 1 << (hi - c if from_end else c)
         for p, b in zip(pos[candidate].tolist(), begin[candidate].tolist()):
             if window[b:b + c] in lang:
@@ -512,8 +475,8 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
     Hashing only proposes where a word of S or T may lie. A polynomial
     prefix hash of ``window[:reach]``, reach the largest end of any row
     word, gives the hash of every (start, length) of one length in one array
-    expression; ``np.isin`` against the hashes of that length's words of S
-    (T) picks the candidates, and ``slice in s_lang`` (``t_lang``) decides
+    expression; a binary search in the sorted hashes of that length's words
+    of S (T) picks the candidates, and ``slice in s_lang`` (``t_lang``) decides
     each one. Equal words have equal hashes, so no member is missed, and a
     collision fails its membership test, so the report is the one that
     membership alone gives. A span outside the window is refused as
@@ -553,19 +516,6 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
 # -- doubling-morphism route ---------------------------------------------------
 
 
-def _max_valuation_boundary(lo: int, hi: int) -> tuple[int, int]:
-    """The unique position in [lo, hi] (lo >= 1) with maximal 2-adic valuation.
-
-    Two positions sharing the maximal valuation would have a higher-valuation
-    multiple strictly between them, so the argmax is unique. It is the
-    largest multiple of 2^k in the range, where k is the highest bit in
-    which lo - 1 and hi differ: hi has that bit set, and clearing the bits
-    below it keeps the value above lo - 1.
-    """
-    k = (hi ^ (lo - 1)).bit_length() - 1
-    return (hi >> k) << k, k
-
-
 def _bit_length(x: np.ndarray) -> np.ndarray:
     """``int.bit_length`` of each positive value of ``x``, exact up to 2^53:
     the exponent e that ``np.frexp`` gives has 2^(e-1) <= x < 2^e, and below
@@ -573,14 +523,26 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.frexp(x)[1].astype(np.int64)
 
 
-def _thue_morse_records(window: str, starts: np.ndarray,
+def _thue_morse_records(window: str, n_max: int, starts: np.ndarray,
                         lengths: np.ndarray) -> SplitRecords:
-    """The cut of ``thue_morse_split_sets`` for every span (start, n) at once,
-    by the rule of :func:`_max_valuation_boundary` over arrays; a span
-    outside the window is refused as the scalar cut refuses it."""
+    """Cut every span (start, n) of ``window`` at the boundary of maximal
+    2-adic valuation in [lo, hi], lo = start + 1 and hi = start + max(n - 1, 1).
+
+    Two boundaries sharing the maximal valuation would have a
+    higher-valuation multiple strictly between them, so the boundary is
+    unique. It is the largest multiple of 2^k in the range, where k is the
+    highest bit in which lo - 1 and hi differ: hi has that bit set, and
+    clearing the bits below it keeps the value above lo - 1. A length
+    outside 1..n_max, or a span outside the window, is refused as
+    ``out-of-range``.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if ((lengths < 1) | (lengths > n_max)).any():
+        raise PreconditionError(
+            "out-of-range", f"the tm cut is defined for lengths 1..{n_max}")
     _check_spans(window, starts, lengths)
-    # lo = start + 1, and a single letter has the one boundary start + 1,
-    # which leaves t empty
+    # a single letter has the one boundary start + 1, which leaves t empty
     hi = starts + np.maximum(lengths - 1, 1)
     k = _bit_length(hi ^ starts) - 1
     boundary = (hi >> k) << k
@@ -595,10 +557,11 @@ def thue_morse_split_sets(index: FactorIndex):
     which gives exactly two words per length; the images are the Thue-Morse
     prefix of 2^r letters, which the window check has already generated
     when the window holds 2 * n_max >= 2^r letters, and its complement. The
-    returned ``cut(start, n)`` splits the factor ``window[start:start + n]``
-    at the boundary of maximal 2-adic valuation inside that span, keeping
-    both parts non-empty when n >= 2; the valuation makes the left part a
-    suffix, and the right part a prefix, of some iterate.
+    returned ``rule(starts, lengths)`` gives the :class:`SplitRecords` that
+    cut each factor ``window[start:start + n]`` at the boundary of maximal
+    2-adic valuation inside that span, keeping both parts non-empty when
+    n >= 2; the valuation makes the left part a suffix, and the right part a
+    prefix, of some iterate.
 
     The route holds for the Thue-Morse word only, whatever spec names it, so
     the window is compared with the Thue-Morse prefix of the same length.
@@ -619,16 +582,7 @@ def thue_morse_split_sets(index: FactorIndex):
         s2.add(block[:m])
         s2.add(coblock[:m])
 
-    def cut(start: int, n: int) -> SplitRecord:
-        if not 1 <= n <= n_max:
-            raise PreconditionError(
-                "out-of-range", f"cut is defined for lengths 1..{n_max}")
-        _check_span(window, start, n)
-        # a single letter has the one boundary start + 1, which leaves t empty
-        boundary, val = _max_valuation_boundary(start + 1, start + max(n - 1, 1))
-        return SplitRecord(start, boundary, start + n, val, boundary, None)
-
-    return s1, s2, cut
+    return s1, s2, functools.partial(_thue_morse_records, window, n_max)
 
 
 # -- Sturmian route -------------------------------------------------------------
@@ -756,8 +710,8 @@ def build_decomposition(index: FactorIndex, method: str,
     no cut is refused there, on every route, before anything is returned,
     and so are sets above the route's per-length claim as ``bound-exceeded``.
     The records are :class:`SplitRecords` columns. The marker records come
-    from :func:`build_st`; the tm records are the route's cuts, computed
-    for all the rows at once after the check; the sturmian and greedy
+    from :func:`build_st`; the tm records are the rule the route returns,
+    applied to all the rows at once after the check; the sturmian and greedy
     records are the row starts plus the leftmost cuts that report holds. A
     ``budget`` below 1 is refused on every route, not only on greedy.
     """
@@ -767,7 +721,7 @@ def build_decomposition(index: FactorIndex, method: str,
     n_max = index.n_max
     markers = None
     extras = {}
-    records = None
+    records = rule = None
     if method == "marker":
         markers = build_all_markers(index)
         s_lang, t_lang, records = build_st(index, markers)
@@ -778,7 +732,7 @@ def build_decomposition(index: FactorIndex, method: str,
                   "bound": split_sets_bound(r, c, d)}
         claim = extras["bound"]
     elif method == "tm":
-        s_lang, t_lang, _ = thue_morse_split_sets(index)
+        s_lang, t_lang, rule = thue_morse_split_sets(index)
         claim = 2
     elif method == "sturmian":
         s_lang, t_lang = sturmian_split_sets(index)
@@ -802,11 +756,8 @@ def build_decomposition(index: FactorIndex, method: str,
             "bound-exceeded", f"{most} words of one length in S or T, above the claim {claim}")
     if records is None:
         starts, lengths = _row_spans(rows)
-        if method == "tm":
-            records = _thue_morse_records(index.window, starts, lengths)
-        else:
-            records = SplitRecords(starts, starts + np.array(report.cuts, dtype=np.int64),
-                                   starts + lengths)
+        records = rule(starts, lengths) if rule is not None else SplitRecords(
+            starts, starts + np.array(report.cuts, dtype=np.int64), starts + lengths)
     return Decomposition(s_lang=s_lang, t_lang=t_lang, records=records,
                          extras=extras, markers=markers, report=report)
 

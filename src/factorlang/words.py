@@ -63,9 +63,6 @@ class Morphism:
                 f"image of start letter must begin with it and have length >= 2,"
                 f" got {self.start!r} -> {head!r}")
 
-    def apply(self, word: str) -> str:
-        return "".join(map(self.images.__getitem__, word))
-
 
 class WordSource:
     """One infinite word with lazy, cached prefix generation.

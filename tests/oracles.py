@@ -4,7 +4,6 @@ import numpy as np
 
 from factorlang import (
     PreconditionError,
-    SplitRecord,
     SplitRecords,
     SuffixAutomaton,
     VerificationError,
@@ -12,36 +11,35 @@ from factorlang import (
 from factorlang.decompose import OCCURRENCE_CLASSES
 
 
-def slicing_witness_split(window, start, n, s_lang, t_lang) -> SplitRecord:
+def slicing_witness_split(window, start, n, s_lang, t_lang) -> tuple:
     """Oracle for the cuts of verify_cover: the leftmost cut of
     ``window[start:start+n]`` with both parts in the given sets, found by
-    trying every cut from the left."""
+    trying every cut from the left. Returned as a record tuple in the order
+    of ``SplitRecords.tuples()``, (start, cut, end, order, position, class
+    code), with no order, position or class."""
     v = window[start:start + n]
     for c in range(n + 1):
         if v[:c] in s_lang and v[c:] in t_lang:
-            return SplitRecord(start, start + c, start + n, None, None, None)
+            return (start, start + c, start + n, -1, -1, 0)
     raise VerificationError("coverage-incomplete", f"no split found for {v!r}")
 
 
 def record_columns(records) -> SplitRecords:
-    """The columns of a list of SplitRecord, read one record at a time."""
-    return SplitRecords([r.start for r in records], [r.cut for r in records],
-                        [r.end for r in records],
-                        [-1 if r.order is None else r.order for r in records],
-                        [-1 if r.position is None else r.position for r in records],
-                        [OCCURRENCE_CLASSES.index(r.occurrence_class) for r in records])
+    """The columns of a list of record tuples, in the order of
+    ``SplitRecords.tuples()``, read one record at a time."""
+    return SplitRecords(*([r[j] for r in records] for j in range(6)))
 
 
 def per_record_splits_csv(window, records):
     """Oracle for split_records_to_csv: the lines of splits.csv written from
-    one SplitRecord at a time, as the writer did before the records were
+    one record tuple at a time, as the writer did before the records were
     columns."""
     yield "v,s,t,k,pos,class\n"
-    for r in records:
-        k = "" if r.order is None else str(r.order)
-        pos = "" if r.position is None else str(r.position)
-        yield (f"{window[r.start:r.end]},{window[r.start:r.cut]},{window[r.cut:r.end]},"
-               f"{k},{pos},{r.occurrence_class or ''}\n")
+    for start, cut, end, order, position, code in records:
+        k = "" if order < 0 else str(order)
+        pos = "" if position < 0 else str(position)
+        yield (f"{window[start:end]},{window[start:cut]},{window[cut:end]},"
+               f"{k},{pos},{OCCURRENCE_CLASSES[code] or ''}\n")
 
 
 def staircase_word(k: int, l: int) -> str:

@@ -79,12 +79,12 @@ def test_criterion_3_marker_construction(capsys):
             report = verify_cover(index.window, index.rows(), s_lang, t_lang)
             assert report.coverage == 1.0
             d = next(iter(markers.values())).D
-            for rec in records:
-                if rec.order is None:
+            for start, cut, end, order, _, _ in records.tuples():
+                if order < 0:
                     continue
-                for l in (rec.cut - rec.start, rec.end - rec.cut):
+                for l in (cut - start, end - cut):
                     if l >= 2 * d:
-                        assert l / (2 * d) < 2 ** rec.order <= 2 * l
+                        assert l / (2 * d) < 2 ** order <= 2 * l
             c, _ = index.slope_constants()
             r = max(len(ms.markers) for ms in markers.values())
             bound = split_sets_bound(r, c, d)

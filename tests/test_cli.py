@@ -133,6 +133,33 @@ def test_decompose_refuses_budget_below_one(tmp_path, capsys, method, spec, n_ma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method,spec", [
+    ("greedy", "ultper:,0|1,"), ("greedy", 'ultper:"0|1'), ("tm", "ultper:0\r|1"),
+    ("marker", "ultper:01|\n0")])
+def test_decompose_refuses_letters_splits_csv_cannot_hold(tmp_path, capsys, method, spec):
+    # splits.csv writes its words unquoted: a comma, quote or line break in
+    # the window is refused before the route runs or anything is written
+    out = tmp_path / "dc"
+    assert run(["decompose", method, spec, "--n-max", "4", "--out", str(out)]) == 3
+    assert "bad-alphabet" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_traced_cli_times_the_tm_cuts(tmp_path):
+    # the benchmark's tracer wraps the rule thue_morse_split_sets returns as
+    # the decompose.split span
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans),
+         "decompose", "tm", "tm", "--n-max", "32", "--out", str(tmp_path / "dc")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(spans.read_text())
+    assert traced["spans"]["decompose.split"][0] >= 1
+    assert not [name for name in traced["missing"] if "thue_morse_split_sets" in name]
+
+
 def test_decompose_marker_outputs(tmp_path, capsys):
     out = tmp_path / "dc"
     assert run(["decompose", "marker", "tm", "--n-max", "32",
@@ -481,6 +508,8 @@ def test_run_config_round_trip(tmp_path):
 FUZZ_SPECS = [
     "tm", "fib", "abk", "sturm:2,(1)", "ultper:01|10", "ultper:0|011", "ultper:|0",
     "morphic:0->01,1->10@0", "morphic:1->10,0->01@0", "morphic:a->abc,b->ac,c->b@a",
+    # letters that splits.csv cannot hold
+    "ultper:,0|1,", 'ultper:"0|1',
     # malformed
     "", "tm:", "wat:1", "ultper:01", "morphic:0->01", "morphic:0->,1->10@0",
     "morphic:0->1,1->0@0", "sturm:", "sturm:1,(", "pq:f=nope",

@@ -18,7 +18,6 @@ from factorlang import (
     MarkerSet,
     Morphism,
     PreconditionError,
-    SplitRecord,
     SplitRecords,
     VerificationError,
     build_all_markers,
@@ -32,7 +31,6 @@ from factorlang import (
     greedy_two_sets,
     parse_word_spec,
     product_complexity_bound,
-    split_factor,
     split_records_to_csv,
     split_sets_bound,
     sturmian_split_sets,
@@ -42,10 +40,10 @@ from factorlang import (
 )
 from factorlang import decompose, words
 from factorlang.decompose import (
+    OCCURRENCE_CLASSES,
     CoverReport,
     _bit_length,
-    _max_valuation_boundary,
-    _thue_morse_records,
+    _marker_cut,
 )
 from oracles import per_record_splits_csv, record_columns, slicing_witness_split
 
@@ -109,41 +107,25 @@ def test_leveled_language_round_trip_random(words):
     assert list(back.words()) == list(lang.words())
 
 
-def test_split_record_must_rebuild():
-    # the cut must lie inside [start, end] for s + t to rebuild v
+def test_split_records_columns_refuse_a_cut_outside_the_span():
+    # the cut must lie inside [start, end] for s + t to rebuild v; one
+    # vectorised test over every row, and the first bad row is named
     for start, cut, end in [(2, 1, 4), (2, 5, 4), (3, 3, 2)]:
         with pytest.raises(PreconditionError, match="bad-split"):
-            SplitRecord(start, cut, end, None, None, None)
-    # the cut may sit at either end of the span
-    for cut in (2, 3, 4):
-        assert SplitRecord(2, cut, 4, None, None, None).cut == cut
-
-
-def test_split_records_columns_refuse_a_cut_outside_the_span():
-    # one vectorised test over every row; the first bad row is named
+            SplitRecords([start], [cut], [end])
     with pytest.raises(PreconditionError, match=r"bad-split: cut 5 outside the span \[2, 4\]"):
         SplitRecords([0, 2, 3], [1, 5, 2], [1, 4, 2])
     with pytest.raises(PreconditionError, match=r"bad-split: cut 1 outside the span \[2, 4\]"):
         SplitRecords([0, 2], [0, 1], [0, 4], order=1, position=0)
-    records = SplitRecords([0, 2, 3], [0, 4, 3], [1, 4, 3])
-    assert len(records) == 3
-    assert records[1] == SplitRecord(2, 4, 4, None, None, None)
-
-
-def test_split_records_columns_view_the_records_they_hold():
-    rows = [SplitRecord(1, 2, 3, 1, 4, None), SplitRecord(1, 2, 2, None, 0, None),
-            SplitRecord(0, 1, 3, 3, 0, "initial+final"), SplitRecord(2, 2, 2, 0, 5, "internal")]
-    records = record_columns(rows)
-    assert list(records) == rows
-    assert [records[i] for i in range(-4, 4)] == rows + rows
-    assert len(record_columns([])) == 0 and list(record_columns([])) == []
+    # the cut may sit at either end of the span
+    records = SplitRecords([0, 2, 2, 2, 3], [0, 2, 3, 4, 3], [1, 4, 4, 4, 3])
+    assert len(records) == 5
+    assert list(records.tuples())[1:4] == [(2, c, 4, -1, -1, 0) for c in (2, 3, 4)]
+    assert len(record_columns([])) == 0 and list(record_columns([]).tuples()) == []
 
 
 def test_split_records_csv():
-    records = record_columns([
-        SplitRecord(1, 2, 3, 1, 4, None),
-        SplitRecord(1, 2, 2, None, 0, None),
-    ])
+    records = record_columns([(1, 2, 3, 1, 4, 0), (1, 2, 2, -1, 0, 0)])
     lines = split_records_to_csv("cab", records)
     assert "".join(lines) == "v,s,t,k,pos,class\nab,a,b,1,4,\na,a,,,0,\n"
     empty = record_columns([])
@@ -178,22 +160,22 @@ def test_split_factor_invariants(index_name, request):
     for n in (2 * d, 3 * d, 40, 97, 128):
         for i in index.rows()[n - 1]:
             v = window[i:i + n]
-            rec = split_factor(occurrences, i, n)
-            assert (rec.start, rec.end) == (i, i + n)
-            s, t = window[i:rec.cut], window[rec.cut:i + n]
-            half = 2 ** (rec.order - 1)
+            cut, order, _, _ = _marker_cut(occurrences, i, n)
+            assert i <= cut <= i + n
+            s, t = window[i:cut], window[cut:i + n]
+            half = 2 ** (order - 1)
             assert len(s) >= half and len(t) >= half
             # the cut sits at the midpoint of an order-k marker occurrence
             joint = s[-half:] + t[:half]
-            assert joint in markers[rec.order].markers
+            assert joint in markers[order].markers
             # no higher order in the family has a marker inside v
-            for higher in range(rec.order + 1, top + 1):
+            for higher in range(order + 1, top + 1):
                 assert not any(m in v for m in markers[higher].markers)
             # both sufficiently long parts obey the block-length inequality
             for part in (s, t):
                 l = len(part)
                 if l >= 2 * d:
-                    assert l / (2 * d) < 2 ** rec.order <= 2 * l
+                    assert l / (2 * d) < 2 ** order <= 2 * l
 
 
 def test_split_factor_rejects_short_and_foreign(tm_index):
@@ -201,23 +183,22 @@ def test_split_factor_rejects_short_and_foreign(tm_index):
     occurrences = MarkerOccurrences(tm_index, markers)
     d = _family_d(markers)
     with pytest.raises(PreconditionError, match="precondition-violation"):
-        split_factor(occurrences, 0, 2 * d - 1)
+        _marker_cut(occurrences, 0, 2 * d - 1)
     # a span reaching outside the window is no factor of it
     for start in (-1, tm_index.n_work - 2 * d + 1):
         with pytest.raises(PreconditionError, match="out-of-range"):
-            split_factor(occurrences, start, 2 * d)
+            _marker_cut(occurrences, start, 2 * d)
 
 
 def test_split_factor_leftmost_fib(fib_index):
     markers = build_all_markers(fib_index)
     d = _family_d(markers)
     v = fibonacci_word().prefix(2 * d)
-    rec = split_factor(MarkerOccurrences(fib_index, markers), 0, 2 * d)
-    s, t = v[:rec.cut], v[rec.cut:rec.end]
-    assert (rec.start, rec.end) == (0, 2 * d)
-    half = 2 ** (rec.order - 1)
-    assert rec.cut == rec.position + half
-    assert (s[-half:] + t[:half]) in markers[rec.order].markers
+    cut, order, position, _ = _marker_cut(MarkerOccurrences(fib_index, markers), 0, 2 * d)
+    s, t = v[:cut], v[cut:]
+    half = 2 ** (order - 1)
+    assert cut == position + half
+    assert (s[-half:] + t[:half]) in markers[order].markers
 
 
 @pytest.mark.parametrize("index_name", ["tm_index", "fib_index"])
@@ -263,7 +244,7 @@ def slicing_verify_cover(index, s_lang, t_lang) -> CoverReport:
     for n in range(1, index.n_max + 1):
         for v in sorted(index.factors_of_length(n)):
             try:
-                cuts.append(slicing_witness_split(v, 0, n, s_lang, t_lang).cut)
+                cuts.append(slicing_witness_split(v, 0, n, s_lang, t_lang)[1])
             except VerificationError:
                 uncovered.append(v)
                 cuts.append(-1)
@@ -371,7 +352,7 @@ def slicing_cover_of_rows(window, rows, s_lang, t_lang) -> CoverReport:
     for n, row in enumerate(rows, start=1):
         for i in row:
             try:
-                cuts.append(slicing_witness_split(window, i, n, s_lang, t_lang).cut - i)
+                cuts.append(slicing_witness_split(window, i, n, s_lang, t_lang)[1] - i)
             except VerificationError:
                 uncovered.append(window[i:i + n])
                 cuts.append(-1)
@@ -447,9 +428,10 @@ def test_mask_cover_refuses_a_span_outside_the_window():
 
 
 def scanning_split_factor(index, markers, start, n):
-    """Oracle for split_factor: search ``v = window[start:start+n]`` for
+    """Oracle for the marker cut: search ``v = window[start:start+n]`` for
     every marker of every order and classify each occurrence of the chosen
-    marker afresh."""
+    marker afresh. Returns what ``_marker_cut`` returns: the cut, the order,
+    the position of the chosen occurrence and its class."""
     v = index.window[start:start + n]
     for order in sorted(markers, reverse=True):
         half = 2 ** (order - 1)
@@ -478,8 +460,7 @@ def scanning_split_factor(index, markers, start, n):
                 break
         if chosen_rel is None:
             chosen_rel, chosen_class = first_classified or (rel_positions[0], None)
-        return SplitRecord(start, start + chosen_rel + half, start + n, order,
-                           start + chosen_rel, chosen_class)
+        return start + chosen_rel + half, order, start + chosen_rel, chosen_class
     raise VerificationError("no-marker-found", f"no marker occurs in {v!r}")
 
 
@@ -520,15 +501,16 @@ def test_build_st_matches_scanning_oracle(spec, n_max, window, monkeypatch):
         for v in sorted(index.factors_of_length(n)):
             start = window.find(v)
             if n < 2 * d:
-                expected.append(SplitRecord(start, start + n, start + n, None, start, None))
+                expected.append((start, start + n, start + n, -1, start, 0))
             else:
-                expected.append(scanning_split_factor(index, markers, start, n))
-    # the columns give one SplitRecord per row; dataclass equality compares
-    # every field, the occurrence class included
-    assert list(records) == expected
+                cut, order, position, cls = scanning_split_factor(index, markers, start, n)
+                expected.append((start, cut, start + n, order, position,
+                                 OCCURRENCE_CLASSES.index(cls)))
+    # every field of every row, the occurrence class included
+    assert list(records.tuples()) == expected
     by_words = lambda w: (len(w), w)  # noqa: E731
-    assert list(s_lang.words()) == sorted({window[r.start:r.cut] for r in expected}, key=by_words)
-    assert list(t_lang.words()) == sorted({window[r.cut:r.end] for r in expected}, key=by_words)
+    assert list(s_lang.words()) == sorted({window[r[0]:r[1]] for r in expected}, key=by_words)
+    assert list(t_lang.words()) == sorted({window[r[1]:r[2]] for r in expected}, key=by_words)
 
 
 def brute_starts(window, word):
@@ -571,9 +553,9 @@ def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
                 expected = scanning_split_factor(index, markers, start, n)
             except VerificationError:
                 with pytest.raises(VerificationError, match="no-marker-found"):
-                    split_factor(occurrences, start, n)
+                    _marker_cut(occurrences, start, n)
                 continue
-            assert split_factor(occurrences, start, n) == expected
+            assert _marker_cut(occurrences, start, n) == expected
 
 
 @functools.lru_cache(maxsize=None)
@@ -594,10 +576,23 @@ def scan_max_valuation_boundary(lo, hi):
     return best, best_val
 
 
+def scan_records(spans):
+    """The tm records of ``spans`` (start, n), one at a time, by the scan
+    over start + 1 .. start + max(n - 1, 1): a single letter has the one
+    boundary start + 1, which leaves t empty."""
+    records = []
+    for i, n in spans:
+        boundary, k = scan_max_valuation_boundary(i + 1, i + max(n - 1, 1))
+        records.append((i, boundary, i + n, k, boundary, 0))
+    return records
+
+
 def test_max_valuation_boundary_matches_scan():
-    for lo in range(1, 512):
-        for hi in range(lo, 512):
-            assert _max_valuation_boundary(lo, hi) == scan_max_valuation_boundary(lo, hi)
+    # every range [lo, hi] within [1, 511], as the span (lo - 1, hi - lo + 2)
+    spans = [(lo - 1, hi - lo + 2) for lo in range(1, 512) for hi in range(lo, 512)]
+    starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*spans))
+    _, _, rule = thue_morse_split_sets(FactorIndex(thue_morse(), thue_morse().prefix(512), 512))
+    assert list(rule(starts, lengths).tuples()) == scan_records(spans)
 
 
 def test_bit_length_is_exact_up_to_the_prefix_cap():
@@ -614,33 +609,32 @@ def tm_index_256():
 
 
 def test_thue_morse_records_match_the_scalar_rule(tm_index_256):
-    # every row of the index: the vectorised cuts against
-    # _max_valuation_boundary, one span at a time
+    # every row of the index: the route's rule against the scan, one span at
+    # a time
     spans = [(i, n) for n, row in enumerate(tm_index_256.rows(), start=1) for i in row]
     starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*spans))
-    records = _thue_morse_records(tm_index_256.window, starts, lengths)
+    _, _, rule = thue_morse_split_sets(tm_index_256)
+    records = rule(starts, lengths)
     assert len(records) == tm_index_256.accumulative(256)
-    expected = []
-    for i, n in spans:
-        boundary, k = _max_valuation_boundary(i + 1, i + max(n - 1, 1))
-        expected.append((i, boundary, i + n, k, boundary, 0))
-    assert list(records.tuples()) == expected
+    assert list(records.tuples()) == scan_records(spans)
 
 
 def test_thue_morse_records_near_powers_of_two(tm_index_256):
     # spans that start or end one letter either side of a power of two,
-    # single letters included, against the route's own scalar cut
+    # single letters included, against the scan
     window = tm_index_256.window
-    _, _, cut = thue_morse_split_sets(tm_index_256)
+    _, _, rule = thue_morse_split_sets(tm_index_256)
     marks = [2 ** j + d for j in range(14) for d in (-1, 0, 1)]
-    spans = {(i, n) for m in marks for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 255, 256)
-             for i in (m, m - n) if 0 <= i and i + n <= len(window)}
-    spans |= {(i, 1) for i in range(40)}
-    starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*sorted(spans)))
-    records = _thue_morse_records(window, starts, lengths)
-    assert list(records) == [cut(i, n) for i, n in sorted(spans)]
-    with pytest.raises(PreconditionError, match="out-of-range"):
-        _thue_morse_records(window, np.array([0, len(window) - 3]), np.array([1, 4]))
+    spans = sorted({(i, n) for m in marks for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 255, 256)
+                    for i in (m, m - n) if 0 <= i and i + n <= len(window)}
+                   | {(i, 1) for i in range(40)})
+    starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*spans))
+    assert list(rule(starts, lengths).tuples()) == scan_records(spans)
+    # a span outside the window, and lengths outside 1..n_max
+    for bad_starts, bad_lengths in (([0, len(window) - 3], [1, 4]), ([-1], [2]),
+                                    ([0, 5], [1, 0]), ([0, 5], [1, 257])):
+        with pytest.raises(PreconditionError, match="out-of-range"):
+            rule(np.array(bad_starts), np.array(bad_lengths))
 
 
 @pytest.mark.parametrize("method,spec", [
@@ -649,18 +643,16 @@ def test_splits_csv_matches_the_per_record_writer(method, spec):
     index = build_factor_index(parse_word_spec(spec), n_max=64)
     dec = build_decomposition(index, method)
     assert isinstance(dec.records, SplitRecords)
-    # the records one at a time: the scalar tm cut, the leftmost cuts of the
-    # report, and the marker records as the columns give them back
+    # the records one at a time: the scanned tm cuts, the leftmost cuts of
+    # the report, and the marker records as the columns give them back
     rows = [[0]] * 64 if method == "greedy" else index.rows()
     spans = [(i, n) for n, row in enumerate(rows, start=1) for i in row]
     if method == "tm":
-        cut = thue_morse_split_sets(index)[2]
-        expected = [cut(i, n) for i, n in spans]
+        expected = scan_records(spans)
     elif method == "marker":
-        expected = list(dec.records)
+        expected = list(dec.records.tuples())
     else:
-        expected = [SplitRecord(i, i + c, i + n, None, None, None)
-                    for (i, n), c in zip(spans, dec.report.cuts)]
+        expected = [(i, i + c, i + n, -1, -1, 0) for (i, n), c in zip(spans, dec.report.cuts)]
     written = "".join(split_records_to_csv(index.window, dec.records))
     assert written == "".join(per_record_splits_csv(index.window, expected))
     assert written.count("\n") == len(dec.records) + 1
@@ -670,25 +662,25 @@ def test_splits_csv_matches_the_per_record_writer(method, spec):
 
 
 def test_thue_morse_sets_counts_and_cuts(tm_index):
-    s1, s2, cut = thue_morse_split_sets(tm_index)
+    s1, s2, rule = thue_morse_split_sets(tm_index)
     for m in range(1, 65):
         assert s1.cardinality(m) == 2
         assert s2.cardinality(m) == 2
     window = tm_index.window
     assert window[1:3] == "11"
-    rec = cut(1, 2)
-    assert (window[rec.start:rec.cut], window[rec.cut:rec.end]) == ("1", "1")
-    assert rec.position == 2  # boundary after the second letter, 1-based
-    rec = cut(0, 1)
-    assert (rec.start, rec.cut, rec.end) == (0, 1, 1)
+    # the boundary after the second letter, 1-based, of valuation 1; a
+    # single letter is cut after it
+    assert list(rule(np.array([1, 0]), np.array([2, 1])).tuples()) == [
+        (1, 2, 3, 1, 2, 0), (0, 1, 1, 0, 1, 0)]
     report = verify_cover(tm_index.window, tm_index.rows(), s1, s2)
     assert report.coverage == 1.0
     # each cut produces parts from the sets themselves
     for n in (1, 2, 7, 32, 128):
-        for i in tm_index.rows()[n - 1]:
-            rec = cut(i, n)
-            assert (rec.start, rec.end) == (i, i + n)
-            assert window[i:rec.cut] in s1 and window[rec.cut:i + n] in s2
+        row = np.array(tm_index.rows()[n - 1], dtype=np.int64)
+        records = rule(row, np.full(len(row), n))
+        assert (records.start == row).all() and (records.end == row + n).all()
+        for i, cut in zip(row.tolist(), records.cut.tolist()):
+            assert window[i:cut] in s1 and window[cut:i + n] in s2
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 5, 8, 64, 100, 128])
@@ -700,7 +692,7 @@ def test_thue_morse_sets_are_the_iterated_blocks(n_max, window):
     doubling = Morphism({"0": "01", "1": "10"}, "0")
     blocks = ["0", "1"]
     for _ in range(max(1, math.ceil(math.log2(n_max)))):
-        blocks = [doubling.apply(b) for b in blocks]
+        blocks = ["".join(doubling.images[c] for c in b) for b in blocks]
     if window == "n_max":
         index = FactorIndex(thue_morse(), thue_morse().prefix(n_max), n_max)
     else:
@@ -722,13 +714,13 @@ def test_witness_split():
     s = LeveledLanguage(["0"])
     t = LeveledLanguage(["1", ""])
     rec = slicing_witness_split("01", 0, 2, s, t)
-    assert (rec.start, rec.cut, rec.end) == (0, 1, 2)
+    assert rec == (0, 1, 2, -1, -1, 0)
     with pytest.raises(VerificationError, match="coverage-incomplete"):
         slicing_witness_split("11", 0, 2, s, t)
     # verify_cover reports the same leftmost cuts, for the words "0" and "01"
     # of the window "011", and -1 for its uncovered word "11"
     assert verify_cover("011", [[0], [0]], s, t) == CoverReport(
-        total=2, uncovered=[], cuts=array("q", [1, rec.cut]))
+        total=2, uncovered=[], cuts=array("q", [1, rec[1]]))
     assert verify_cover("011", [[], [1]], s, t) == CoverReport(
         total=1, uncovered=["11"], cuts=array("q", [-1]))
 
@@ -798,7 +790,7 @@ def test_greedy_prefix_language_always_feasible(word):
     s_lang, t_lang = greedy_two_sets(prefixes, 1)
     assert s_lang.per_length_max() <= 3
     assert t_lang.per_length_max() <= 3
-    oracle = [slicing_witness_split(word, 0, n, s_lang, t_lang).cut
+    oracle = [slicing_witness_split(word, 0, n, s_lang, t_lang)[1]
               for n in range(1, len(word) + 1)]
     report = verify_cover(word, [[0]] * len(word), s_lang, t_lang)
     assert report.uncovered == [] and list(report.cuts) == oracle
@@ -830,12 +822,13 @@ def test_build_decomposition_routes(method, spec):
     assert dec.report.coverage == 1.0
     assert (dec.markers is not None) == (method == "marker")
     window = index.window
-    for rec in dec.records:
-        assert window[rec.start:rec.cut] in dec.s_lang
-        assert window[rec.cut:rec.end] in dec.t_lang
+    for start, cut, end, *_ in dec.records.tuples():
+        assert window[start:cut] in dec.s_lang
+        assert window[cut:end] in dec.t_lang
     if method == "greedy":
         # one record per prefix of the window, each a certificate of its cover
-        assert [(r.start, r.end) for r in dec.records] == [(0, n) for n in range(1, 33)]
+        assert (dec.records.start == 0).all()
+        assert dec.records.end.tolist() == list(range(1, 33))
         assert dec.report == verify_cover(window, [[0]] * 32, dec.s_lang, dec.t_lang)
         assert dec.report.total == 32
     else:
@@ -843,7 +836,7 @@ def test_build_decomposition_routes(method, spec):
         assert dec.report.total == index.accumulative(32) == len(dec.records)
     if method in ("sturmian", "greedy"):
         # the records are the leftmost cuts the report holds
-        assert [r.cut - r.start for r in dec.records] == list(dec.report.cuts)
+        assert (dec.records.cut - dec.records.start).tolist() == list(dec.report.cuts)
 
 
 def test_build_decomposition_sturmian_makes_one_cover_pass(fib_index, monkeypatch):

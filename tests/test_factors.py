@@ -269,11 +269,11 @@ def test_occurrences():
     assert occ[:3] == [1, 7, 13]
     assert occ == [i for i in range(63) if window[i:i + 2] == "11"]
     assert index.occurrences("") == list(range(65))
-    # the tm cut refuses a span that reaches outside the window
-    _, _, cut = thue_morse_split_sets(index)
+    # the tm cut rule refuses a span that reaches outside the window
+    _, _, rule = thue_morse_split_sets(index)
     for start in (-1, 63):
         with pytest.raises(PreconditionError, match="out-of-range"):
-            cut(start, 2)
+            rule(np.array([start]), np.array([2]))
     fib = build_factor_index(fibonacci_word(), n_work=64, n_max=16)
     assert fib.occurrences("11") == []
 
