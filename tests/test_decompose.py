@@ -107,12 +107,18 @@ def test_leveled_language_round_trip_random(words):
     assert list(back.words()) == list(lang.words())
 
 
-def test_split_records_columns_refuse_a_cut_outside_the_span():
-    # the cut must lie inside [start, end] for s + t to rebuild v; one
-    # vectorised test over every row, and the first bad row is named
+def test_split_record_must_rebuild():
+    # the cut must lie inside [start, end] for s + t to rebuild v
     for start, cut, end in [(2, 1, 4), (2, 5, 4), (3, 3, 2)]:
         with pytest.raises(PreconditionError, match="bad-split"):
             SplitRecords([start], [cut], [end])
+    # the cut may sit at either end of the span
+    for cut in (2, 3, 4):
+        assert list(SplitRecords([2], [cut], [4]).tuples()) == [(2, cut, 4, -1, -1, 0)]
+
+
+def test_split_records_columns_refuse_a_cut_outside_the_span():
+    # one vectorised test over every row; the first bad row is named
     with pytest.raises(PreconditionError, match=r"bad-split: cut 5 outside the span \[2, 4\]"):
         SplitRecords([0, 2, 3], [1, 5, 2], [1, 4, 2])
     with pytest.raises(PreconditionError, match=r"bad-split: cut 1 outside the span \[2, 4\]"):
