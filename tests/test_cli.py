@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -338,6 +339,70 @@ def test_decompose_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for name in ("S.jsonl", "T.jsonl", "splits.csv", "stats.json", "markers.jsonl"):
         assert read(a / name) == read(b / name), name
+
+
+# sha256 of every decompose artifact and of decompose's stdout at n_max 64,
+# and the exit status and stdout of verify on the sets written; the greedy
+# sets cover the prefixes only, so verify of them on tm exits 4
+GOLDEN_DIGESTS = {
+    ("marker", "tm"): {
+        "S.jsonl": "117cefee3d94d00ef5296b3c022bd4e1d5b34abd0bf33e269915b40359d6bd70",
+        "T.jsonl": "1223b04c47b422dcc3680101740261aa96163cc8db75ef8c39fdd9dcc9fe1b30",
+        "markers.jsonl": "3c3e6d9a37d98d73d919199a7fd663d28cca0edb72356bd62810d7d10b2933bf",
+        "splits.csv": "a5d43509b95df48911e2fd8b0aebf144e727483310346ed1dee9da72362f7fc3",
+        "stats.json": "fb1c6728a57918101974c0a88ae19854b3ffc3ca041769e0a5734a06d84ea065",
+        "stdout": "1a545434a7adb2489c9ef0a9800fcad651775c52198c4417612f7efd5ce0bb21",
+        "verify": (0, "7231dbbdf404d2a269c4327c51e4b38abf4afb57815c9d14259cf0bccaac49c0"),
+    },
+    ("marker", "fib"): {
+        "S.jsonl": "af81f569de694ade50ae516086385449980b272f208e2d275fbd93ed5b930048",
+        "T.jsonl": "3f2adc232bae28fc373d0d04d48011ca05daa6667b7bda37c8acdfbdd5d3d705",
+        "markers.jsonl": "e169f0c03c99f7fa303f50f4094ccc576587dc16ae18d308c64716d8eac3b862",
+        "splits.csv": "3e5fd501c933d15a0f6a887518cfd02b69e2336fb30802a3a8b5322f12c946ba",
+        "stats.json": "b0b0f52f221e87b0e2fc851fbb374e16a66c7dc11e5a625ff63f4729146b22ac",
+        "stdout": "801e34923a59866b27c85d9c4213b1e9c65a6297dc2941fe29ec285f8a302a4a",
+        "verify": (0, "863c48605cc2c58fa3d4b24b356887ffc8fe4449a5262c6f5ef0983dea4c37eb"),
+    },
+    ("tm", "tm"): {
+        "S.jsonl": "ae8b6374e388ddc9db8700f59ad74eefb09603e3505c33feb64e9e31831e6127",
+        "T.jsonl": "e15a2aec4e5c5842f12a1eae57a0c591eb59eb4be536d5261eb5d394e4067c34",
+        "splits.csv": "0fa26c365ac963b805f79c6ca768d66d59a2afa9d467f8dfa8cd859aa66ac064",
+        "stats.json": "d840e0eb1704177d9c069fe113aeae04cb91bbf4056a389079bfd3887cf7dfba",
+        "stdout": "db1bc9d142581661c666af88f551d5e5b7ac80921c4ace5f47fe124cfd1357dd",
+        "verify": (0, "654518b199b4759fe4a29ec4cddec0007632f5f886b9f40f0a1a1e32f09118b9"),
+    },
+    ("sturmian", "fib"): {
+        "S.jsonl": "2cb6f71ee07d5dd830022f61dcc185786846732b38ad1d3e7cb2302dd707d36b",
+        "T.jsonl": "1cf08d25babadc3d4603808c8ca602b1e9dd7533ab5b004f97a2daa95aeab50b",
+        "splits.csv": "cb75dc179d7bfc1cefea0c469cde77985e41a894a50146187fa7f2c5aad36fb9",
+        "stats.json": "d49a30e4e2774fda366bb034b12bd4093069b1c429f27153e62f2a570e0039e7",
+        "stdout": "fff92d9fb7d55e25d7a1c54d4f8e1c9bf230c2f3289e29f38267cac0ec19bc19",
+        "verify": (0, "d31e4bc28cb3606e2f2942a85bf48d04e3d44be40e49f7370bd671ebd3bb28a0"),
+    },
+    ("greedy", "tm"): {
+        "S.jsonl": "f893b4342dc15019a75d97a0b2a5dec8c56330ecfc25764c7f65ae9d04705880",
+        "T.jsonl": "433e354d45ff61d8c7bcf7665427db78404d91d15ed3e748f850f634f98cd383",
+        "splits.csv": "776b66dc83b330c74dd68448d5ab8059743685e4a938b7a50735f4cb6781c864",
+        "stats.json": "87aa1a5cba4a9040fd8dc5bfac13a513139dafe34b53ffb3ff76ced5c64537f4",
+        "stdout": "230ce7186a5b2ed1d0e887e589cc27b151614a4571ba7164ae8ba89bf5907b85",
+        "verify": (4, "a73e353f4a3f4b292a3198dc62e74cc53270597762329bf656c1a5e74ed2138f"),
+    },
+}
+
+
+@pytest.mark.parametrize("method,spec", sorted(GOLDEN_DIGESTS))
+def test_decompose_artifacts_match_golden_digests(tmp_path, capsys, method, spec):
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    out = tmp_path / "dc"
+    assert run(["decompose", method, spec, "--n-max", "64", "--out", str(out)]) == 0
+    got = {path.name: sha256(path.read_bytes()) for path in out.iterdir()}
+    got["stdout"] = sha256(capsys.readouterr().out.encode())
+    code = run(["verify", spec, "--s-file", str(out / "S.jsonl"),
+                "--t-file", str(out / "T.jsonl"), "--n-max", "64"])
+    got["verify"] = (code, sha256(capsys.readouterr().out.encode()))
+    assert got == GOLDEN_DIGESTS[method, spec]
 
 
 def test_verify_round_trip(tmp_path, capsys):
