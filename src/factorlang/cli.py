@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
     s_lang = _read_set_file(args.s_file, "S")
     t_lang = _read_set_file(args.t_file, "T")
     index = build_factor_index(source, args.window, args.n_max)
-    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     print(f"factors: {report.total}")
     print(f"coverage: {report.coverage:.6f}")
     print(f"per-length max: S={s_lang.per_length_max()} T={t_lang.per_length_max()}")
@@ -205,10 +205,12 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
         return rows, f"witness pairs at k={args.k} against n"
     if name == "fit":
         lo, hi = args.range
-        profile = window_profile(parse_word_spec(args.spec), args.window, hi)
+        # the spec and the model are checked before the window is built
+        source = parse_word_spec(args.spec)
+        model_name, model_fn = resolve_model(args.model)
+        profile = window_profile(source, args.window, hi)
         fit = growth_fit(profile, args.model, lo, hi)
         rows = []
-        model_name, model_fn = resolve_model(args.model)
         for n in range(lo, hi + 1):
             m = model_fn(n)
             rows.append((n, profile.p[n - 1], f"{m:.3f}",

@@ -26,14 +26,16 @@ name, on a factor index and returns its sets, records and cover report; every
 route ends in one :func:`verify_cover` call, an uncovered word is refused on
 every route, and the Sturmian and greedy records are the cuts it reports.
 
-The marker, tm and Sturmian routes cut window positions read from
-:meth:`FactorIndex.rows`, and the greedy route cuts the prefixes at start 0,
-so a split record is a span of the window, start <= cut <= end, and never
-holds a word. A route's records are integer columns, :class:`SplitRecords`:
-start, cut, end, order and position as int64 arrays, and the occurrence class
-as a small code; no route builds an object per record. The tm cuts are one
-numpy expression over all the rows, and the Sturmian and greedy records are
-the row starts plus the cuts of the cover report. The words v, s and t are
+The marker, tm and Sturmian routes cut the window positions of the factor
+table, :meth:`FactorIndex.table`: one int64 array of first-occurrence starts
+in (length, word) order and the offsets of its lengths. The greedy route cuts
+the prefixes, the table of start 0 at every length, so a split record is a
+span of the window, start <= cut <= end, and never holds a word. A route's
+records are integer columns, :class:`SplitRecords`: start, cut, end, order and
+position as int64 arrays, and the occurrence class as a small code; no route
+builds an object per record. The start and end columns are the table's, the
+tm cuts are one numpy expression over the whole table, and the Sturmian and
+greedy cuts are those of the cover report. The words v, s and t are
 sliced from the window where a set needs them, and for splits.csv in
 :func:`split_records_to_csv` alone, one line at a time, from the columns read
 back in blocks.
@@ -42,7 +44,6 @@ back in blocks.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from array import array
@@ -202,6 +203,12 @@ def split_records_to_csv(window: str, records: SplitRecords):
                f"{labels[code]}\n")
 
 
+def _table_lengths(offsets: np.ndarray) -> np.ndarray:
+    """The length of each word of a factor table, ``offsets[n]`` being the
+    end of its words of length n, as int64."""
+    return np.repeat(np.arange(1, len(offsets), dtype=np.int64), np.diff(offsets))
+
+
 def _check_span(window: str, start: int, n: int):
     """Refuse a span ``[start, start + n)`` that reaches outside ``window``."""
     if start < 0 or start + n > len(window):
@@ -315,32 +322,33 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     the rest are cut by :func:`_marker_cut` at their first occurrence, all
     reading one :class:`MarkerOccurrences` table built here. Returns
     (S, T, records) with one record per indexed factor in (length, word)
-    order, as :class:`SplitRecords`; each cut's fields go straight into the
-    columns.
+    order, as :class:`SplitRecords`: the start and end columns are the factor
+    table's, and each cut's fields go straight into the other columns.
     """
     occurrences = MarkerOccurrences(index, markers)
     d = occurrences.D
     s_lang = LeveledLanguage()
     t_lang = LeveledLanguage([""])
     window = index.window
-    start, cut, end, order, position = (array("q") for _ in range(5))
+    starts, offsets = index.table()
+    cut, order, position = (array("q") for _ in range(3))
     classes = array("b")
-    for n, row in enumerate(index.rows(), start=1):
-        for i in row:
+    for n in range(1, len(offsets)):
+        for i in starts[offsets[n - 1]:offsets[n]].tolist():
             if n < 2 * d:
                 c, k, pos, cls = i + n, -1, i, None
             else:
                 c, k, pos, cls = _marker_cut(occurrences, i, n)
             s_lang.add(window[i:c])
             t_lang.add(window[c:i + n])
-            start.append(i)
             cut.append(c)
-            end.append(i + n)
             order.append(k)
             position.append(pos)
             classes.append(_CLASS_CODE[cls])
-    records = SplitRecords(*(np.frombuffer(column, dtype=np.int64)
-                             for column in (start, cut, end, order, position)),
+    records = SplitRecords(starts, np.frombuffer(cut, dtype=np.int64),
+                           starts + _table_lengths(offsets),
+                           np.frombuffer(order, dtype=np.int64),
+                           np.frombuffer(position, dtype=np.int64),
                            np.frombuffer(classes, dtype=np.int8))
     return s_lang, t_lang, records
 
@@ -351,7 +359,7 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
 @dataclass
 class CoverReport:
     """What :func:`verify_cover` found: the number of words checked, the
-    uncovered ones in row order, and the leftmost cut of each word in row
+    uncovered ones in table order, and the leftmost cut of each word in table
     order (-1 for an uncovered word)."""
 
     total: int
@@ -365,16 +373,6 @@ class CoverReport:
     @property
     def coverage(self) -> float:
         return 1.0 if self.total == 0 else self.covered / self.total
-
-
-def _row_spans(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The words of ``rows`` (``rows[n-1]`` lists starts of length n) as two
-    int64 arrays in row order: the start and the length of each."""
-    counts = [len(row) for row in rows]
-    starts = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
-                         count=sum(counts))
-    lengths = np.repeat(np.arange(1, len(rows) + 1, dtype=np.int64), counts)
-    return starts, lengths
 
 
 def _check_spans(window: str, starts: np.ndarray, lengths: np.ndarray):
@@ -451,10 +449,14 @@ def _membership_masks(window: str, lang: LeveledLanguage, longest: np.ndarray,
     return masks
 
 
-def verify_cover(window: str, rows, s_lang: LeveledLanguage,
-                 t_lang: LeveledLanguage) -> CoverReport:
+def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
+                 s_lang: LeveledLanguage, t_lang: LeveledLanguage) -> CoverReport:
     """Check by membership that every word ``window[i:i+n]``, i in
-    ``rows[n-1]``, is a word of S times T.
+    ``starts[offsets[n-1]:offsets[n]]``, is a word of S times T.
+
+    ``(starts, offsets)`` is a factor table as :meth:`FactorIndex.table`
+    gives it: ``offsets`` rises from 0 to ``len(starts)``, one entry per
+    length 0..hi. Any other table is refused as ``out-of-range``.
 
     This deliberately ignores any split records: a word counts as covered
     when some cut puts its left part in S and its right part in T. The cut
@@ -465,7 +467,7 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
 
     * for each start i, a mask with bit c set when ``w[i:i+c]`` is in S;
     * for each end j, a mask with bit ``hi - l`` set when ``w[j-l:j]`` is in
-      T, where hi = len(rows) is the longest length;
+      T, where hi = len(offsets) - 1 is the longest length;
 
     both relative to their own position, for the lengths that S or T hold
     and no longer than the longest word starting (ending) there. The mask
@@ -473,7 +475,7 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
     shifted down by hi - n.
 
     Hashing only proposes where a word of S or T may lie. A polynomial
-    prefix hash of ``window[:reach]``, reach the largest end of any row
+    prefix hash of ``window[:reach]``, reach the largest end of any table
     word, gives the hash of every (start, length) of one length in one array
     expression; a binary search in the sorted hashes of that length's words
     of S (T) picks the candidates, and ``slice in s_lang`` (``t_lang``) decides
@@ -482,8 +484,14 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
     membership alone gives. A span outside the window is refused as
     ``out-of-range``.
     """
-    hi = len(rows)
-    starts, lengths = _row_spans(rows)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    if not len(offsets) or offsets[0] != 0 or offsets[-1] != len(starts) \
+            or (np.diff(offsets) < 0).any():
+        raise PreconditionError(
+            "out-of-range", f"offsets must rise from 0 to {len(starts)}, the number of starts")
+    hi = len(offsets) - 1
+    lengths = _table_lengths(offsets)
     _check_spans(window, starts, lengths)
     ends = starts + lengths
     reach = int(ends.max(initial=0))
@@ -491,9 +499,9 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
     np.maximum.at(longest_from, starts, lengths)
     longest_to = np.zeros(reach + 1, dtype=np.int64)
     np.maximum.at(longest_to, ends, lengths)
-    # the spans take 24 bytes a word; freed here, they are not held while the
-    # masks are built
-    del starts, lengths, ends
+    # the lengths and ends take 16 bytes a word; freed here, they are not
+    # held while the masks are built
+    del lengths, ends
     powers = _powers(_HASH_BASE, reach + 1)
     inverse = _powers(pow(_HASH_BASE, -1, _HASH_MOD), reach + 1)
     prefix = np.zeros(reach + 1, dtype=np.int64)
@@ -505,7 +513,8 @@ def verify_cover(window: str, rows, s_lang: LeveledLanguage,
                                from_end=True)
     uncovered = []
     cuts = array("q")
-    for n, row in enumerate(rows, start=1):
+    for n in range(1, hi + 1):
+        row = starts[offsets[n - 1]:offsets[n]].tolist()
         masks = [from_start[i] & (to_end[i + n] >> (hi - n)) for i in row]
         uncovered.extend(window[i:i + n] for i, m in zip(row, masks) if not m)
         # the lowest set bit; a zero mask gives -1
@@ -702,18 +711,18 @@ def build_decomposition(index: FactorIndex, method: str,
     """Run the route ``method`` on ``index`` and check what it built.
 
     The marker, tm and sturmian routes split every indexed factor, at its
-    first occurrence as :meth:`FactorIndex.rows` lists it. The greedy route
+    first occurrence as :meth:`FactorIndex.table` lists it. The greedy route
     splits the prefixes of the window up to length n_max under the
     per-length budget slope ``budget``. Every route ends in one
-    :func:`verify_cover` call over its words (the index rows, or the start 0
-    at every length for the prefixes), which gives the report; a word with
+    :func:`verify_cover` call over its words (the factor table, or the start
+    0 at every length for the prefixes), which gives the report; a word with
     no cut is refused there, on every route, before anything is returned,
     and so are sets above the route's per-length claim as ``bound-exceeded``.
     The records are :class:`SplitRecords` columns. The marker records come
     from :func:`build_st`; the tm records are the rule the route returns,
-    applied to all the rows at once after the check; the sturmian and greedy
-    records are the row starts plus the leftmost cuts that report holds. A
-    ``budget`` below 1 is refused on every route, not only on greedy.
+    applied to the whole table at once after the check; the sturmian and
+    greedy records are the table's starts plus the leftmost cuts that report
+    holds. A ``budget`` below 1 is refused on every route, not only on greedy.
     """
     if budget < 1:
         raise PreconditionError(
@@ -745,8 +754,11 @@ def build_decomposition(index: FactorIndex, method: str,
     else:
         raise PreconditionError(
             "unknown-method", f"method must be one of {', '.join(METHODS)}, got {method!r}")
-    rows = [[0]] * n_max if method == "greedy" else index.rows()
-    report = verify_cover(index.window, rows, s_lang, t_lang)
+    if method == "greedy":
+        starts, offsets = np.zeros(n_max, dtype=np.int64), np.arange(n_max + 1)
+    else:
+        starts, offsets = index.table()
+    report = verify_cover(index.window, starts, offsets, s_lang, t_lang)
     if report.uncovered:
         raise VerificationError(
             "coverage-incomplete", f"no split found for {report.uncovered[0]!r}")
@@ -755,7 +767,7 @@ def build_decomposition(index: FactorIndex, method: str,
         raise VerificationError(
             "bound-exceeded", f"{most} words of one length in S or T, above the claim {claim}")
     if records is None:
-        starts, lengths = _row_spans(rows)
+        lengths = _table_lengths(offsets)
         records = rule(starts, lengths) if rule is not None else SplitRecords(
             starts, starts + np.array(report.cuts, dtype=np.int64), starts + lengths)
     return Decomposition(s_lang=s_lang, t_lang=t_lang, records=records,

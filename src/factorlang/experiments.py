@@ -16,6 +16,7 @@ from typing import Callable
 from .errors import PreconditionError
 from .factors import ComplexityProfile, FactorIndex
 from .decompose import LeveledLanguage, product_complexity_bound
+from .words import _F_SPECS
 
 # the largest n staircase_pair_count counts, in isqrt(2n) = 1.4 million steps
 # (half a second on a 2-core host); read on each call, so a test can lower it
@@ -90,14 +91,14 @@ _MODELS: dict[str, Callable[[int], float]] = {
 
 def resolve_model(model: str) -> tuple[str, Callable[[int], float]]:
     """Accepts a model name, or ``n2f:<fname>`` for a run-count weighted
-    quadratic."""
+    quadratic, f one of the run-count functions of the pq words. Anything
+    else, an unknown f included, is refused as ``bad-model``."""
     if model in _MODELS:
         return model, _MODELS[model]
-    if model.startswith("n2f:"):
-        from .words import _resolve_f
-        f_fn, f_name = _resolve_f(model.split(":", 1)[1])
-        return f"n2f:{f_name}", lambda n: float(n * n * f_fn(n))
-    raise PreconditionError("bad-model", f"unknown growth model {model!r}")
+    f_fn = _F_SPECS.get(model.removeprefix("n2f:")) if model.startswith("n2f:") else None
+    if f_fn is None:
+        raise PreconditionError("bad-model", f"unknown growth model {model!r}")
+    return model, lambda n: float(n * n * f_fn(n))
 
 
 @dataclass(frozen=True)

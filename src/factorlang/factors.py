@@ -3,11 +3,13 @@
 A :class:`FactorIndex` fixes a window (a prefix of the source of length
 ``n_work``) and a length cap ``n_max``, and answers per-length questions
 about the distinct factors of the window: how many there are, which of them
-are right or left special, where a factor first occurs. All results are
-statements about the window; ``stabilized_profile`` justifies reading the
-profile as a property of the infinite word by checking that doubling the
-window leaves it unchanged, with one automaton over the window and a walk of
-the doubled window through it.
+are right or left special, where a factor first occurs. The first
+occurrences form one read-only table of int64 starts in (length, word)
+order, :meth:`FactorIndex.table`, which every route and the cover check
+read. All results are statements about the window; ``stabilized_profile``
+justifies reading the profile as a property of the infinite word by checking
+that doubling the window leaves it unchanged, with one automaton over the
+window and a walk of the doubled window through it.
 """
 
 from __future__ import annotations
@@ -56,14 +58,15 @@ class FactorIndex:
     """Queries over the distinct factors of ``window`` up to length ``n_max``.
 
     Counts come from the suffix automaton's length intervals. Factors are
-    enumerated from one table, :meth:`rows`, built on first use: for each
-    length n, the first-occurrence starts of the p(n) distinct factors of
-    that length, in word order. A state covering the lengths
-    [minlen, maxlen] and first ending at ``first_end`` contributes the start
-    first_end - n + 1 for each n in [minlen, min(maxlen, n_max)], and one
-    ``np.repeat`` expands every interval at once; only the word order within
-    a length compares slices of the window. The table holds integers, never
-    factor strings, and runs that only count factors never build it.
+    enumerated from one table, :meth:`table`, built on first use: one int64
+    array of the first-occurrence starts of the g(n_max) distinct factors,
+    length by length and in word order within a length, with the offsets of
+    the lengths. A state covering the lengths [minlen, maxlen] and first
+    ending at ``first_end`` contributes the start first_end - n + 1 for each
+    n in [minlen, min(maxlen, n_max)], and one ``np.repeat`` expands every
+    interval at once; only the word order compares slices of the window, one
+    slice per distinct start. The table holds integers, never factor
+    strings, and runs that only count factors never build it.
     """
 
     def __init__(self, source: WordSource, window: str, n_max: int):
@@ -75,7 +78,7 @@ class FactorIndex:
         self._sam = SuffixAutomaton(window)
         self._p = self._sam.length_counts(n_max)
         self._g = np.cumsum(self._p)
-        self._rows: list[list[int]] | None = None
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._right_intervals = None
         self._left_intervals = None
 
@@ -133,13 +136,22 @@ class FactorIndex:
 
     # -- factor enumeration --------------------------------------------------
 
-    def rows(self) -> list[list[int]]:
-        """The factor table: ``rows()[n-1]`` lists the first-occurrence
-        starts of the distinct factors of length n, in lexicographic order of
-        the factors. Built once, on first use, and shared by every caller,
-        which must not change it."""
-        if self._rows is not None:
-            return self._rows
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factor table ``(starts, offsets)``: ``starts`` holds the
+        first-occurrence starts of the distinct factors in (length, word)
+        order, and ``offsets`` is [0, g(1), ..., g(n_max)], so the starts of
+        the length-n factors are ``starts[offsets[n-1]:offsets[n]]``. Both are
+        read-only int64 arrays, built once, on first use, and shared by every
+        caller.
+
+        Two distinct words of one length n <= n_max differ within their
+        first n letters, so ``window[i:i + n_max]`` orders the words starting
+        at i exactly at every length: the distinct starts are sorted once by
+        that key, and one stable argsort over (length, rank) orders the
+        table.
+        """
+        if self._table is not None:
+            return self._table
         sam = self._sam
         lo = sam.minlen[1:]
         hi = np.minimum(sam.maxlen[1:], self.n_max)
@@ -150,21 +162,27 @@ class FactorIndex:
         block_start = np.cumsum(counts) - counts
         lengths = np.repeat(lo - block_start, counts) + np.arange(int(counts.sum()))
         starts = np.repeat(end + 1, counts) - lengths
-        starts = starts[np.argsort(lengths, kind="stable")].tolist()
-        text = self.window
-        rows = []
-        top = 0
-        for n in range(1, self.n_max + 1):
-            bottom, top = top, int(self._g[n - 1])
-            rows.append(sorted(starts[bottom:top], key=lambda i: text[i:i + n]))
-        self._rows = rows
-        return rows
+        # every start lies before the largest first-occurrence end
+        marked = np.zeros(int(end.max(initial=-1)) + 1, dtype=bool)
+        marked[starts] = True
+        distinct = np.flatnonzero(marked).tolist()
+        text, n_max = self.window, self.n_max
+        distinct.sort(key=lambda i: text[i:i + n_max])
+        rank = np.zeros(len(marked), dtype=np.int64)
+        rank[distinct] = np.arange(len(distinct))
+        starts = starts[np.argsort(lengths * len(distinct) + rank[starts], kind="stable")]
+        offsets = np.concatenate(([0], self._g)).astype(np.int64)
+        starts.flags.writeable = False
+        offsets.flags.writeable = False
+        self._table = starts, offsets
+        return self._table
 
     def factors_of_length(self, n: int) -> set[str]:
         """The distinct factors of length ``n``."""
         self._check_range(n)
+        starts, offsets = self.table()
         text = self.window
-        return {text[i:i + n] for i in self.rows()[n - 1]}
+        return {text[i:i + n] for i in starts[offsets[n - 1]:offsets[n]].tolist()}
 
     # -- special factors -----------------------------------------------------
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlang import decompose, experiments, factors
+from factorlang import cli, decompose, experiments, factors
 from factorlang.cli import _write_atomic, run
 from factorlang.decompose import METHODS
 
@@ -539,6 +539,17 @@ def test_experiment_fit_writes_csv(tmp_path, capsys):
     rows = read(out).splitlines()
     assert rows[0] == "n,count,model,ratio"
     assert len(rows) == 42
+
+
+@pytest.mark.parametrize("model", ["bogus", "n2f:nope"])
+def test_experiment_fit_refuses_a_bad_model_before_the_window(monkeypatch, capsys, model):
+    def no_window(*args):
+        raise AssertionError("the window was built")
+
+    monkeypatch.setattr(cli, "window_profile", no_window)
+    assert run(["experiment", "fit", "--word", "abk", "--model", model,
+                "--window", "4000000"]) == 3
+    assert f"error: bad-model: unknown growth model {model!r}" in capsys.readouterr().err
 
 
 def test_experiment_claim_pairs(capsys):

@@ -48,6 +48,17 @@ from factorlang.decompose import (
 from oracles import per_record_splits_csv, record_columns, slicing_witness_split
 
 
+def table_row(index, n):
+    """The starts of the length-n factors, a slice of the index's table."""
+    starts, offsets = index.table()
+    return starts[offsets[n - 1]:offsets[n]]
+
+
+def prefix_table(n):
+    """The table of the prefixes up to length n: the start 0 at every length."""
+    return np.zeros(n, dtype=np.int64), np.arange(n + 1)
+
+
 # -- leveled languages ---------------------------------------------------------
 
 
@@ -164,7 +175,7 @@ def test_split_factor_invariants(index_name, request):
     top = max(markers)
     window = index.window
     for n in (2 * d, 3 * d, 40, 97, 128):
-        for i in index.rows()[n - 1]:
+        for i in table_row(index, n).tolist():
             v = window[i:i + n]
             cut, order, _, _ = _marker_cut(occurrences, i, n)
             assert i <= cut <= i + n
@@ -212,7 +223,7 @@ def test_build_st_coverage_and_bound(index_name, request):
     index = request.getfixturevalue(index_name)
     markers = build_all_markers(index)
     s_lang, t_lang, records = build_st(index, markers)
-    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     assert report.coverage == 1.0
     assert report.total == sum(index.complexity(n) for n in range(1, 129))
     c, _ = index.slope_constants()
@@ -233,16 +244,16 @@ def test_verify_cover_degenerate_cases():
     everything = LeveledLanguage(
         w for n in range(1, 17) for w in index.factors_of_length(n))
     just_epsilon = LeveledLanguage([""])
-    report = verify_cover(index.window, index.rows(), everything, just_epsilon)
+    report = verify_cover(index.window, *index.table(), everything, just_epsilon)
     assert report.coverage == 1.0
     empty = LeveledLanguage()
-    report = verify_cover(index.window, index.rows(), empty, just_epsilon)
+    report = verify_cover(index.window, *index.table(), empty, just_epsilon)
     assert report.coverage == 0.0
     assert len(report.uncovered) == report.total
 
 
 def slicing_verify_cover(index, s_lang, t_lang) -> CoverReport:
-    """Oracle for verify_cover over the index rows: try every cut of every
+    """Oracle for verify_cover over the index table: try every cut of every
     factor by slicing, in (length, word) order; the cut of a factor is the
     one slicing_witness_split finds, -1 where it refuses."""
     uncovered = []
@@ -297,10 +308,11 @@ def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
     s_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     t_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     hi = data.draw(st.integers(min_value=1, max_value=n_max))
-    # the same window, indexed up to hi, has the first hi rows
+    # the same window, indexed up to hi, has the first hi lengths of the table
     up_to_hi = build_factor_index(parse_word_spec(spec), n_work=8 * n_max, n_max=hi)
-    assert verify_cover(index.window, index.rows()[:hi], s_lang, t_lang) == \
-        slicing_verify_cover(up_to_hi, s_lang, t_lang)
+    starts, offsets = index.table()
+    assert verify_cover(index.window, starts[:offsets[hi]], offsets[:hi + 1],
+                        s_lang, t_lang) == slicing_verify_cover(up_to_hi, s_lang, t_lang)
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,11 +320,11 @@ def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
 def test_mask_cover_matches_slicing_oracle_on_thinned_routes(spec, n_max, data):
     index = small_index(spec, n_max)
     s_lang, t_lang = route_sets(spec, index)
-    assert verify_cover(index.window, index.rows(), s_lang, t_lang).coverage == 1.0
+    assert verify_cover(index.window, *index.table(), s_lang, t_lang).coverage == 1.0
     drop_s = data.draw(st.sets(st.sampled_from(list(s_lang.words())), max_size=4))
     drop_t = data.draw(st.sets(st.sampled_from(list(t_lang.words())), max_size=4))
     s_lang, t_lang = without(s_lang, drop_s), without(t_lang, drop_t)
-    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
 
@@ -323,7 +335,7 @@ def test_mask_cover_reports_uncovered_in_oracle_order(spec):
     # without the empty word in T the short factors, kept whole in S, and
     # the factors cut into that T word lose their cover
     t_lang = without(t_lang, {"", max(t_lang.words())})
-    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     assert len(report.uncovered) > 5
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
@@ -346,17 +358,17 @@ def test_mask_cover_matches_slicing_oracle_when_hashes_collide(spec, n_max, data
         t_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decompose, "_HASH_MOD", 3)
-        report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+        report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
 
-def slicing_cover_of_rows(window, rows, s_lang, t_lang) -> CoverReport:
-    """Oracle for verify_cover over any rows: the leftmost cut of each word
-    in row order, found by slicing, -1 for an uncovered word."""
+def slicing_cover_of_table(window, starts, offsets, s_lang, t_lang) -> CoverReport:
+    """Oracle for verify_cover over any table: the leftmost cut of each word
+    in table order, found by slicing, -1 for an uncovered word."""
     uncovered = []
     cuts = array("q")
-    for n, row in enumerate(rows, start=1):
-        for i in row:
+    for n in range(1, len(offsets)):
+        for i in starts[offsets[n - 1]:offsets[n]].tolist():
             try:
                 cuts.append(slicing_witness_split(window, i, n, s_lang, t_lang)[1] - i)
             except VerificationError:
@@ -375,14 +387,14 @@ def test_mask_cover_with_foreign_letters_and_long_words():
         s_lang.add(word)
         t_lang.add(word)
     s_lang, t_lang = without(s_lang, {"", "01"}), without(t_lang, {"0"})
-    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     assert 0 < len(report.uncovered) < report.total
     assert report == slicing_verify_cover(index, s_lang, t_lang)
     # a window of foreign letters, against the same sets
     window = "0\U0001F6000\ud8000" * 4
-    rows = [[0, 1, 3], [0, 1], [1, 2], [0]]
-    assert verify_cover(window, rows, s_lang, t_lang) == \
-        slicing_cover_of_rows(window, rows, s_lang, t_lang)
+    table = np.array([0, 1, 3, 0, 1, 1, 2, 0]), np.array([0, 3, 5, 7, 8])
+    assert verify_cover(window, *table, s_lang, t_lang) == \
+        slicing_cover_of_table(window, *table, s_lang, t_lang)
 
 
 @pytest.mark.parametrize("s_empty,t_empty", [(True, False), (False, True), (True, True)])
@@ -391,28 +403,28 @@ def test_mask_cover_with_the_empty_word_on_either_side(s_empty, t_empty):
     factors = [w for n in range(1, 5) for w in sorted(index.factors_of_length(n))]
     s_lang = LeveledLanguage(factors[::2] + [""] * s_empty)
     t_lang = LeveledLanguage(factors[1::2] + [""] * t_empty)
-    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
     # "0" is in S and "1" in T: each letter is covered by the empty word on
     # the other side alone
     assert [c >= 0 for c in report.cuts[:2]] == [t_empty, s_empty]
-    rows = [[0]] * 12
-    assert verify_cover(index.window, rows, s_lang, t_lang) == \
-        slicing_cover_of_rows(index.window, rows, s_lang, t_lang)
+    table = prefix_table(12)
+    assert verify_cover(index.window, *table, s_lang, t_lang) == \
+        slicing_cover_of_table(index.window, *table, s_lang, t_lang)
 
 
 def test_mask_cover_on_greedy_prefix_rows():
     word = thue_morse().prefix(48)
     s_lang, t_lang = greedy_two_sets(LeveledLanguage(word[:n] for n in range(1, 49)), 1)
-    rows = [[0]] * 48
-    assert verify_cover(word, rows, s_lang, t_lang) == \
-        slicing_cover_of_rows(word, rows, s_lang, t_lang)
+    table = prefix_table(48)
+    assert verify_cover(word, *table, s_lang, t_lang) == \
+        slicing_cover_of_table(word, *table, s_lang, t_lang)
     # without two of its words some prefixes lose their cover
     thinned_s = without(s_lang, {max(s_lang.words(), key=len)})
     thinned_t = without(t_lang, {max(t_lang.words(), key=len)})
-    report = verify_cover(word, rows, thinned_s, thinned_t)
+    report = verify_cover(word, *table, thinned_s, thinned_t)
     assert report.uncovered
-    assert report == slicing_cover_of_rows(word, rows, thinned_s, thinned_t)
+    assert report == slicing_cover_of_table(word, *table, thinned_s, thinned_t)
 
 
 def test_mask_cover_over_a_long_window():
@@ -420,7 +432,7 @@ def test_mask_cover_over_a_long_window():
     index = build_factor_index(thue_morse(), n_work=50_000, n_max=64)
     s_lang, t_lang, _ = thue_morse_split_sets(index)
     s_lang = without(s_lang, {w for w in s_lang.words() if len(w) % 7 == 3})
-    report = verify_cover(index.window, index.rows(), s_lang, t_lang)
+    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     assert 0 < len(report.uncovered) < report.total == index.accumulative(64)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
@@ -428,9 +440,18 @@ def test_mask_cover_over_a_long_window():
 def test_mask_cover_refuses_a_span_outside_the_window():
     s_lang, t_lang = LeveledLanguage(["0"]), LeveledLanguage([""])
     with pytest.raises(PreconditionError, match="out-of-range"):
-        verify_cover("011", [[0], [0], [0], [0]], s_lang, t_lang)
+        verify_cover("011", *prefix_table(4), s_lang, t_lang)
     with pytest.raises(PreconditionError, match="out-of-range"):
-        verify_cover("011", [[-1]], s_lang, t_lang)
+        verify_cover("011", np.array([-1]), np.array([0, 1]), s_lang, t_lang)
+
+
+@pytest.mark.parametrize("offsets", [[], [1, 2], [0, 1], [0, 3], [0, 2, 1, 2]])
+def test_mask_cover_refuses_offsets_that_are_no_table(offsets):
+    # two starts: the offsets must rise from 0 to 2
+    s_lang, t_lang = LeveledLanguage(["0"]), LeveledLanguage([""])
+    with pytest.raises(PreconditionError, match="out-of-range"):
+        verify_cover("011", np.array([0, 1]), np.array(offsets, dtype=np.int64),
+                     s_lang, t_lang)
 
 
 def scanning_split_factor(index, markers, start, n):
@@ -554,7 +575,7 @@ def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
         markers[order] = MarkerSet(order=order, markers=frozenset(chosen), D=2)
     occurrences = MarkerOccurrences(index, markers)
     for n in range(4, n_max + 1):
-        for start in index.rows()[n - 1]:
+        for start in table_row(index, n).tolist():
             try:
                 expected = scanning_split_factor(index, markers, start, n)
             except VerificationError:
@@ -617,7 +638,7 @@ def tm_index_256():
 def test_thue_morse_records_match_the_scalar_rule(tm_index_256):
     # every row of the index: the route's rule against the scan, one span at
     # a time
-    spans = [(i, n) for n, row in enumerate(tm_index_256.rows(), start=1) for i in row]
+    spans = [(i, n) for n in range(1, 257) for i in table_row(tm_index_256, n).tolist()]
     starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*spans))
     _, _, rule = thue_morse_split_sets(tm_index_256)
     records = rule(starts, lengths)
@@ -651,8 +672,8 @@ def test_splits_csv_matches_the_per_record_writer(method, spec):
     assert isinstance(dec.records, SplitRecords)
     # the records one at a time: the scanned tm cuts, the leftmost cuts of
     # the report, and the marker records as the columns give them back
-    rows = [[0]] * 64 if method == "greedy" else index.rows()
-    spans = [(i, n) for n, row in enumerate(rows, start=1) for i in row]
+    starts, offsets = prefix_table(64) if method == "greedy" else index.table()
+    spans = [(i, n) for n in range(1, 65) for i in starts[offsets[n - 1]:offsets[n]].tolist()]
     if method == "tm":
         expected = scan_records(spans)
     elif method == "marker":
@@ -678,11 +699,11 @@ def test_thue_morse_sets_counts_and_cuts(tm_index):
     # single letter is cut after it
     assert list(rule(np.array([1, 0]), np.array([2, 1])).tuples()) == [
         (1, 2, 3, 1, 2, 0), (0, 1, 1, 0, 1, 0)]
-    report = verify_cover(tm_index.window, tm_index.rows(), s1, s2)
+    report = verify_cover(tm_index.window, *tm_index.table(), s1, s2)
     assert report.coverage == 1.0
     # each cut produces parts from the sets themselves
     for n in (1, 2, 7, 32, 128):
-        row = np.array(tm_index.rows()[n - 1], dtype=np.int64)
+        row = table_row(tm_index, n)
         records = rule(row, np.full(len(row), n))
         assert (records.start == row).all() and (records.end == row + n).all()
         for i, cut in zip(row.tolist(), records.cut.tolist()):
@@ -725,9 +746,9 @@ def test_witness_split():
         slicing_witness_split("11", 0, 2, s, t)
     # verify_cover reports the same leftmost cuts, for the words "0" and "01"
     # of the window "011", and -1 for its uncovered word "11"
-    assert verify_cover("011", [[0], [0]], s, t) == CoverReport(
+    assert verify_cover("011", *prefix_table(2), s, t) == CoverReport(
         total=2, uncovered=[], cuts=array("q", [1, rec[1]]))
-    assert verify_cover("011", [[], [1]], s, t) == CoverReport(
+    assert verify_cover("011", np.array([1]), np.array([0, 0, 1]), s, t) == CoverReport(
         total=1, uncovered=["11"], cuts=array("q", [-1]))
 
 
@@ -740,7 +761,7 @@ def test_sturmian_sets(fib_index):
         assert s1.cardinality(n) == 2
         assert s2.cardinality(n) == 2
     assert s1.by_length[2] == {"00", "01"}
-    report = verify_cover(fib_index.window, fib_index.rows(), s1, s2)
+    report = verify_cover(fib_index.window, *fib_index.table(), s1, s2)
     assert report.coverage == 1.0
 
 
@@ -752,7 +773,7 @@ def test_sturmian_rejects_thue_morse(tm_index):
 def test_sturmian_other_directive():
     index = build_factor_index(parse_word_spec("sturm:2,(1)"), n_max=64)
     s1, s2 = sturmian_split_sets(index)
-    assert verify_cover(index.window, index.rows(), s1, s2).coverage == 1.0
+    assert verify_cover(index.window, *index.table(), s1, s2).coverage == 1.0
 
 
 # -- greedy route ----------------------------------------------------------------
@@ -798,7 +819,7 @@ def test_greedy_prefix_language_always_feasible(word):
     assert t_lang.per_length_max() <= 3
     oracle = [slicing_witness_split(word, 0, n, s_lang, t_lang)[1]
               for n in range(1, len(word) + 1)]
-    report = verify_cover(word, [[0]] * len(word), s_lang, t_lang)
+    report = verify_cover(word, *prefix_table(len(word)), s_lang, t_lang)
     assert report.uncovered == [] and list(report.cuts) == oracle
 
 
@@ -835,10 +856,10 @@ def test_build_decomposition_routes(method, spec):
         # one record per prefix of the window, each a certificate of its cover
         assert (dec.records.start == 0).all()
         assert dec.records.end.tolist() == list(range(1, 33))
-        assert dec.report == verify_cover(window, [[0]] * 32, dec.s_lang, dec.t_lang)
+        assert dec.report == verify_cover(window, *prefix_table(32), dec.s_lang, dec.t_lang)
         assert dec.report.total == 32
     else:
-        assert dec.report == verify_cover(window, index.rows(), dec.s_lang, dec.t_lang)
+        assert dec.report == verify_cover(window, *index.table(), dec.s_lang, dec.t_lang)
         assert dec.report.total == index.accumulative(32) == len(dec.records)
     if method in ("sturmian", "greedy"):
         # the records are the leftmost cuts the report holds
@@ -857,7 +878,7 @@ def test_build_decomposition_sturmian_makes_one_cover_pass(fib_index, monkeypatc
     dec = build_decomposition(fib_index, "sturmian")
     route = calls["probes"]
     calls.clear()
-    verify_cover(fib_index.window, fib_index.rows(), dec.s_lang, dec.t_lang)
+    verify_cover(fib_index.window, *fib_index.table(), dec.s_lang, dec.t_lang)
     assert route == calls["probes"] > 0
 
 

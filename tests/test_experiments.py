@@ -115,6 +115,9 @@ def test_resolve_model():
     assert fn(100) == 100 ** 2 * 10
     with pytest.raises(PreconditionError, match="bad-model"):
         resolve_model("n7")
+    for model in ("n2f:nope", "n2f:", "n2f:n2f:isqrt"):
+        with pytest.raises(PreconditionError, match="bad-model"):
+            resolve_model(model)
 
 
 def test_growth_fit_sturmian():

@@ -179,25 +179,47 @@ def test_factor_enumeration_and_positions(spec):
     source = parse_word_spec(spec)
     index = build_factor_index(source, n_work=400, n_max=24)
     window = source.prefix(400)
+    starts, offsets = index.table()
     for n in range(1, 25):
         oracle = frame_factors(window, n)
         assert index.factors_of_length(n) == oracle
-        pairs = [(window[i:i + n], i) for i in index.rows()[n - 1]]
+        pairs = [(window[i:i + n], i) for i in starts[offsets[n - 1]:offsets[n]].tolist()]
         assert pairs == sorted((word, window.find(word)) for word in oracle)
 
 
+TABLE_SPECS = SMALL_SPECS + ["sturm:1,3,(2)", "morphic:0->001,1->10@0",
+                             "morphic:a->abc,b->ac,c->b@a", "abk"]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SMALL_SPECS + ["sturm:1,3,(2)", "morphic:0->001,1->10@0"]),
+@given(st.sampled_from(TABLE_SPECS),
        st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=60))
+@example("morphic:a->abc,b->ac,c->b@a", 16, 0)
+@example("abk", 16, 0)
 def test_factor_table_matches_brute_force_at_every_length(spec, n_max, extra):
-    # windows from the smallest allowed (2 * n_max) upwards
+    # windows from the smallest allowed (2 * n_max) upwards; at 2 * n_max
+    # the sort keys of the late starts are cut short by the window's end
     source = parse_word_spec(spec)
     n_work = 2 * n_max + extra
     index = build_factor_index(source, n_work=n_work, n_max=n_max)
     window = source.prefix(n_work)
+    starts, offsets = index.table()
+    assert starts.dtype == offsets.dtype == np.int64
+    assert offsets.tolist() == [0] + [index.accumulative(n) for n in range(1, n_max + 1)]
     for n in range(1, n_max + 1):
         oracle = sorted(frame_factors(window, n))
-        assert index.rows()[n - 1] == [window.find(w) for w in oracle]
+        assert starts[offsets[n - 1]:offsets[n]].tolist() == [window.find(w) for w in oracle]
+
+
+def test_factor_table_is_read_only():
+    index = build_factor_index(thue_morse(), n_max=16)
+    starts, offsets = index.table()
+    assert index.table()[0] is starts
+    for column in (starts, offsets):
+        with pytest.raises(ValueError):
+            column[0] = 1
+        with pytest.raises(ValueError):
+            column[1:3] += 1
 
 
 def test_thue_morse_profile_values():
