@@ -158,23 +158,19 @@ class SuffixAutomaton:
         """Number of distinct factors per length 1..n_max (index 0 = length 1)
         of ``text[:prefix]`` (default: the whole text).
 
-        The letter at ``pos`` adds the lengths floor[pos]+1 .. pos+1, clipped
-        at n_max. Before position n_max - 1 the clip never bites, and one
-        difference array sums those intervals. From there on, the letter adds
-        length n <= n_max exactly when floor[pos] < n, so a histogram of
-        min(floor, n_max) and its running sum count the rest. The histogram
-        is taken in chunks, so that no temporary is as long as the text: the
-        count-only build keeps its transition lists alive beside ``floor``.
+        The letter at ``pos`` adds the lengths floor[pos]+1 .. pos+1, so it
+        adds length n exactly when floor[pos] <= n - 1 and pos >= n - 1. Of
+        the m = ``prefix`` positions counted, the first min(m, n - 1) pass
+        the first test, since floor[pos] <= pos, and fail the second: p(n)
+        is the number of positions with floor[pos] <= n - 1, the running sum
+        of a histogram of min(floor, n_max), less min(m, n - 1). The
+        histogram is taken in chunks, so that no temporary is as long as the
+        text: the count-only build keeps its transition lists alive beside
+        ``floor``.
         """
         m = len(self.floor) if prefix is None else prefix
-        head = min(m, n_max - 1)
-        lo = self.floor[:head] + 1
-        hi = np.arange(1, head + 1)
-        keep = lo <= hi
-        diff = (np.bincount(lo[keep], minlength=n_max + 2)
-                - np.bincount(hi[keep] + 1, minlength=n_max + 2))
         below = np.zeros(n_max + 1, dtype=np.int64)
-        for start in range(head, m, _CHUNK):
+        for start in range(0, m, _CHUNK):
             chunk = self.floor[start:min(start + _CHUNK, m)]
             below += np.bincount(np.minimum(chunk, n_max), minlength=n_max + 1)
-        return np.cumsum(diff)[1:n_max + 1] + np.cumsum(below)[:n_max]
+        return np.cumsum(below)[:n_max] - np.minimum(np.arange(n_max), m)

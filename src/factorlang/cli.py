@@ -29,12 +29,19 @@ from .decompose import (
 from .errors import FactorLangError, PreconditionError, VerificationError
 from .experiments import (
     growth_fit,
+    model_values,
     product_bound_audit,
     resolve_model,
     staircase_pair_count,
     witness_pair_count,
 )
-from .factors import DEFAULT_N_MAX, build_factor_index, stabilized_profile, window_profile
+from .factors import (
+    DEFAULT_N_MAX,
+    _window_length,
+    build_factor_index,
+    stabilized_profile,
+    window_profile,
+)
 from .periodicity import markers_to_jsonl
 from .words import parse_word_spec
 
@@ -57,6 +64,15 @@ def _write_atomic(path: Path, chunks):
         if isinstance(exc, OSError):
             raise PreconditionError("unwritable-output", f"cannot write {path}: {exc}")
         raise
+
+
+def _emit_csv(csv: str, out: str | None):
+    """Write ``csv`` atomically to ``out`` and say so, or to stdout."""
+    if out:
+        _write_atomic(Path(out), (csv,))
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(csv)
 
 
 def _read_set_file(path: str, set_name: str) -> LeveledLanguage:
@@ -106,12 +122,7 @@ def cmd_complexity(args) -> int:
             "unstable-window",
             f"profile changes when the window grows from {profile.n_work} to"
             f" {2 * profile.n_work}; enlarge --window")
-    csv = profile.to_csv()
-    if args.out:
-        _write_atomic(Path(args.out), (csv,))
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(csv)
+    _emit_csv(profile.to_csv(), args.out)
     return 0
 
 
@@ -205,16 +216,17 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
         return rows, f"witness pairs at k={args.k} against n"
     if name == "fit":
         lo, hi = args.range
-        # the spec and the model are checked before the window is built
+        # everything is checked before the window is built, in the order of
+        # the checks made with it: the spec, the model's name, the window's
+        # size, the fit range and the model's values
         source = parse_word_spec(args.spec)
-        model_name, model_fn = resolve_model(args.model)
+        resolve_model(args.model)
+        source.check_length(_window_length(args.window, hi))
+        model_name, values = model_values(args.model, lo, hi)
         profile = window_profile(source, args.window, hi)
         fit = growth_fit(profile, args.model, lo, hi)
-        rows = []
-        for n in range(lo, hi + 1):
-            m = model_fn(n)
-            rows.append((n, profile.p[n - 1], f"{m:.3f}",
-                         f"{profile.p[n - 1] / m:.6f}"))
+        rows = [(n, p, f"{m:.3f}", f"{p / m:.6f}")
+                for n, p, m in zip(range(lo, hi + 1), profile.p[lo - 1:hi], values)]
         note = (f"{args.spec} against {model_name}: ratio"
                 f" [{fit.ratio_min:.6f}, {fit.ratio_max:.6f}] spread"
                 f" {fit.spread:.3f}")
@@ -243,12 +255,7 @@ def cmd_experiment(args) -> int:
     rows, note = _experiment_rows(args)
     lines = ["n,count,model,ratio"]
     lines.extend(",".join(str(x) for x in row) for row in rows)
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        _write_atomic(Path(args.out), (csv,))
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(csv)
+    _emit_csv("\n".join(lines) + "\n", args.out)
     print(f"note: {note}")
     return 0
 

@@ -17,10 +17,12 @@ indexed factor while each keeps a bounded number of words per length:
 :func:`verify_cover` re-checks any claimed decomposition by membership alone,
 independently of how the sets were produced. It reads one cut mask per word
 from per-start and per-end membership masks, and reports, besides the
-uncovered words, each word's leftmost cut, the mask's lowest set bit. A
-Karp-Rabin hash of the window proposes, one numpy pass per length, the
-positions where a word of S or T may occur; membership in the set decides
-each of them, so a hash collision costs time and never changes the report.
+uncovered words, each word's leftmost cut, the mask's lowest set bit. One
+loop over the lengths fills and reads the masks: at each length a Karp-Rabin
+hash of the window's words, grown by one letter, proposes the positions
+where a word of S or T of that length may occur; membership in the set
+decides each of them, so a hash collision costs time and never changes the
+report, and the words of that length are checked once their bits are set.
 :func:`build_decomposition` is the one entry point that runs a route, by
 name, on a factor index and returns its sets, records and cover report; every
 route ends in one :func:`verify_cover` call, an uncovered word is refused on
@@ -384,9 +386,10 @@ def _check_spans(window: str, starts: np.ndarray, lengths: np.ndarray):
 
 
 # The Karp-Rabin hash of the cover check: a word w has the hash
-# sum w[k] * BASE^k modulo MOD, over its code points. MOD is a prime below
-# 2^31, so a product of two residues fits in int64; BASE is invertible modulo
-# it. The hash only proposes candidates; membership decides each one.
+# sum w[k] * BASE^(len(w) - 1 - k) modulo MOD, over its code points, so the
+# hash of w + a is hash(w) * BASE + a. MOD is below 2^31, so a product of two
+# residues fits in int64. The hash only proposes candidates; membership
+# decides each one.
 _HASH_MOD = 2 ** 31 - 1
 _HASH_BASE = 1_000_003
 
@@ -395,58 +398,6 @@ def _code_points(text: str) -> np.ndarray:
     """The code points of ``text`` as int64, lone surrogates included."""
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                          dtype=np.uint32).astype(np.int64)
-
-
-def _powers(base: int, size: int) -> np.ndarray:
-    """base^0 .. base^(size-1) modulo ``_HASH_MOD``, by log-step doubling:
-    each step multiplies the powers found so far by the next base^(2^j)."""
-    out = np.ones(size, dtype=np.int64)
-    step, factor = 1, base % _HASH_MOD
-    while step < size:
-        out[step:2 * step] = out[:min(step, size - step)] * factor % _HASH_MOD
-        step, factor = 2 * step, factor * factor % _HASH_MOD
-    return out
-
-
-def _membership_masks(window: str, lang: LeveledLanguage, longest: np.ndarray,
-                      hi: int, prefix: np.ndarray, powers: np.ndarray,
-                      inverse: np.ndarray, from_end: bool) -> list[int]:
-    """One mask per window position p: for every length c that ``lang``
-    holds, up to ``longest[p]``, bit c is set when ``window[p:p+c]`` is in
-    ``lang`` or, ``from_end``, bit hi - c when ``window[p-c:p]`` is.
-
-    The positions whose word may be in ``lang`` come, for each length, from
-    one array expression over the hashes of the window's words of that
-    length against those of ``lang``; each of them is then confirmed by
-    membership."""
-    mod = _HASH_MOD
-    empty = 1 << (hi if from_end else 0) if "" in lang else 0
-    masks = [empty] * len(longest)
-    # the positions with a word there, the longest word first
-    at = np.flatnonzero(longest)
-    at = at[np.argsort(-longest[at], kind="stable")]
-    tops = -longest[at]
-    for c in lang.lengths():
-        if not c:
-            continue
-        # the lengths rise, so once no position has a word this long, none
-        # has a longer one
-        count = int(np.searchsorted(tops, -c, side="right"))
-        if not count:
-            break
-        pos = at[:count]
-        begin = pos - c if from_end else pos
-        hashes = (prefix[begin + c] - prefix[begin]) % mod * inverse[begin] % mod
-        words = list(lang.by_length[c])
-        codes = _code_points("".join(words)).reshape(len(words), c)
-        wanted = np.sort((codes * powers[:c] % mod).sum(axis=1) % mod)
-        hit = np.searchsorted(wanted, hashes)
-        candidate = wanted[np.minimum(hit, len(wanted) - 1)] == hashes
-        bit = 1 << (hi - c if from_end else c)
-        for p, b in zip(pos[candidate].tolist(), begin[candidate].tolist()):
-            if window[b:b + c] in lang:
-                masks[p] |= bit
-    return masks
 
 
 def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
@@ -469,20 +420,22 @@ def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
     * for each end j, a mask with bit ``hi - l`` set when ``w[j-l:j]`` is in
       T, where hi = len(offsets) - 1 is the longest length;
 
-    both relative to their own position, for the lengths that S or T hold
-    and no longer than the longest word starting (ending) there. The mask
-    of (i, n) is the start mask of i ANDed with the end mask of i + n
+    both no longer than the longest table word starting (ending) there. The
+    mask of (i, n) is the start mask of i ANDed with the end mask of i + n
     shifted down by hi - n.
 
-    Hashing only proposes where a word of S or T may lie. A polynomial
-    prefix hash of ``window[:reach]``, reach the largest end of any table
-    word, gives the hash of every (start, length) of one length in one array
-    expression; a binary search in the sorted hashes of that length's words
-    of S (T) picks the candidates, and ``slice in s_lang`` (``t_lang``) decides
-    each one. Equal words have equal hashes, so no member is missed, and a
-    collision fails its membership test, so the report is the one that
-    membership alone gives. A span outside the window is refused as
-    ``out-of-range``.
+    One loop over the lengths n = 1..hi fills the masks and reads them. Its
+    step n rolls a Karp-Rabin hash of every length-n word of
+    ``window[:reach]``, reach the largest end of any table word, by one
+    letter; sets bit n of the start masks and bit hi - n of the end masks;
+    and then reads the masks of the length-n table words, whose bits all
+    come from lengths up to n. The hashes only propose where a word of S or
+    T may lie: a binary search in the sorted hashes of that length's words
+    of S (T) picks the candidates, and ``slice in s_lang`` (``t_lang``)
+    decides each one. Equal words have equal hashes, so no member is
+    missed, and a collision fails its membership test, so the report is the
+    one that membership alone gives. A span outside the window is refused
+    as ``out-of-range``.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
@@ -502,18 +455,33 @@ def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
     # the lengths and ends take 16 bytes a word; freed here, they are not
     # held while the masks are built
     del lengths, ends
-    powers = _powers(_HASH_BASE, reach + 1)
-    inverse = _powers(pow(_HASH_BASE, -1, _HASH_MOD), reach + 1)
-    prefix = np.zeros(reach + 1, dtype=np.int64)
-    np.cumsum(_code_points(window[:reach]) * powers[:reach] % _HASH_MOD, out=prefix[1:])
-    prefix %= _HASH_MOD
-    from_start = _membership_masks(window, s_lang, longest_from, hi, prefix, powers, inverse,
-                                   from_end=False)
-    to_end = _membership_masks(window, t_lang, longest_to, hi, prefix, powers, inverse,
-                               from_end=True)
+    mod, base = _HASH_MOD, _HASH_BASE % _HASH_MOD
+    powers = np.array([pow(base, k, mod) for k in range(hi)], dtype=np.int64)
+    letters = _code_points(window[:reach])
+    # hashes[p] is the hash of window[p:p+n], after step n
+    hashes = np.zeros(reach + 1, dtype=np.int64)
+    from_start = [int("" in s_lang)] * (reach + 1)
+    to_end = [("" in t_lang) << hi] * (reach + 1)
+    sides = ((s_lang, longest_from, from_start, False), (t_lang, longest_to, to_end, True))
     uncovered = []
     cuts = array("q")
     for n in range(1, hi + 1):
+        hashes = (hashes[:-1] * base + letters[n - 1:]) % mod
+        for lang, longest, side, from_end in sides:
+            words = lang.by_length.get(n)
+            if not words:
+                continue
+            at = np.flatnonzero(longest >= n)
+            begin = at - n if from_end else at
+            codes = _code_points("".join(words)).reshape(len(words), n)
+            wanted = np.sort((codes * powers[n - 1::-1] % mod).sum(axis=1) % mod)
+            found = hashes[begin]
+            hit = np.searchsorted(wanted, found)
+            candidate = wanted[np.minimum(hit, len(wanted) - 1)] == found
+            bit = 1 << (hi - n if from_end else n)
+            for p, b in zip(at[candidate].tolist(), begin[candidate].tolist()):
+                if window[b:b + n] in lang:
+                    side[p] |= bit
         row = starts[offsets[n - 1]:offsets[n]].tolist()
         masks = [from_start[i] & (to_end[i + n] >> (hi - n)) for i in row]
         uncovered.extend(window[i:i + n] for i, m in zip(row, masks) if not m)

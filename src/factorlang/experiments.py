@@ -122,19 +122,35 @@ class GrowthFit:
         return self.ratio_max / self.ratio_min
 
 
-def growth_fit(profile: ComplexityProfile, model: str, lo: int, hi: int) -> GrowthFit:
-    """Min and max of p(n) / model(n) over lo <= n <= hi."""
-    if not 1 <= lo <= hi <= profile.n_max:
+def _check_fit_range(lo: int, hi: int, n_max: int):
+    if not 1 <= lo <= hi <= n_max:
         raise PreconditionError(
             "range-out-of-profile",
-            f"fit range {lo}..{hi} outside the profile range 1..{profile.n_max}")
+            f"fit range {lo}..{hi} outside the profile range 1..{n_max}")
+
+
+def model_values(model: str, lo: int, hi: int) -> tuple[str, list[float]]:
+    """The name of ``model`` and its values at lo..hi, checked as
+    :func:`growth_fit` checks them over a profile up to length hi: a range
+    outside 1..hi is refused as ``range-out-of-profile``, and a value that
+    is not positive as ``bad-model``. Needs no profile, so a fit can be
+    refused before its window is built."""
+    _check_fit_range(lo, hi, hi)
     name, fn = resolve_model(model)
-    ratios = []
+    values = []
     for n in range(lo, hi + 1):
-        denom = fn(n)
-        if denom <= 0:
+        value = fn(n)
+        if value <= 0:
             raise PreconditionError("bad-model", f"model {name} not positive at n = {n}")
-        ratios.append(profile.p[n - 1] / denom)
+        values.append(value)
+    return name, values
+
+
+def growth_fit(profile: ComplexityProfile, model: str, lo: int, hi: int) -> GrowthFit:
+    """Min and max of p(n) / model(n) over lo <= n <= hi."""
+    _check_fit_range(lo, hi, profile.n_max)
+    name, values = model_values(model, lo, hi)
+    ratios = [p / value for p, value in zip(profile.p[lo - 1:hi], values)]
     return GrowthFit(model=name, lo=lo, hi=hi,
                      ratio_min=min(ratios), ratio_max=max(ratios))
 

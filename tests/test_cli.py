@@ -541,15 +541,27 @@ def test_experiment_fit_writes_csv(tmp_path, capsys):
     assert len(rows) == 42
 
 
-@pytest.mark.parametrize("model", ["bogus", "n2f:nope"])
-def test_experiment_fit_refuses_a_bad_model_before_the_window(monkeypatch, capsys, model):
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(["--model", "bogus", "--window", "4000000"],
+                 "bad-model: unknown growth model 'bogus'", id="bogus"),
+    pytest.param(["--model", "n2f:nope", "--window", "4000000"],
+                 "bad-model: unknown growth model 'n2f:nope'", id="n2f:nope"),
+    pytest.param(["--range", "0:1000", "--window", "1000000"],
+                 "range-out-of-profile: fit range 0..1000 outside the profile range 1..1000",
+                 id="range-from-0"),
+    pytest.param(["--range", "1000:100", "--window", "1000000"],
+                 "range-out-of-profile: fit range 1000..100 outside the profile range 1..100",
+                 id="range-falling"),
+    pytest.param(["--model", "nlogn", "--range", "1:1000", "--window", "1000000"],
+                 "bad-model: model nlogn not positive at n = 1", id="nlogn-from-1"),
+])
+def test_experiment_fit_refuses_a_bad_model_before_the_window(monkeypatch, capsys, argv, error):
     def no_window(*args):
         raise AssertionError("the window was built")
 
     monkeypatch.setattr(cli, "window_profile", no_window)
-    assert run(["experiment", "fit", "--word", "abk", "--model", model,
-                "--window", "4000000"]) == 3
-    assert f"error: bad-model: unknown growth model {model!r}" in capsys.readouterr().err
+    assert run(["experiment", "fit", "--word", "abk", *argv]) == 3
+    assert f"error: {error}" in capsys.readouterr().err
 
 
 def test_experiment_claim_pairs(capsys):

@@ -344,7 +344,9 @@ def test_mask_cover_reports_uncovered_in_oracle_order(spec):
 @given(st.sampled_from(COVER_SPECS), st.integers(min_value=2, max_value=12), st.data())
 def test_mask_cover_matches_slicing_oracle_when_hashes_collide(spec, n_max, data):
     # modulo 3 almost every hash collides, so nearly every position is a
-    # candidate and membership alone must decide it
+    # candidate and membership alone must decide it; with base 1 a word's
+    # hash is the sum of its letters, and with base MOD, which has no
+    # inverse, its last letter
     index = small_index(spec, n_max)
     factors = [w for n in range(1, n_max + 1) for w in sorted(index.factors_of_length(n))]
     words = st.one_of(st.sampled_from([""] + factors),
@@ -356,10 +358,12 @@ def test_mask_cover_matches_slicing_oracle_when_hashes_collide(spec, n_max, data
     else:
         s_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
         t_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decompose, "_HASH_MOD", 3)
-        report = verify_cover(index.window, *index.table(), s_lang, t_lang)
-    assert report == slicing_verify_cover(index, s_lang, t_lang)
+    expected = slicing_verify_cover(index, s_lang, t_lang)
+    for name, value in [("_HASH_MOD", 3), ("_HASH_BASE", 1), ("_HASH_BASE", decompose._HASH_MOD)]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose, name, value)
+            report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+        assert report == expected, (name, value)
 
 
 def slicing_cover_of_table(window, starts, offsets, s_lang, t_lang) -> CoverReport:
@@ -395,6 +399,24 @@ def test_mask_cover_with_foreign_letters_and_long_words():
     table = np.array([0, 1, 3, 0, 1, 1, 2, 0]), np.array([0, 3, 5, 7, 8])
     assert verify_cover(window, *table, s_lang, t_lang) == \
         slicing_cover_of_table(window, *table, s_lang, t_lang)
+
+
+def test_mask_cover_of_a_table_whose_top_lengths_hold_no_word():
+    # the offsets stay flat above length 6, so the longest length, 40, runs
+    # past the reach, the largest end of any table word; S and T also hold
+    # a word longer than the reach
+    index = small_index("tm", 12)
+    s_lang, t_lang = route_sets("tm", index)
+    s_lang = without(s_lang, {"01"})
+    s_lang.add(index.window[:35])
+    t_lang.add(index.window[1:36])
+    starts, offsets = index.table()
+    table = starts[:offsets[6]], np.concatenate([offsets[:7], np.full(34, offsets[6])])
+    reach = max(i + n for n in range(1, 7) for i in starts[offsets[n - 1]:offsets[n]].tolist())
+    assert reach < 35 < len(table[1]) - 1 == 40
+    report = verify_cover(index.window, *table, s_lang, t_lang)
+    assert 0 < len(report.uncovered) < report.total
+    assert report == slicing_cover_of_table(index.window, *table, s_lang, t_lang)
 
 
 @pytest.mark.parametrize("s_empty,t_empty", [(True, False), (False, True), (True, True)])
