@@ -1,35 +1,23 @@
 """Suffix automaton over a text window, specialized for factor statistics.
 
-The automaton recognizes exactly the factors of the window. Each state is an
-equivalence class of factors sharing the same set of ending positions, so a
-state covers a contiguous interval of factor lengths [minlen, maxlen], all
-its factors have the same set of right-extension letters (the out-going
-transition letters), and they share the first (leftmost) ending position.
-Those three facts drive every per-length statistic downstream.
+The automaton recognizes exactly the factors of the window. Construction is
+the classic online algorithm (Blumer et al., 1985): a text of N letters has
+at most 2N - 1 states, so the build writes into Python lists preallocated to
+that size (list indexing is faster than numpy scalar access in the loop).
+Transitions are one dense list per alphabet letter, which is compact for the
+two- or three-letter alphabets used here.
 
-States are integers into parallel arrays. During the build, transitions are
-one dense list per alphabet letter, which is compact for the two- or
-three-letter alphabets used here; once built, only each state's number of
-out-going letters (``outdeg``) is kept. Construction is the classic online
-algorithm. A text of N letters has at most 2N - 1 states (Blumer et al.,
-1985), so the build writes into Python lists preallocated to that size (list
-indexing is faster than numpy scalar access in the loop). The full build then
-trims each list, turns it into a numpy array and frees it before the next
-one, so the lists and the arrays of the whole automaton are never in memory
-together. A state's first end is
-maxlen - 1 unless it is a clone, so the loop records it for clones alone.
-
-The build is online, so it also records, for every position, ``floor[pos]``:
-the length of the longest suffix of ``text[:pos + 1]`` that occurred before.
-The letter at ``pos`` adds exactly the factors of lengths
-``floor[pos] + 1 .. pos + 1``, which gives the complexity profile of every
-prefix of the text from the one build. The count-only build
-(``count_only=True``) runs the same loop but records no first ends and makes
-no state arrays: it keeps ``floor``, unboxed in an ``array('q')``,
-``n_states``, and, in one private slot, the build's transition lists, suffix
-links and maxlens as they stand. With those, ``first_unmatched`` runs another
-text through the automaton, which is how a window's profile is checked
-against a longer text without a build over the longer text.
+The build is online, so it records, for every position, ``floor[pos]``: the
+length of the longest suffix of ``text[:pos + 1]`` that occurred before. The
+letter at ``pos`` adds exactly the factors of lengths ``floor[pos] + 1 ..
+pos + 1``, the factors that first end there. So ``floor`` gives the
+complexity profile of every prefix of the text, and the first occurrence of
+every factor, from the one build. The build keeps ``floor``, unboxed in an
+``array('q')``, ``n_states``, and, in one private slot, the build's
+transition lists, suffix links and maxlens as they stand. With those,
+``first_unmatched`` runs another text through the automaton, which is how a
+window's profile is checked against a longer text without a build over the
+longer text; a caller that walks nothing deletes the slot.
 """
 
 from __future__ import annotations
@@ -42,25 +30,15 @@ import numpy as np
 _CHUNK = 1 << 16
 
 
-def _to_array(values: list, n: int) -> np.ndarray:
-    """The first ``n`` entries of ``values`` as an array; empties the list."""
-    del values[n:]
-    out = np.array(values, dtype=np.int64)
-    values.clear()
-    return out
-
-
 class SuffixAutomaton:
 
-    __slots__ = ("n_states", "maxlen", "minlen", "link", "first_end", "outdeg",
-                 "floor", "_walk")
+    __slots__ = ("n_states", "floor", "_walk")
 
-    def __init__(self, text: str, count_only: bool = False):
+    def __init__(self, text: str):
         alphabet = sorted(set(text))
         size = max(2 * len(text), 1)
         maxlen = [0] * size
         link = [-1] * size
-        first_end = None if count_only else [-1] * size
         trans = [[-1] * size for _ in alphabet]
         floor = array("q", bytes(8 * len(text)))
         trans_of = dict(zip(alphabet, trans))
@@ -87,9 +65,6 @@ class SuffixAutomaton:
                     n_states += 1
                     maxlen[clone] = f
                     link[clone] = link[q]
-                    if first_end is not None:
-                        e = first_end[q]
-                        first_end[clone] = maxlen[q] - 1 if e == -1 else e
                     for t in trans:
                         t[clone] = t[q]
                     while p != -1 and tc[p] == q:
@@ -101,26 +76,11 @@ class SuffixAutomaton:
 
         self.n_states = n_states
         self.floor = np.frombuffer(floor, dtype=np.int64)
-        if count_only:
-            self._walk = trans_of, link, maxlen
-            return
-        outdeg = np.zeros(n_states, dtype=np.int64)
-        for t in trans:
-            outdeg += _to_array(t, n_states) != -1
-        self.outdeg = outdeg
-        self.maxlen = _to_array(maxlen, n_states)
-        self.link = _to_array(link, n_states)
-        first_end = _to_array(first_end, n_states)
-        self.first_end = np.where(first_end == -1, self.maxlen - 1, first_end)
-        minlen = np.empty(n_states, dtype=np.int64)
-        minlen[0] = 0
-        minlen[1:] = self.maxlen[self.link[1:]] + 1
-        self.minlen = minlen
+        self._walk = trans_of, link, maxlen
 
     def first_unmatched(self, text: str, n: int) -> int | None:
         """The end position of the first length-``n`` factor of ``text`` that
         is not a factor of the automaton's text, or None if there is none.
-        Count-only builds alone keep what this needs.
 
         The walk follows transitions and, where a letter has none, suffix
         links, keeping the length of the longest suffix of what it has read
@@ -165,8 +125,8 @@ class SuffixAutomaton:
         is the number of positions with floor[pos] <= n - 1, the running sum
         of a histogram of min(floor, n_max), less min(m, n - 1). The
         histogram is taken in chunks, so that no temporary is as long as the
-        text: the count-only build keeps its transition lists alive beside
-        ``floor``.
+        text: a build that may still walk keeps its transition lists alive
+        beside ``floor``.
         """
         m = len(self.floor) if prefix is None else prefix
         below = np.zeros(n_max + 1, dtype=np.int64)

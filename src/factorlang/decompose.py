@@ -84,9 +84,6 @@ class LeveledLanguage:
     def cardinality(self, n: int) -> int:
         return len(self.by_length.get(n, ()))
 
-    def lengths(self) -> list[int]:
-        return sorted(self.by_length)
-
     def per_length_max(self) -> int:
         """The most words of one length, the empty word aside."""
         return max((len(ws) for n, ws in self.by_length.items() if n), default=0)

@@ -57,16 +57,16 @@ class ComplexityProfile:
 class FactorIndex:
     """Queries over the distinct factors of ``window`` up to length ``n_max``.
 
-    Counts come from the suffix automaton's length intervals. Factors are
-    enumerated from one table, :meth:`table`, built on first use: one int64
-    array of the first-occurrence starts of the g(n_max) distinct factors,
-    length by length and in word order within a length, with the offsets of
-    the lengths. A state covering the lengths [minlen, maxlen] and first
-    ending at ``first_end`` contributes the start first_end - n + 1 for each
-    n in [minlen, min(maxlen, n_max)], and one ``np.repeat`` expands every
-    interval at once; only the word order compares slices of the window, one
-    slice per distinct start. The table holds integers, never factor
-    strings, and runs that only count factors never build it.
+    Everything comes from one suffix automaton over the window, and from its
+    ``floor`` array alone: the letter at ``pos`` adds the factors that first
+    end there, with the lengths floor[pos] + 1 .. pos + 1. Counts are read
+    from ``floor`` directly. Factors are enumerated from one table,
+    :meth:`table`, built on first use: one int64 array of the
+    first-occurrence starts of the g(n_max) distinct factors, length by
+    length and in word order within a length, with the offsets of the
+    lengths. The special factors of length n are read from the table's
+    length-(n + 1) row. The table holds integers, never factor strings, and
+    runs that only count factors never build it.
     """
 
     def __init__(self, source: WordSource, window: str, n_max: int):
@@ -76,11 +76,10 @@ class FactorIndex:
         self.n_max = n_max
         self.alphabet = tuple(sorted(set(window)))
         self._sam = SuffixAutomaton(window)
+        del self._sam._walk
         self._p = self._sam.length_counts(n_max)
         self._g = np.cumsum(self._p)
         self._table: tuple[np.ndarray, np.ndarray] | None = None
-        self._right_intervals = None
-        self._left_intervals = None
 
     # -- complexity ----------------------------------------------------------
 
@@ -144,29 +143,31 @@ class FactorIndex:
         read-only int64 arrays, built once, on first use, and shared by every
         caller.
 
-        Two distinct words of one length n <= n_max differ within their
-        first n letters, so ``window[i:i + n_max]`` orders the words starting
-        at i exactly at every length: the distinct starts are sorted once by
-        that key, and one stable argsort over (length, rank) orders the
-        table.
+        The letter at ``pos`` adds the factors that first end there, of
+        the lengths floor[pos] + 1 .. min(pos + 1, n_max); the length-n one
+        starts at pos - n + 1, and one ``np.repeat`` expands every position
+        at once. Since floor[pos] <= pos, a position adds a length up to the
+        cap exactly when floor[pos] < n_max. Two distinct words of one length
+        n <= n_max differ within their first n letters, so
+        ``window[i:i + n_max]`` orders the words starting at i exactly at
+        every length: the distinct starts are sorted once by that key, and
+        one stable argsort over (length, rank) orders the table.
         """
         if self._table is not None:
             return self._table
-        sam = self._sam
-        lo = sam.minlen[1:]
-        hi = np.minimum(sam.maxlen[1:], self.n_max)
-        keep = lo <= hi
-        lo, hi, end = lo[keep], hi[keep], sam.first_end[1:][keep]
-        counts = hi - lo + 1
-        # lengths run lo..hi inside each state's block of the expansion
+        floor, n_max = self._sam.floor, self.n_max
+        end = np.flatnonzero(floor < n_max)
+        lo = floor[end] + 1
+        counts = np.minimum(end + 1, n_max) - lo + 1
+        # lengths run lo..min(end + 1, n_max) inside each position's block
         block_start = np.cumsum(counts) - counts
         lengths = np.repeat(lo - block_start, counts) + np.arange(int(counts.sum()))
         starts = np.repeat(end + 1, counts) - lengths
-        # every start lies before the largest first-occurrence end
+        # every start lies before the last position that adds a factor
         marked = np.zeros(int(end.max(initial=-1)) + 1, dtype=bool)
         marked[starts] = True
         distinct = np.flatnonzero(marked).tolist()
-        text, n_max = self.window, self.n_max
+        text = self.window
         distinct.sort(key=lambda i: text[i:i + n_max])
         rank = np.zeros(len(marked), dtype=np.int64)
         rank[distinct] = np.arange(len(distinct))
@@ -187,40 +188,30 @@ class FactorIndex:
     # -- special factors -----------------------------------------------------
 
     def right_special(self, n: int) -> set[str]:
-        """Factors of length ``n`` with at least two right extensions.
+        """Factors of length ``n`` with at least two right extensions: the
+        length-n prefixes shared by two or more factors of length n + 1.
 
         Queries stop one short of ``n_max`` because specialness of a factor
         of length n is read off extensions of length n+1.
         """
         self._check_range(n, self.n_max - 1)
-        if self._right_intervals is None:
-            sam = self._sam
-            idx = np.nonzero(sam.outdeg[1:] >= 2)[0] + 1
-            self._right_intervals = sam.minlen[idx], sam.maxlen[idx], sam.first_end[idx]
-        return self._words_of_length(self._right_intervals, n)
+        return self._shared_by_extensions(n, 0)
 
     def left_special(self, n: int) -> set[str]:
-        """Factors of length ``n`` with at least two left extensions.
-
-        A factor has as many left extensions as its state has children in
-        the suffix-link tree when it is the longest word of that state, and
-        one otherwise (Blumer et al., 1985). So the left special factors of
-        length n are the longest words of the states with maxlen = n and two
-        or more children.
-        """
+        """Factors of length ``n`` with at least two left extensions: the
+        length-n suffixes shared by two or more factors of length n + 1."""
         self._check_range(n, self.n_max - 1)
-        if self._left_intervals is None:
-            sam = self._sam
-            idx = np.nonzero(np.bincount(sam.link[1:], minlength=sam.n_states) >= 2)[0]
-            self._left_intervals = sam.maxlen[idx], sam.maxlen[idx], sam.first_end[idx]
-        return self._words_of_length(self._left_intervals, n)
+        return self._shared_by_extensions(n, 1)
 
-    def _words_of_length(self, intervals, n: int) -> set[str]:
-        """The length-``n`` words of the states given by their (minlen,
-        maxlen, first_end) arrays, read from the window at their first ends."""
-        lo, hi, end = intervals
+    def _shared_by_extensions(self, n: int, shift: int) -> set[str]:
+        """The length-``n`` words at offset ``shift`` in two or more of the
+        length-(n + 1) factors, read from the table's row of that length;
+        sorted, equal words are neighbours."""
+        starts, offsets = self.table()
         text = self.window
-        return {text[e - n + 1:e + 1] for e in end[(lo <= n) & (n <= hi)].tolist()}
+        words = sorted(text[i:i + n]
+                       for i in (starts[offsets[n]:offsets[n + 1]] + shift).tolist())
+        return {a for a, b in zip(words, words[1:]) if a == b}
 
     # -- occurrences --------------------------------------------------------
 
@@ -279,7 +270,7 @@ def window_profile(source: WordSource, n_work: int | None = None,
                    n_max: int = DEFAULT_N_MAX) -> ComplexityProfile:
     """The complexity profile of the length-``n_work`` window, checked and
     defaulted as in :func:`build_factor_index` and in the same order, from a
-    count-only automaton instead of an index."""
+    suffix automaton instead of an index."""
     n_work = _window_length(n_work, n_max)
     return _count_window(source.spec, source.prefix(n_work), n_max, walk=False)[1]
 
@@ -292,7 +283,7 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
     The window is checked and defaulted as in :func:`build_factor_index`,
     and the prefix cap at ``n_work`` before the one at ``2 * n_work``, so an
     inadmissible request is refused before any letter is generated. The
-    profile comes from the count-only automaton over the window, as in
+    profile comes from the suffix automaton over the window, as in
     :func:`window_profile`. The doubled window D has the same counts up to
     ``n_max`` exactly when each of its length-``n_max`` factors occurs in the
     window W, since every shorter factor of D is a prefix of one of them or
@@ -309,10 +300,10 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
 
 def _count_window(spec: str, window: str, n_max: int,
                   walk: bool) -> tuple[SuffixAutomaton, ComplexityProfile]:
-    """The count-only automaton over ``window`` and the window's profile
-    read from it. Unless a ``walk`` follows, the build's transition lists
-    are dropped before the profile is counted."""
-    sam = SuffixAutomaton(window, count_only=True)
+    """The automaton over ``window`` and the window's profile read from it.
+    Unless a ``walk`` follows, the build's transition lists are dropped
+    before the profile is counted."""
+    sam = SuffixAutomaton(window)
     if not walk:
         del sam._walk
     profile = ComplexityProfile.from_counts(spec, len(window), sam.length_counts(n_max))

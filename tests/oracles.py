@@ -5,7 +5,6 @@ import numpy as np
 from factorlang import (
     PreconditionError,
     SplitRecords,
-    SuffixAutomaton,
     VerificationError,
 )
 from factorlang.decompose import OCCURRENCE_CLASSES
@@ -76,13 +75,119 @@ def staircase_pair_count_bruteforce(n: int) -> int:
 
 
 def doubled_build_profile(source, n_work, n_max):
-    """Oracle for stabilized_profile: one count-only automaton over the
-    doubled window, which counts the factors of the window and of the
-    doubled window alike. Returns the window's counts and whether the two
-    profiles agree."""
-    sam = SuffixAutomaton(source.prefix(2 * n_work), count_only=True)
-    p = sam.length_counts(n_max, prefix=n_work)
-    return p, bool(np.array_equal(p, sam.length_counts(n_max)))
+    """Oracle for stabilized_profile: the counts of the window and of the
+    doubled window, each read off the states of a reference automaton.
+    Returns the window's counts and whether the two profiles agree."""
+    p = interval_length_counts(StateAutomaton(source.prefix(n_work)), n_max)
+    doubled = interval_length_counts(StateAutomaton(source.prefix(2 * n_work)), n_max)
+    return p, bool(np.array_equal(p, doubled))
+
+
+class StateAutomaton:
+    """Reference suffix automaton (Blumer et al., 1985) that keeps its state
+    arrays, sharing no code with factorlang's automaton.
+
+    Transitions are one dict per state. Each state is a class of factors with
+    the same ending positions: it holds one factor of every length in
+    [minlen, maxlen], all first ending at ``first_end``, with ``outdeg``
+    out-going letters. ``floor[pos]`` is maxlen of the suffix link of the
+    state made at ``pos``, taken when that state is made: the length of the
+    longest suffix of ``text[:pos + 1]`` that occurred before.
+    """
+
+    def __init__(self, text: str):
+        nxt, link, maxlen, first_end = [{}], [-1], [0], [-1]
+        floor = []
+        last = 0
+        for pos, c in enumerate(text):
+            cur = len(maxlen)
+            nxt.append({})
+            link.append(0)
+            maxlen.append(pos + 1)
+            first_end.append(pos)
+            p = last
+            while p != -1 and c not in nxt[p]:
+                nxt[p][c] = cur
+                p = link[p]
+            if p != -1:
+                q = nxt[p][c]
+                if maxlen[p] + 1 == maxlen[q]:
+                    link[cur] = q
+                else:
+                    clone = len(maxlen)
+                    nxt.append(dict(nxt[q]))
+                    link.append(link[q])
+                    maxlen.append(maxlen[p] + 1)
+                    first_end.append(first_end[q])
+                    while p != -1 and nxt[p].get(c) == q:
+                        nxt[p][c] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            floor.append(maxlen[link[cur]])
+            last = cur
+        self.n_states = len(maxlen)
+        self.maxlen = np.array(maxlen, dtype=np.int64)
+        self.link = np.array(link, dtype=np.int64)
+        self.first_end = np.array(first_end, dtype=np.int64)
+        self.outdeg = np.array([len(t) for t in nxt], dtype=np.int64)
+        self.minlen = np.concatenate(([0], self.maxlen[self.link[1:]] + 1))
+        self.floor = np.array(floor, dtype=np.int64)
+
+
+
+def interval_length_counts(sam: StateAutomaton, n_max: int) -> np.ndarray:
+    """Per-length counts of the whole text read off the states: each
+    non-initial state holds one factor for every length in its
+    [minlen, maxlen] interval, clipped at n_max."""
+    lo = sam.minlen[1:]
+    hi = np.minimum(sam.maxlen[1:], n_max)
+    keep = lo <= hi
+    diff = np.zeros(n_max + 2, dtype=np.int64)
+    np.add.at(diff, lo[keep], 1)
+    np.subtract.at(diff, hi[keep] + 1, 1)
+    return np.cumsum(diff)[1:n_max + 1]
+
+
+def interval_table(text, n_max):
+    """Oracle for FactorIndex.table: the starts of every state's factors of
+    length n <= n_max, first_end - n + 1 for n in [minlen, maxlen], sorted by
+    word within each length. Returns (starts, offsets) as lists."""
+    sam = StateAutomaton(text)
+    rows = [[] for _ in range(n_max + 1)]
+    for lo, hi, end in zip(sam.minlen[1:].tolist(), sam.maxlen[1:].tolist(),
+                           sam.first_end[1:].tolist()):
+        for n in range(lo, min(hi, n_max) + 1):
+            rows[n].append(end - n + 1)
+    starts, offsets = [], [0]
+    for n in range(1, n_max + 1):
+        starts += sorted(rows[n], key=lambda i: text[i:i + n])
+        offsets.append(len(starts))
+    return starts, offsets
+
+
+def interval_special(text, n_max):
+    """Oracle for right_special and left_special: the pair of dicts n ->
+    set of special factors of length n, for n = 1..n_max - 1, read off the
+    states of a reference automaton. A state with two or more out-going
+    letters makes every factor it holds right special. A factor has as many
+    left extensions as its state has children in the suffix-link tree when
+    it is the longest word of that state, and one otherwise, so the longest
+    words of the states with two or more children are the left special
+    factors."""
+    sam = StateAutomaton(text)
+    children = np.bincount(sam.link[1:], minlength=sam.n_states).tolist()
+    right = {n: set() for n in range(1, n_max)}
+    left = {n: set() for n in range(1, n_max)}
+    states = zip(sam.minlen.tolist(), sam.maxlen.tolist(), sam.first_end.tolist(),
+                 sam.outdeg.tolist(), children)
+    next(states)  # the initial state holds the empty word only
+    for lo, hi, end, outdeg, kids in states:
+        if outdeg >= 2:
+            for n in range(lo, min(hi, n_max - 1) + 1):
+                right[n].add(text[end - n + 1:end + 1])
+        if kids >= 2 and hi < n_max:
+            left[hi].add(text[end - hi + 1:end + 1])
+    return right, left
 
 
 def prefix_doubling_profile(text, n_max):

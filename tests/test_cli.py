@@ -161,6 +161,33 @@ def test_traced_cli_times_the_tm_cuts(tmp_path):
     assert not [name for name in traced["missing"] if "thue_morse_split_sets" in name]
 
 
+# the names the benchmark's tracer wraps that no longer exist; their
+# metrics read zero, so the list may shrink but must not grow
+TRACED_MISSING = {
+    "factorlang.automaton.SuffixAutomaton.state_of",
+    "factorlang.factors.FactorIndex.factors_with_positions",
+    "factorlang.factors.FactorIndex.first_occurrence",
+    "factorlang.decompose.split_factor",
+    "factorlang.decompose.witness_split",
+}
+
+
+def test_traced_cli_counts_the_marker_layers(tmp_path):
+    # the benchmark's per-layer metrics of the marker route: automaton
+    # states and special-factor spans
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans),
+         "decompose", "marker", "tm", "--n-max", "32", "--out", str(tmp_path / "dc")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(spans.read_text())
+    assert traced["counts"]["automaton.states"] > 0
+    assert traced["spans"]["factors.special"][0] >= 1
+    assert set(traced["missing"]) <= TRACED_MISSING
+
+
 def test_decompose_marker_outputs(tmp_path, capsys):
     out = tmp_path / "dc"
     assert run(["decompose", "marker", "tm", "--n-max", "32",

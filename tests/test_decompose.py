@@ -68,7 +68,7 @@ def test_leveled_language_basics():
     assert "ab" in lang and "aa" not in lang
     assert lang.cardinality(2) == 2
     assert lang.cardinality(0) == 1
-    assert lang.lengths() == [0, 1, 2]
+    assert sorted(lang.by_length) == [0, 1, 2]
     assert lang.per_length_max() == 2
     assert list(lang.words()) == ["", "a", "ab", "ba"]
     assert lang.total() == 4
@@ -87,7 +87,7 @@ def test_leveled_language_jsonl_round_trip():
 def test_leveled_language_of_the_empty_word():
     lang = LeveledLanguage([""])
     assert lang.cardinality(0) == 1
-    assert lang.lengths() == [0]
+    assert sorted(lang.by_length) == [0]
     assert lang.per_length_max() == 0
     assert lang.total() == 1
     text = lang.to_jsonl("T")

@@ -20,7 +20,14 @@ from factorlang import (
     words,
 )
 from factorlang.factors import window_profile
-from oracles import doubled_build_profile, prefix_doubling_profile
+from oracles import (
+    StateAutomaton,
+    doubled_build_profile,
+    interval_length_counts,
+    interval_special,
+    interval_table,
+    prefix_doubling_profile,
+)
 
 
 def frame_factors(window: str, n: int) -> set[str]:
@@ -45,25 +52,12 @@ def frame_left_special(window: str, n: int) -> set[str]:
     return {v for v, ext in out.items() if len(ext) >= 2}
 
 
-def interval_length_counts(sam: SuffixAutomaton, n_max: int) -> np.ndarray:
-    """Per-length counts of the whole text read off the states: each
-    non-initial state holds one factor for every length in its
-    [minlen, maxlen] interval, clipped at n_max."""
-    lo = sam.minlen[1:]
-    hi = np.minimum(sam.maxlen[1:], n_max)
-    keep = lo <= hi
-    diff = np.zeros(n_max + 2, dtype=np.int64)
-    np.add.at(diff, lo[keep], 1)
-    np.subtract.at(diff, hi[keep] + 1, 1)
-    return np.cumsum(diff)[1:n_max + 1]
-
-
 def reverse_left_special(window: str, n: int) -> set[str]:
     """Left special factors as the reversed right special factors of the
-    reversed window, read from the reverse window's suffix automaton: its
+    reversed window, read from the reverse window's reference automaton: its
     states with two or more out-going letters hold the lengths
     [minlen, maxlen] and first end at first_end."""
-    sam = SuffixAutomaton(window[::-1])
+    sam = StateAutomaton(window[::-1])
     idx = np.nonzero(sam.outdeg[1:] >= 2)[0] + 1
     hit = idx[(sam.minlen[idx] <= n) & (n <= sam.maxlen[idx])]
     starts = len(window) - 1 - sam.first_end[hit]
@@ -91,38 +85,44 @@ def test_length_counts_of_every_prefix(text, n_max):
         assert sam.length_counts(n_max, prefix=m).tolist() == frame_profile(text[:m], n_max)
     whole = sam.length_counts(n_max).tolist()
     assert whole == frame_profile(text, n_max)
-    assert whole == interval_length_counts(sam, n_max).tolist()
+    assert whole == interval_length_counts(StateAutomaton(text), n_max).tolist()
 
 
 @settings(max_examples=80, deadline=None)
 @given(TEXTS)
 def test_automaton_state_bound_and_array_lengths(text):
     sam = SuffixAutomaton(text)
+    ref = StateAutomaton(text)
     # at most 2N - 1 states for N >= 2 letters; "" has 1 state and "a" has 2
-    assert sam.n_states <= max(2 * len(text) - 1, len(text) + 1)
-    for arr in (sam.maxlen, sam.minlen, sam.link, sam.first_end, sam.outdeg):
-        assert len(arr) == sam.n_states
-    assert len(sam.floor) == len(text)
+    assert sam.n_states == ref.n_states <= max(2 * len(text) - 1, len(text) + 1)
+    for arr in (ref.maxlen, ref.minlen, ref.link, ref.first_end, ref.outdeg):
+        assert len(arr) == ref.n_states
+    assert len(sam.floor) == len(ref.floor) == len(text)
 
 
 @settings(max_examples=80, deadline=None)
 @given(TEXTS, st.integers(min_value=1, max_value=30))
 def test_count_only_build_counts_as_the_full_build(text, n_max):
-    full = SuffixAutomaton(text)
-    lean = SuffixAutomaton(text, count_only=True)
-    assert lean.n_states == full.n_states
-    assert lean.floor.tolist() == full.floor.tolist()
-    for m in range(len(text) + 1):
-        assert (lean.length_counts(n_max, prefix=m).tolist()
-                == full.length_counts(n_max, prefix=m).tolist())
-    assert lean.length_counts(n_max).tolist() == full.length_counts(n_max).tolist()
+    # the build counts as the reference automaton that keeps its states
+    sam = SuffixAutomaton(text)
+    ref = StateAutomaton(text)
+    assert sam.n_states == ref.n_states
+    assert sam.floor.tolist() == ref.floor.tolist()
+    assert sam.length_counts(n_max).tolist() == interval_length_counts(ref, n_max).tolist()
+    half = len(text) // 2
+    assert (sam.length_counts(n_max, prefix=half).tolist()
+            == interval_length_counts(StateAutomaton(text[:half]), n_max).tolist())
 
 
 def test_count_only_build_keeps_no_state_arrays():
-    lean = SuffixAutomaton(thue_morse().prefix(1000), count_only=True)
+    text = thue_morse().prefix(1000)
+    lean = SuffixAutomaton(text)
+    ref = StateAutomaton(text)
     for name in ("first_end", "maxlen", "link", "minlen", "outdeg"):
         assert not hasattr(lean, name), name
+        assert len(getattr(ref, name)) == ref.n_states == lean.n_states
     assert lean.floor.dtype == np.int64 and len(lean.floor) == 1000
+    assert lean.floor.tolist() == ref.floor.tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -374,7 +374,7 @@ def test_stabilized_profile_matches_the_doubled_build(text, tail, n_max, extra):
 @settings(max_examples=80, deadline=None)
 @given(TEXTS, TEXTS, st.integers(min_value=1, max_value=12))
 def test_first_unmatched_finds_the_first_new_factor(text, other, n):
-    sam = SuffixAutomaton(text, count_only=True)
+    sam = SuffixAutomaton(text)
     known = frame_factors(text, n)
     want = next((pos for pos in range(n - 1, len(other))
                  if other[pos - n + 1:pos + 1] not in known), None)
@@ -392,7 +392,7 @@ def test_stability_walk_stops_at_the_first_new_factor(spec, unmatched):
     # window of 10 letters at n_max 5: the walk reads doubled[6:20]
     source = parse_word_spec(spec)
     doubled = source.prefix(20)
-    sam = SuffixAutomaton(doubled[:10], count_only=True)
+    sam = SuffixAutomaton(doubled[:10])
     assert sam.first_unmatched(doubled[6:], 5) == unmatched
     profile, stable = stabilized_profile(source, 10, 5)
     p, want = doubled_build_profile(source, 10, 5)
@@ -411,6 +411,34 @@ def test_profiles_at_a_million_letters_match_prefix_doubling(spec, stable):
     assert got == stable
     doubled = prefix_doubling_profile(source.prefix(2 * n_work), n_max)
     assert np.array_equal(doubled, want) == stable
+
+
+@pytest.mark.parametrize("spec,n_max", [("tm", 512), ("abk", 1000)])
+def test_prefix_counts_at_a_million_letters_match_prefix_doubling(spec, n_max):
+    # half_window_growth, and so the marker route's gate, reads the counts
+    # of the window's first half
+    text = parse_word_spec(spec).prefix(10 ** 6)
+    sam = SuffixAutomaton(text)
+    del sam._walk
+    for m in (len(text) // 2, len(text)):
+        want = prefix_doubling_profile(text[:m], n_max)
+        assert sam.length_counts(n_max, prefix=m).tolist() == want.tolist(), m
+
+
+@pytest.mark.parametrize("spec,n_max", [("tm", 256), ("abk", 128), ("fib", 256)])
+def test_factor_table_and_special_factors_at_scale_match_the_state_oracle(spec, n_max):
+    source = parse_word_spec(spec)
+    n_work = 10 ** 5
+    window = source.prefix(n_work)
+    index = build_factor_index(source, n_work, n_max)
+    starts, offsets = index.table()
+    want_starts, want_offsets = interval_table(window, n_max)
+    assert offsets.tolist() == want_offsets
+    assert starts.tolist() == want_starts
+    right, left = interval_special(window, n_max)
+    for n in range(1, n_max):
+        assert index.right_special(n) == right[n], n
+        assert index.left_special(n) == left[n], n
 
 
 @settings(max_examples=80, deadline=None)
