@@ -19,11 +19,10 @@ from pathlib import Path
 
 from .decompose import (
     METHODS,
+    ROUTES,
     LeveledLanguage,
     build_decomposition,
     split_records_to_csv,
-    sturmian_split_sets,
-    thue_morse_split_sets,
     verify_cover,
 )
 from .errors import FactorLangError, PreconditionError, VerificationError
@@ -235,13 +234,11 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
     ns = args.n or [8, 16, 32, 64]
     hi = max(ns)
     index = build_factor_index(parse_word_spec(args.spec), args.window, hi)
-    if args.method == "tm":
-        s_lang, t_lang, _ = thue_morse_split_sets(index)
-    else:
-        s_lang, t_lang = sturmian_split_sets(index)
+    # the route's sets alone: no cover check and no records
+    route = ROUTES[args.method](index, 1)
     rows = []
     for n in ns:
-        report = product_bound_audit([s_lang, t_lang], index, n)
+        report = product_bound_audit([route.s_lang, route.t_lang], index, n)
         if not report.ok:
             raise VerificationError(
                 "bound-exceeded",

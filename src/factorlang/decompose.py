@@ -23,10 +23,18 @@ hash of the window's words, grown by one letter, proposes the positions
 where a word of S or T of that length may occur; membership in the set
 decides each of them, so a hash collision costs time and never changes the
 report, and the words of that length are checked once their bits are set.
-:func:`build_decomposition` is the one entry point that runs a route, by
-name, on a factor index and returns its sets, records and cover report; every
-route ends in one :func:`verify_cover` call, an uncovered word is refused on
-every route, and the Sturmian and greedy records are the cuts it reports.
+The four routes are listed once, in :data:`ROUTES`, keyed by method name;
+:data:`METHODS` is its keys. An entry runs its route on a factor index and
+gives the sets, the route's claim (the most words of one length S or T may
+hold), the table the cover check reads (the factor table, or the prefix
+table of the start 0 at every length for greedy), a function that gives
+the records once the check has passed or None for the cuts the check
+reports, the route's figures and its markers. :func:`build_decomposition`
+is the one entry point that runs a route, by name, and returns its sets,
+records and cover report, on one path for every route: one
+:func:`verify_cover` call, then the refusal of an uncovered word and of
+sets above the claim, then the records. ``experiment lemma1`` reads the
+sets of the same entries.
 
 The marker, tm and Sturmian routes cut the window positions of the factor
 table, :meth:`FactorIndex.table`: one int64 array of first-occurrence starts
@@ -50,7 +58,8 @@ import json
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -651,7 +660,7 @@ def greedy_two_sets(lang: LeveledLanguage, budget_slope: int):
     return s_lang, t_lang
 
 
-# -- one entry point for the four routes ----------------------------------------
+# -- the table of the four routes ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -668,75 +677,109 @@ class Decomposition:
     report: CoverReport
 
 
-METHODS = ("marker", "greedy", "tm", "sturmian")
+@dataclass(frozen=True)
+class _Route:
+    """What one route built on one index, before the cover check: the sets;
+    ``claim``, the most words of one length that S or T may hold; ``table``,
+    the ``(starts, offsets)`` the cover check reads; ``records``, a function
+    that gives the :class:`SplitRecords` once the check has passed, or None
+    for the table's starts cut at the report's leftmost cuts; the route's own
+    figures (``extras``); and the marker family of the marker route, None on
+    the others."""
+
+    s_lang: LeveledLanguage
+    t_lang: LeveledLanguage
+    claim: float
+    table: tuple[np.ndarray, np.ndarray]
+    records: Callable[[], SplitRecords] | None = None
+    extras: dict = field(default_factory=dict)
+    markers: dict[int, MarkerSet] | None = None
+
+
+def _marker_route(index: FactorIndex, budget: int) -> _Route:
+    markers = build_all_markers(index)
+    s_lang, t_lang, records = build_st(index, markers)
+    c, k = index.slope_constants()
+    d = next(iter(markers.values())).D
+    r = max(len(ms.markers) for ms in markers.values())
+    extras = {"C": c, "K": k, "D": d, "R": r, "orders": sorted(markers),
+              "bound": split_sets_bound(r, c, d)}
+    return _Route(s_lang, t_lang, extras["bound"], index.table(), lambda: records,
+                  extras, markers)
+
+
+def _greedy_route(index: FactorIndex, budget: int) -> _Route:
+    n_max = index.n_max
+    prefixes = LeveledLanguage(index.window[:n] for n in range(1, n_max + 1))
+    s_lang, t_lang = greedy_two_sets(prefixes, budget)
+    # the prefixes as a table: the start 0 at every length
+    return _Route(s_lang, t_lang, 2 * budget + 1,
+                  (np.zeros(n_max, dtype=np.int64), np.arange(n_max + 1)),
+                  extras={"budget": budget})
+
+
+def _tm_route(index: FactorIndex, budget: int) -> _Route:
+    s_lang, t_lang, rule = thue_morse_split_sets(index)
+    starts, offsets = index.table()
+    return _Route(s_lang, t_lang, 2, (starts, offsets),
+                  lambda: rule(starts, _table_lengths(offsets)))
+
+
+def _sturmian_route(index: FactorIndex, budget: int) -> _Route:
+    s_lang, t_lang = sturmian_split_sets(index)
+    return _Route(s_lang, t_lang, 2, index.table())
+
+
+# The one list of routes, by method name. Each entry names its route function
+# in its body, so the function is looked up among the module's globals when
+# the entry runs, and a function replaced on the module is the one run.
+ROUTES = {"marker": _marker_route, "greedy": _greedy_route, "tm": _tm_route,
+          "sturmian": _sturmian_route}
+
+METHODS = tuple(ROUTES)
 
 
 def build_decomposition(index: FactorIndex, method: str,
                         budget: int = 1) -> Decomposition:
-    """Run the route ``method`` on ``index`` and check what it built.
+    """Run the route ``method`` of :data:`ROUTES` on ``index`` and check what
+    it built.
 
     The marker, tm and sturmian routes split every indexed factor, at its
     first occurrence as :meth:`FactorIndex.table` lists it. The greedy route
     splits the prefixes of the window up to length n_max under the
-    per-length budget slope ``budget``. Every route ends in one
-    :func:`verify_cover` call over its words (the factor table, or the start
-    0 at every length for the prefixes), which gives the report; a word with
+    per-length budget slope ``budget``, and checks them as the table of the
+    start 0 at every length. Every route ends in one :func:`verify_cover`
+    call over the table its entry gives, which gives the report; a word with
     no cut is refused there, on every route, before anything is returned,
-    and so are sets above the route's per-length claim as ``bound-exceeded``.
-    The records are :class:`SplitRecords` columns. The marker records come
-    from :func:`build_st`; the tm records are the rule the route returns,
-    applied to the whole table at once after the check; the sturmian and
-    greedy records are the table's starts plus the leftmost cuts that report
-    holds. A ``budget`` below 1 is refused on every route, not only on greedy.
+    and so are sets above the entry's per-length claim as
+    ``bound-exceeded``. The records are :class:`SplitRecords` columns, built
+    only once both checks pass: by the entry's ``records`` function (the
+    :func:`build_st` records on the marker route, the tm rule applied to the
+    whole table on the tm route), or, on the sturmian and greedy routes, as
+    the table's starts plus the leftmost cuts that the report holds. A
+    ``budget`` below 1 is refused on every route, not only on greedy.
     """
     if budget < 1:
         raise PreconditionError(
             "out-of-range", f"budget slope must be >= 1, got {budget}")
-    n_max = index.n_max
-    markers = None
-    extras = {}
-    records = rule = None
-    if method == "marker":
-        markers = build_all_markers(index)
-        s_lang, t_lang, records = build_st(index, markers)
-        c, k = index.slope_constants()
-        d = next(iter(markers.values())).D
-        r = max(len(ms.markers) for ms in markers.values())
-        extras = {"C": c, "K": k, "D": d, "R": r, "orders": sorted(markers),
-                  "bound": split_sets_bound(r, c, d)}
-        claim = extras["bound"]
-    elif method == "tm":
-        s_lang, t_lang, rule = thue_morse_split_sets(index)
-        claim = 2
-    elif method == "sturmian":
-        s_lang, t_lang = sturmian_split_sets(index)
-        claim = 2
-    elif method == "greedy":
-        prefixes = LeveledLanguage(index.window[:n] for n in range(1, n_max + 1))
-        s_lang, t_lang = greedy_two_sets(prefixes, budget)
-        extras = {"budget": budget}
-        claim = 2 * budget + 1
-    else:
+    if method not in METHODS:
         raise PreconditionError(
             "unknown-method", f"method must be one of {', '.join(METHODS)}, got {method!r}")
-    if method == "greedy":
-        starts, offsets = np.zeros(n_max, dtype=np.int64), np.arange(n_max + 1)
-    else:
-        starts, offsets = index.table()
-    report = verify_cover(index.window, starts, offsets, s_lang, t_lang)
+    route = ROUTES[method](index, budget)
+    starts, offsets = route.table
+    report = verify_cover(index.window, starts, offsets, route.s_lang, route.t_lang)
     if report.uncovered:
         raise VerificationError(
             "coverage-incomplete", f"no split found for {report.uncovered[0]!r}")
-    most = max(s_lang.per_length_max(), t_lang.per_length_max())
-    if most > claim:
+    most = max(route.s_lang.per_length_max(), route.t_lang.per_length_max())
+    if most > route.claim:
         raise VerificationError(
-            "bound-exceeded", f"{most} words of one length in S or T, above the claim {claim}")
-    if records is None:
-        lengths = _table_lengths(offsets)
-        records = rule(starts, lengths) if rule is not None else SplitRecords(
-            starts, starts + np.array(report.cuts, dtype=np.int64), starts + lengths)
-    return Decomposition(s_lang=s_lang, t_lang=t_lang, records=records,
-                         extras=extras, markers=markers, report=report)
+            "bound-exceeded", f"{most} words of one length in S or T, above the claim"
+            f" {route.claim}")
+    records = route.records() if route.records is not None else SplitRecords(
+        starts, starts + np.array(report.cuts, dtype=np.int64), starts + _table_lengths(offsets))
+    return Decomposition(s_lang=route.s_lang, t_lang=route.t_lang, records=records,
+                         extras=route.extras, markers=route.markers, report=report)
 
 
 # -- counting bounds -------------------------------------------------------------

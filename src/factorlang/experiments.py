@@ -180,8 +180,10 @@ def product_bound_audit(sets: list[LeveledLanguage], index: FactorIndex,
     """
     if not sets:
         raise PreconditionError("out-of-range", "need at least one language")
+    # the length is checked by the index before the bound is computed, so a
+    # length outside the indexed range is refused as such
+    measured = index.complexity(n)
     cap = max(max(lang.per_length_max(), 1) for lang in sets)
     k = len(sets) - 1
     bound = product_complexity_bound(cap, k, n)
-    return ProductBoundReport(n=n, measured=index.complexity(n), cap=cap,
-                              k=k, bound=bound)
+    return ProductBoundReport(n=n, measured=measured, cap=cap, k=k, bound=bound)

@@ -188,6 +188,24 @@ def test_traced_cli_counts_the_marker_layers(tmp_path):
     assert set(traced["missing"]) <= TRACED_MISSING
 
 
+@pytest.mark.parametrize("method,spec", [
+    ("marker", "tm"), ("tm", "tm"), ("sturmian", "fib"), ("greedy", "tm")])
+def test_traced_cli_times_every_route(tmp_path, method, spec):
+    # the benchmark's decompose.route metric: the tracer wraps each route
+    # function on the module, so a route table that kept its own reference
+    # to the function would leave the span at zero calls
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans),
+         "decompose", method, spec, "--n-max", "32", "--out", str(tmp_path / "dc")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(spans.read_text())
+    assert traced["spans"]["decompose.route"][0] >= 1
+    assert set(traced["missing"]) <= TRACED_MISSING
+
+
 def test_decompose_marker_outputs(tmp_path, capsys):
     out = tmp_path / "dc"
     assert run(["decompose", "marker", "tm", "--n-max", "32",
@@ -458,20 +476,33 @@ def test_decompose_refuses_uncovered_word_before_writing(tmp_path, capsys, monke
 
 
 def test_decompose_refuses_sets_above_the_route_claim(tmp_path, capsys, monkeypatch):
-    # a third word of length 3 in the tm S: the cover still holds, the
-    # route's claim of two words per length does not
-    route = decompose.thue_morse_split_sets
+    # S padded with binary words of one length up to one word above the
+    # route's claim: the cover still holds, the claim does not. The padding
+    # goes through the route function's module attribute, so a route table
+    # that kept its own reference to the function would not see it.
+    # marker: the bound at tm n_max 32 is 1529.96; tm and sturmian claim 2;
+    # greedy claims 2 * budget + 1 = 3
+    cases = [("marker", "tm", "32", "build_st", 11, 1530),
+             ("tm", "tm", "16", "thue_morse_split_sets", 3, 3),
+             ("sturmian", "fib", "16", "sturmian_split_sets", 3, 3),
+             ("greedy", "tm", "16", "greedy_two_sets", 3, 4)]
 
-    def padded(index):
-        s1, s2, cut = route(index)
-        s1.add("000")
-        return s1, s2, cut
+    def padding(route, n, count):
+        def padded(*args):
+            built = route(*args)
+            binary = (format(i, f"0{n}b") for i in range(2 ** n))
+            while built[0].cardinality(n) < count:
+                built[0].add(next(binary))
+            return built
+        return padded
 
-    monkeypatch.setattr(decompose, "thue_morse_split_sets", padded)
-    out = tmp_path / "dc"
-    assert run(["decompose", "tm", "tm", "--n-max", "16", "--out", str(out)]) == 4
-    assert "bound-exceeded: 3 words of one length" in capsys.readouterr().err
-    assert not out.exists()
+    for method, spec, n_max, attr, n, count in cases:
+        monkeypatch.setattr(decompose, attr, padding(getattr(decompose, attr), n, count))
+        out = tmp_path / method
+        assert run(["decompose", method, spec, "--n-max", n_max, "--out", str(out)]) == 4
+        assert f"bound-exceeded: {count} words of one length" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.undo()
 
 
 def test_verify_tampered_set_names_missing_factor(tmp_path, capsys):
@@ -604,6 +635,27 @@ def test_experiment_lemma1(capsys):
                 "--n", "8,16,32"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows[1].startswith("8,22,36,")
+
+
+def test_experiment_lemma1_sturmian_rows(capsys):
+    # p(n) = n + 1 against the bound 2^2 * (n + 1) of two sets of two words
+    assert run(["experiment", "lemma1", "--word", "fib", "--method", "sturmian",
+                "--n", "8,16,32"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:4] == [f"{n},{n + 1},{4 * (n + 1)},0.250000" for n in (8, 16, 32)]
+
+
+def test_experiment_lemma1_reads_the_sets_alone(monkeypatch, capsys):
+    # lemma1 runs the route for its sets: no cover check, no split records
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma1 checked the cover or built records")
+
+    monkeypatch.setattr(decompose, "verify_cover", refuse)
+    monkeypatch.setattr(decompose, "SplitRecords", refuse)
+    for spec, method in (("tm", "tm"), ("fib", "sturmian")):
+        assert run(["experiment", "lemma1", "--word", spec, "--method", method,
+                    "--n", "8,16,32"]) == 0
+    capsys.readouterr()
 
 
 def test_experiment_bad_range(capsys):

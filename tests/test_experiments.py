@@ -22,6 +22,7 @@ from factorlang import (
     thue_morse_split_sets,
     witness_pair_count,
 )
+from factorlang.cli import run
 from oracles import staircase_pair_count_bruteforce, staircase_word, staircase_word_length
 
 
@@ -163,6 +164,19 @@ def test_product_bound_audit_sturmian_sets():
     assert report.measured == 51
     assert report.bound == 204
     assert report.ok
+
+
+def test_product_bound_audit_checks_the_length_first(capsys):
+    # a length outside the index is refused by the index, before the bound
+    # is computed from it
+    index = build_factor_index(thue_morse(), n_max=4)
+    s1, s2, _ = thue_morse_split_sets(index)
+    with pytest.raises(PreconditionError,
+                       match=r"out-of-range: length -2 outside the indexed range 1\.\.4"):
+        product_bound_audit([s1, s2], index, -2)
+    assert run(["experiment", "lemma1", "--word", "tm", "--n=-2,4"]) == 3
+    assert capsys.readouterr().err == (
+        "error: out-of-range: length -2 outside the indexed range 1..4\n")
 
 
 def test_product_bound_audit_single_set():
