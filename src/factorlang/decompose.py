@@ -26,15 +26,17 @@ report, and the words of that length are checked once their bits are set.
 The four routes are listed once, in :data:`ROUTES`, keyed by method name;
 :data:`METHODS` is its keys. An entry runs its route on a factor index and
 gives the sets, the route's claim (the most words of one length S or T may
-hold), the table the cover check reads (the factor table, or the prefix
-table of the start 0 at every length for greedy), a function that gives
-the records once the check has passed or None for the cuts the check
-reports, the route's figures and its markers. :func:`build_decomposition`
-is the one entry point that runs a route, by name, and returns its sets,
-records and cover report, on one path for every route: one
-:func:`verify_cover` call, then the refusal of an uncovered word and of
-sets above the claim, then the records. ``experiment lemma1`` reads the
-sets of the same entries.
+hold), a function that gives the table the cover check reads
+(``index.table``, or the prefix table of the start 0 at every length for
+greedy), a function that gives the records once the check has passed or
+None for the cuts the check reports, the route's figures and its markers.
+:func:`build_decomposition` is the one entry point that runs a route, by name, and returns its sets,
+records and cover report, on one path for every route: one call of the
+entry's table function and one :func:`verify_cover` call, then the refusal
+of an uncovered word and of sets above the claim, then the records.
+``experiment lemma1`` reads the sets of the same entries; the tm and
+Sturmian entries build no factor table for their sets, so it builds none
+(the marker entry's :func:`build_st` reads the table for its records).
 
 The marker, tm and Sturmian routes cut the window positions of the factor
 table, :meth:`FactorIndex.table`: one int64 array of first-occurrence starts
@@ -681,7 +683,8 @@ class Decomposition:
 class _Route:
     """What one route built on one index, before the cover check: the sets;
     ``claim``, the most words of one length that S or T may hold; ``table``,
-    the ``(starts, offsets)`` the cover check reads; ``records``, a function
+    a function of no arguments that gives the ``(starts, offsets)`` the cover
+    check reads, called once, just before it; ``records``, a function
     that gives the :class:`SplitRecords` once the check has passed, or None
     for the table's starts cut at the report's leftmost cuts; the route's own
     figures (``extras``); and the marker family of the marker route, None on
@@ -690,7 +693,7 @@ class _Route:
     s_lang: LeveledLanguage
     t_lang: LeveledLanguage
     claim: float
-    table: tuple[np.ndarray, np.ndarray]
+    table: Callable[[], tuple[np.ndarray, np.ndarray]]
     records: Callable[[], SplitRecords] | None = None
     extras: dict = field(default_factory=dict)
     markers: dict[int, MarkerSet] | None = None
@@ -704,7 +707,7 @@ def _marker_route(index: FactorIndex, budget: int) -> _Route:
     r = max(len(ms.markers) for ms in markers.values())
     extras = {"C": c, "K": k, "D": d, "R": r, "orders": sorted(markers),
               "bound": split_sets_bound(r, c, d)}
-    return _Route(s_lang, t_lang, extras["bound"], index.table(), lambda: records,
+    return _Route(s_lang, t_lang, extras["bound"], index.table, lambda: records,
                   extras, markers)
 
 
@@ -714,20 +717,19 @@ def _greedy_route(index: FactorIndex, budget: int) -> _Route:
     s_lang, t_lang = greedy_two_sets(prefixes, budget)
     # the prefixes as a table: the start 0 at every length
     return _Route(s_lang, t_lang, 2 * budget + 1,
-                  (np.zeros(n_max, dtype=np.int64), np.arange(n_max + 1)),
+                  lambda: (np.zeros(n_max, dtype=np.int64), np.arange(n_max + 1)),
                   extras={"budget": budget})
 
 
 def _tm_route(index: FactorIndex, budget: int) -> _Route:
     s_lang, t_lang, rule = thue_morse_split_sets(index)
-    starts, offsets = index.table()
-    return _Route(s_lang, t_lang, 2, (starts, offsets),
-                  lambda: rule(starts, _table_lengths(offsets)))
+    return _Route(s_lang, t_lang, 2, index.table,
+                  lambda: rule(index.table()[0], _table_lengths(index.table()[1])))
 
 
 def _sturmian_route(index: FactorIndex, budget: int) -> _Route:
     s_lang, t_lang = sturmian_split_sets(index)
-    return _Route(s_lang, t_lang, 2, index.table())
+    return _Route(s_lang, t_lang, 2, index.table)
 
 
 # The one list of routes, by method name. Each entry names its route function
@@ -745,19 +747,20 @@ def build_decomposition(index: FactorIndex, method: str,
     it built.
 
     The marker, tm and sturmian routes split every indexed factor, at its
-    first occurrence as :meth:`FactorIndex.table` lists it. The greedy route
-    splits the prefixes of the window up to length n_max under the
-    per-length budget slope ``budget``, and checks them as the table of the
-    start 0 at every length. Every route ends in one :func:`verify_cover`
-    call over the table its entry gives, which gives the report; a word with
-    no cut is refused there, on every route, before anything is returned,
-    and so are sets above the entry's per-length claim as
-    ``bound-exceeded``. The records are :class:`SplitRecords` columns, built
-    only once both checks pass: by the entry's ``records`` function (the
-    :func:`build_st` records on the marker route, the tm rule applied to the
-    whole table on the tm route), or, on the sturmian and greedy routes, as
-    the table's starts plus the leftmost cuts that the report holds. A
-    ``budget`` below 1 is refused on every route, not only on greedy.
+    first occurrence as :meth:`FactorIndex.table` lists it. The greedy
+    route splits the prefixes of the window up to length n_max under the
+    per-length budget slope ``budget``, and checks them as the table of
+    the start 0 at every length. Every route ends in one
+    :func:`verify_cover` call over the table that its entry's ``table``
+    function gives, which gives the report; a word with no cut is refused
+    there, on every route, before anything is returned, and so are sets
+    above the entry's per-length claim as ``bound-exceeded``. The records
+    are :class:`SplitRecords` columns, built only once both checks pass:
+    by the entry's ``records`` function (the :func:`build_st` records on
+    the marker route, the tm rule applied to the whole table on the tm
+    route), or, on the sturmian and greedy routes, as the table's starts
+    plus the leftmost cuts that the report holds. A ``budget`` below 1 is
+    refused on every route, not only on greedy.
     """
     if budget < 1:
         raise PreconditionError(
@@ -766,7 +769,7 @@ def build_decomposition(index: FactorIndex, method: str,
         raise PreconditionError(
             "unknown-method", f"method must be one of {', '.join(METHODS)}, got {method!r}")
     route = ROUTES[method](index, budget)
-    starts, offsets = route.table
+    starts, offsets = route.table()
     report = verify_cover(index.window, starts, offsets, route.s_lang, route.t_lang)
     if report.uncovered:
         raise VerificationError(

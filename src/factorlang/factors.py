@@ -3,13 +3,15 @@
 A :class:`FactorIndex` fixes a window (a prefix of the source of length
 ``n_work``) and a length cap ``n_max``, and answers per-length questions
 about the distinct factors of the window: how many there are, which of them
-are right or left special, where a factor first occurs. The first
-occurrences form one read-only table of int64 starts in (length, word)
-order, :meth:`FactorIndex.table`, which every route and the cover check
-read. All results are statements about the window; ``stabilized_profile``
-justifies reading the profile as a property of the infinite word by checking
-that doubling the window leaves it unchanged, with one automaton over the
-window and a walk of the doubled window through it.
+are right or left special, where a factor first occurs. The distinct
+first-occurrence starts are sorted once by the words they start; each
+length's row of first occurrences is one filter of that order, already in
+word order, and the rows laid end to end form one read-only table of int64
+starts in (length, word) order, :meth:`FactorIndex.table`, which every route
+and the cover check read. All results are statements about the window;
+``stabilized_profile`` justifies reading the profile as a property of the
+infinite word by checking that doubling the window leaves it unchanged, with
+one automaton over the window and a walk of the doubled window through it.
 """
 
 from __future__ import annotations
@@ -60,13 +62,16 @@ class FactorIndex:
     Everything comes from one suffix automaton over the window, and from its
     ``floor`` array alone: the letter at ``pos`` adds the factors that first
     end there, with the lengths floor[pos] + 1 .. pos + 1. Counts are read
-    from ``floor`` directly. Factors are enumerated from one table,
-    :meth:`table`, built on first use: one int64 array of the
-    first-occurrence starts of the g(n_max) distinct factors, length by
-    length and in word order within a length, with the offsets of the
-    lengths. The special factors of length n are read from the table's
-    length-(n + 1) row. The table holds integers, never factor strings, and
-    runs that only count factors never build it.
+    from ``floor`` directly. Factors are enumerated by length, one row at a
+    time: the first-occurrence starts of the length-n factors in word order,
+    one filter on ``floor`` of one sorted array of the distinct
+    first-occurrence starts, built on first use. ``factors_of_length`` reads
+    the length-n row and the special factors of length n the length-(n + 1)
+    row, so neither builds the whole table. :meth:`table`, also built on
+    first use, lays every row into one int64 array of the first-occurrence
+    starts of the g(n_max) distinct factors, with the offsets of the
+    lengths. Rows and table hold integers, never factor strings, and runs
+    that only count factors build neither.
     """
 
     def __init__(self, source: WordSource, window: str, n_max: int):
@@ -79,6 +84,7 @@ class FactorIndex:
         del self._sam._walk
         self._p = self._sam.length_counts(n_max)
         self._g = np.cumsum(self._p)
+        self._order: np.ndarray | None = None
         self._table: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- complexity ----------------------------------------------------------
@@ -135,6 +141,39 @@ class FactorIndex:
 
     # -- factor enumeration --------------------------------------------------
 
+    def _row(self, n: int) -> np.ndarray:
+        """The first-occurrence starts of the length-``n`` factors, in word
+        order: the sorted distinct starts i with i + n <= n_work and
+        floor[i + n - 1] < n, those whose length-n word first ends at
+        i + n - 1.
+
+        The sorted starts are built on first use and kept. The letter at
+        ``pos`` adds the factors that first end there, of the lengths
+        floor[pos] + 1 .. min(pos + 1, n_max), so it adds the starts
+        max(0, pos + 1 - n_max) .. pos - floor[pos], none when
+        floor[pos] >= n_max. A difference array as long as the last such
+        position + 2 marks the union of those ranges, the distinct starts.
+        Two distinct words of one length n <= n_max differ within their
+        first n letters, so ``window[i:i + n_max]`` orders the words starting
+        at i exactly at every length, and the distinct starts are sorted once
+        by that key. Only they are sorted, not every position up to the last
+        one: where most positions start no new factor, as in the block
+        product, they are a small part of it.
+        """
+        floor, n_max = self._sam.floor, self.n_max
+        if self._order is None:
+            pos = np.flatnonzero(floor < n_max)
+            size = int(pos.max(initial=-1)) + 2
+            marks = np.cumsum(np.bincount(np.maximum(pos + 1 - n_max, 0), minlength=size)
+                              - np.bincount(pos - floor[pos] + 1, minlength=size))
+            distinct = np.flatnonzero(marks[:-1]).tolist()
+            text = self.window
+            distinct.sort(key=lambda i: text[i:i + n_max])
+            self._order = np.array(distinct, dtype=np.int64)
+        end = self._order + (n - 1)
+        # a clipped end lies past the window, and the first test drops it
+        return self._order[(end < self.n_work) & (floor.take(end, mode="clip") < n)]
+
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """The factor table ``(starts, offsets)``: ``starts`` holds the
         first-occurrence starts of the distinct factors in (length, word)
@@ -143,47 +182,26 @@ class FactorIndex:
         read-only int64 arrays, built once, on first use, and shared by every
         caller.
 
-        The letter at ``pos`` adds the factors that first end there, of
-        the lengths floor[pos] + 1 .. min(pos + 1, n_max); the length-n one
-        starts at pos - n + 1, and one ``np.repeat`` expands every position
-        at once. Since floor[pos] <= pos, a position adds a length up to the
-        cap exactly when floor[pos] < n_max. Two distinct words of one length
-        n <= n_max differ within their first n letters, so
-        ``window[i:i + n_max]`` orders the words starting at i exactly at
-        every length: the distinct starts are sorted once by that key, and
-        one stable argsort over (length, rank) orders the table.
+        Each length's row comes from the one sorted order of the distinct
+        starts (see :meth:`_row`), already in word order, and is laid into
+        its place in one preallocated ``starts``; no array but the table
+        grows with g(n_max).
         """
-        if self._table is not None:
-            return self._table
-        floor, n_max = self._sam.floor, self.n_max
-        end = np.flatnonzero(floor < n_max)
-        lo = floor[end] + 1
-        counts = np.minimum(end + 1, n_max) - lo + 1
-        # lengths run lo..min(end + 1, n_max) inside each position's block
-        block_start = np.cumsum(counts) - counts
-        lengths = np.repeat(lo - block_start, counts) + np.arange(int(counts.sum()))
-        starts = np.repeat(end + 1, counts) - lengths
-        # every start lies before the last position that adds a factor
-        marked = np.zeros(int(end.max(initial=-1)) + 1, dtype=bool)
-        marked[starts] = True
-        distinct = np.flatnonzero(marked).tolist()
-        text = self.window
-        distinct.sort(key=lambda i: text[i:i + n_max])
-        rank = np.zeros(len(marked), dtype=np.int64)
-        rank[distinct] = np.arange(len(distinct))
-        starts = starts[np.argsort(lengths * len(distinct) + rank[starts], kind="stable")]
-        offsets = np.concatenate(([0], self._g)).astype(np.int64)
-        starts.flags.writeable = False
-        offsets.flags.writeable = False
-        self._table = starts, offsets
+        if self._table is None:
+            offsets = np.concatenate(([0], self._g)).astype(np.int64)
+            starts = np.empty(offsets[-1], dtype=np.int64)
+            for n in range(1, self.n_max + 1):
+                starts[offsets[n - 1]:offsets[n]] = self._row(n)
+            starts.flags.writeable = False
+            offsets.flags.writeable = False
+            self._table = starts, offsets
         return self._table
 
     def factors_of_length(self, n: int) -> set[str]:
         """The distinct factors of length ``n``."""
         self._check_range(n)
-        starts, offsets = self.table()
         text = self.window
-        return {text[i:i + n] for i in starts[offsets[n - 1]:offsets[n]].tolist()}
+        return {text[i:i + n] for i in self._row(n).tolist()}
 
     # -- special factors -----------------------------------------------------
 
@@ -205,12 +223,10 @@ class FactorIndex:
 
     def _shared_by_extensions(self, n: int, shift: int) -> set[str]:
         """The length-``n`` words at offset ``shift`` in two or more of the
-        length-(n + 1) factors, read from the table's row of that length;
-        sorted, equal words are neighbours."""
-        starts, offsets = self.table()
+        length-(n + 1) factors, read from the row of that length; sorted,
+        equal words are neighbours."""
         text = self.window
-        words = sorted(text[i:i + n]
-                       for i in (starts[offsets[n]:offsets[n + 1]] + shift).tolist())
+        words = sorted(text[i:i + n] for i in (self._row(n + 1) + shift).tolist())
         return {a for a, b in zip(words, words[1:]) if a == b}
 
     # -- occurrences --------------------------------------------------------

@@ -647,11 +647,13 @@ def test_experiment_lemma1_sturmian_rows(capsys):
 
 def test_experiment_lemma1_reads_the_sets_alone(monkeypatch, capsys):
     # lemma1 runs the route for its sets: no cover check, no split records
+    # and no factor table
     def refuse(*args, **kwargs):
-        raise AssertionError("lemma1 checked the cover or built records")
+        raise AssertionError("lemma1 checked the cover, built records or a factor table")
 
     monkeypatch.setattr(decompose, "verify_cover", refuse)
     monkeypatch.setattr(decompose, "SplitRecords", refuse)
+    monkeypatch.setattr(factors.FactorIndex, "table", refuse)
     for spec, method in (("tm", "tm"), ("fib", "sturmian")):
         assert run(["experiment", "lemma1", "--word", spec, "--method", method,
                     "--n", "8,16,32"]) == 0

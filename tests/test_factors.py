@@ -425,7 +425,8 @@ def test_prefix_counts_at_a_million_letters_match_prefix_doubling(spec, n_max):
         assert sam.length_counts(n_max, prefix=m).tolist() == want.tolist(), m
 
 
-@pytest.mark.parametrize("spec,n_max", [("tm", 256), ("abk", 128), ("fib", 256)])
+@pytest.mark.parametrize("spec,n_max", [("tm", 256), ("abk", 128), ("fib", 256),
+                                        ("pq:f=isqrt,k=p", 64)])
 def test_factor_table_and_special_factors_at_scale_match_the_state_oracle(spec, n_max):
     source = parse_word_spec(spec)
     n_work = 10 ** 5
