@@ -19,7 +19,6 @@ from .decompose import (
     CoverReport,
     Decomposition,
     LeveledLanguage,
-    MarkerOccurrences,
     SplitRecords,
     build_decomposition,
     build_st,
@@ -86,7 +85,6 @@ __all__ = [
     "FactorLangError",
     "GrowthFit",
     "LeveledLanguage",
-    "MarkerOccurrences",
     "MarkerSet",
     "Morphism",
     "PreconditionError",

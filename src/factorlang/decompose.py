@@ -5,8 +5,9 @@ indexed factor while each keeps a bounded number of words per length:
 
 * :func:`build_st` cuts every long factor at the midpoint of a marker
   occurrence chosen inside its first occurrence (the general construction
-  for linear-complexity words), reading the occurrences from one
-  :class:`MarkerOccurrences` table per run;
+  for linear-complexity words): each order has one table of its marker
+  occurrences, each classified once, and each row of factors is cut with
+  one binary search per order;
 * :func:`thue_morse_split_sets` uses suffixes and prefixes of the iterated
   doubling morphism, cutting at the boundary of maximal 2-adic valuation;
 * :func:`sturmian_split_sets` extends the unique right and left special
@@ -59,7 +60,6 @@ import functools
 import json
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -68,7 +68,6 @@ import numpy as np
 from .errors import PreconditionError, VerificationError
 from .factors import FactorIndex
 from .periodicity import MarkerSet, build_all_markers, classify_occurrence
-from .words import thue_morse
 
 
 class LeveledLanguage:
@@ -219,9 +218,13 @@ def _table_lengths(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(1, len(offsets), dtype=np.int64), np.diff(offsets))
 
 
-def _check_span(window: str, start: int, n: int):
-    """Refuse a span ``[start, start + n)`` that reaches outside ``window``."""
-    if start < 0 or start + n > len(window):
+def _check_spans(window: str, starts: np.ndarray, lengths: np.ndarray):
+    """Refuse the first span ``[start, start + n)`` that reaches outside
+    ``window``."""
+    outside = (starts < 0) | (starts + lengths > len(window))
+    if outside.any():
+        i = int(np.argmax(outside))
+        start, n = int(starts[i]), int(lengths[i])
         raise PreconditionError(
             "out-of-range",
             f"span [{start}, {start + n}) outside the window of {len(window)} letters")
@@ -230,94 +233,92 @@ def _check_span(window: str, start: int, n: int):
 # -- marker construction ------------------------------------------------------
 
 
-class MarkerOccurrences:
-    """Where the markers of each order occur in the window, for one run.
+def _marker_table(index: FactorIndex, markers, length: int, reach: int):
+    """The occurrences of the ``markers`` of one order, all of ``length``
+    letters, that end by ``reach``, as four arrays sorted by start:
 
-    For each order k, ``starts[k]`` lists the window starts of every marker
-    of that order, sorted and merged; markers of one order share a length,
-    so ``marker_at[k][i]`` is the one marker starting at ``starts[k][i]``.
-    ``own[m]`` lists the starts of the marker m alone. The class of an
-    occurrence is computed by :func:`classify_occurrence` on first use and
-    kept, keyed by (position, order); None marks one the window cannot
-    classify.
+    * the window start of each occurrence;
+    * its class code into :data:`OCCURRENCE_CLASSES`, from one
+      :func:`classify_occurrence` call, 0 where the window cannot classify it;
+    * the index of the first occurrence of the same marker at or after it
+      that is classified and not internal;
+    * the index of the first occurrence of the same marker at or after it
+      that is classified.
+
+    Markers of one order share a length, so no two start at one position.
+    The number of occurrences stands for "none" in the last two arrays, and
+    indexes one closing row: its start is ``reach``, where no marker inside
+    a span ending by ``reach`` can start, and its class code is 0. One
+    backward scan fills the pointers of every marker.
     """
-
-    def __init__(self, index: FactorIndex, markers: dict[int, MarkerSet]):
-        if not markers:
-            raise PreconditionError("no-marker-orders", "empty marker family")
-        self.index = index
-        self.D = next(iter(markers.values())).D
-        self.orders = sorted(markers, reverse=True)
-        self.own = {m: index.occurrences(m)
-                    for ms in markers.values() for m in ms.markers}
-        self.starts: dict[int, list[int]] = {}
-        self.marker_at: dict[int, list[str]] = {}
-        for order, ms in markers.items():
-            merged = sorted((i, m) for m in ms.markers for i in self.own[m])
-            self.starts[order] = [i for i, _ in merged]
-            self.marker_at[order] = [m for _, m in merged]
-        self._classes: dict[tuple[int, int], str | None] = {}
-
-    def occurrence_class(self, position: int, order: int) -> str | None:
-        key = (position, order)
-        if key not in self._classes:
-            try:
-                self._classes[key] = classify_occurrence(
-                    self.index.window, position, 2 ** order)
-            except PreconditionError:
-                self._classes[key] = None
-        return self._classes[key]
+    window = index.window
+    found = []
+    for m in markers:
+        i = window.find(m, 0, reach)
+        while i != -1:
+            found.append((i, m))
+            i = window.find(m, i + 1, reach)
+    found.sort()
+    count = len(found)
+    rows = [(reach, 0, count, count)]
+    # the next extreme and the next classified occurrence of each marker
+    after = {m: (count, count) for m in markers}
+    for j in range(count - 1, -1, -1):
+        i, m = found[j]
+        try:
+            code = _CLASS_CODE[classify_occurrence(window, i, length)]
+        except PreconditionError:
+            code = 0
+        extreme, classified = after[m]
+        # the codes above internal's are the extreme classes
+        after[m] = (j if code > _CLASS_CODE["internal"] else extreme, j if code else classified)
+        rows.append((i, code) + after[m])
+    return tuple(np.array(column[::-1], dtype=np.int64) for column in zip(*rows))
 
 
-def _marker_cut(occurrences: MarkerOccurrences, start: int,
-                n: int) -> tuple[int, int, int, str | None]:
-    """Cut the factor ``v = window[start:start + n]`` at the midpoint of a
-    chosen marker occurrence; return the cut, the order, the position of the
-    occurrence and its class.
+def _marker_cuts(window: str, tables: dict, d: int, starts: np.ndarray, n: int):
+    """Cut each factor ``window[i:i + n]``, i in ``starts``, at the midpoint
+    of a chosen marker occurrence; return the cuts, the orders, the
+    positions of the occurrences and their class codes, as int64 arrays.
 
     The order is the largest one with a marker occurring inside the span;
     within that order the marker with the leftmost occurrence is chosen.
     Among the occurrences of that marker inside the span, an extreme one
     (initial or final) is preferred, the first of them; if all are internal
     the first classified occurrence is used, and if none can be classified
-    the first occurrence, with no class. The cut falls at the middle of the
-    marker, so s ends with its left half and t starts with its right half.
+    the first occurrence, with class code 0. The cut falls at the middle of
+    the marker, so s ends with its left half and t starts with its right
+    half. A span holding no marker of any order gets the order -1, and -1
+    as its cut and position.
 
-    :func:`build_st` passes a factor's first occurrence, as the factor
-    index lists it. The occurrences are read from ``occurrences`` by
-    bisection, not searched for. A span shorter than 2D is refused as
-    ``precondition-violation``, one outside the window as ``out-of-range``.
+    ``tables`` holds one :func:`_marker_table` per order, keyed by order,
+    built for a reach that no span passes. Each order takes one binary
+    search of the row's starts in its occurrences, and the table's pointers
+    give the chosen occurrence. A length below 2D is refused as
+    ``precondition-violation``, a span outside the window as
+    ``out-of-range``.
     """
-    index = occurrences.index
-    d = occurrences.D
     if n < 2 * d:
         raise PreconditionError(
-            "precondition-violation",
-            f"marker splitting needs |v| >= {2 * d}, got {n}")
-    _check_span(index.window, start, n)
-    end = start + n
-    for order in occurrences.orders:
-        length = 2 ** order
-        starts = occurrences.starts[order]
-        at = bisect_left(starts, start)
-        if at == len(starts) or starts[at] > end - length:
-            continue
-        own = occurrences.own[occurrences.marker_at[order][at]]
-        chosen = first_classified = None
-        for pos in own[bisect_left(own, starts[at]):bisect_right(own, end - length)]:
-            cls = occurrences.occurrence_class(pos, order)
-            if cls is None:
-                continue
-            if first_classified is None:
-                first_classified = (pos, cls)
-            if cls != "internal":
-                chosen = (pos, cls)
-                break
-        pos, cls = chosen or first_classified or (starts[at], None)
-        return pos + length // 2, order, pos, cls
-    raise VerificationError(
-        "no-marker-found",
-        f"no marker of any order occurs in {index.window[start:end]!r} (undersized window?)")
+            "precondition-violation", f"marker splitting needs |v| >= {2 * d}, got {n}")
+    _check_spans(window, starts, np.full_like(starts, n))
+    cut = np.full(len(starts), -1, dtype=np.int64)
+    order, position = cut.copy(), cut.copy()
+    codes = np.zeros_like(cut)
+    rest = np.arange(len(starts))
+    for k in sorted(tables, reverse=True):
+        occ, code, extreme, classified = tables[k]
+        bound = starts[rest] + n - 2 ** k
+        at = np.searchsorted(occ, starts[rest])
+        hit = occ[at] <= bound
+        at, bound, rows, rest = at[hit], bound[hit], rest[hit], rest[~hit]
+        pick = np.where(occ[extreme[at]] <= bound, extreme[at],
+                        np.where(occ[classified[at]] <= bound, classified[at], at))
+        order[rows] = k
+        position[rows] = occ[pick]
+        cut[rows] = occ[pick] + 2 ** (k - 1)
+        codes[rows] = code[pick]
+    return cut, order, position, codes
 
 
 def split_sets_bound(R: int, C: int, D: int) -> float:
@@ -329,38 +330,42 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     """Split every indexed factor into S and T via marker midpoints.
 
     Factors shorter than 2D go into S wholesale, paired with the empty word;
-    the rest are cut by :func:`_marker_cut` at their first occurrence, all
-    reading one :class:`MarkerOccurrences` table built here. Returns
-    (S, T, records) with one record per indexed factor in (length, word)
-    order, as :class:`SplitRecords`: the start and end columns are the factor
-    table's, and each cut's fields go straight into the other columns.
+    the rest are cut at their first occurrence by :func:`_marker_cuts`, one
+    row of the factor table at a time, all reading one :func:`_marker_table`
+    per order built here. The first factor in table order that holds no
+    marker is refused as ``no-marker-found``. Returns (S, T, records) with
+    one record per indexed factor in (length, word) order, as
+    :class:`SplitRecords`: the start and end columns are the factor table's,
+    and each row's cuts are written into the other columns in place.
     """
-    occurrences = MarkerOccurrences(index, markers)
-    d = occurrences.D
-    s_lang = LeveledLanguage()
-    t_lang = LeveledLanguage([""])
+    if not markers:
+        raise PreconditionError("no-marker-orders", "empty marker family")
+    d = next(iter(markers.values())).D
     window = index.window
     starts, offsets = index.table()
-    cut, order, position = (array("q") for _ in range(3))
-    classes = array("b")
+    ends = starts + _table_lengths(offsets)
+    reach = int(ends.max(initial=0))
+    tables = {k: _marker_table(index, ms.markers, 2 ** k, reach)
+              for k, ms in markers.items()}
+    cut, position = ends.copy(), starts.copy()
+    order, classes = np.full_like(starts, -1), np.zeros(len(starts), dtype=np.int8)
+    s_words, t_words = set(), {""}
     for n in range(1, len(offsets)):
-        for i in starts[offsets[n - 1]:offsets[n]].tolist():
-            if n < 2 * d:
-                c, k, pos, cls = i + n, -1, i, None
-            else:
-                c, k, pos, cls = _marker_cut(occurrences, i, n)
-            s_lang.add(window[i:c])
-            t_lang.add(window[c:i + n])
-            cut.append(c)
-            order.append(k)
-            position.append(pos)
-            classes.append(_CLASS_CODE[cls])
-    records = SplitRecords(starts, np.frombuffer(cut, dtype=np.int64),
-                           starts + _table_lengths(offsets),
-                           np.frombuffer(order, dtype=np.int64),
-                           np.frombuffer(position, dtype=np.int64),
-                           np.frombuffer(classes, dtype=np.int8))
-    return s_lang, t_lang, records
+        row = slice(offsets[n - 1], offsets[n])
+        if n >= 2 * d:
+            cut[row], order[row], position[row], classes[row] = _marker_cuts(
+                window, tables, d, starts[row], n)
+            missing = np.flatnonzero(order[row] < 0)
+            if missing.size:
+                i = int(starts[row][missing[0]])
+                raise VerificationError(
+                    "no-marker-found", f"no marker of any order occurs in"
+                    f" {window[i:i + n]!r} (undersized window?)")
+        spans = list(zip(starts[row].tolist(), cut[row].tolist()))
+        s_words.update(window[i:c] for i, c in spans)
+        t_words.update(window[c:i + n] for i, c in spans)
+    records = SplitRecords(starts, cut, ends, order, position, classes)
+    return LeveledLanguage(s_words), LeveledLanguage(t_words), records
 
 
 # -- independent coverage check ----------------------------------------------
@@ -383,14 +388,6 @@ class CoverReport:
     @property
     def coverage(self) -> float:
         return 1.0 if self.total == 0 else self.covered / self.total
-
-
-def _check_spans(window: str, starts: np.ndarray, lengths: np.ndarray):
-    """Refuse, as :func:`_check_span` does, the first span outside ``window``."""
-    outside = (starts < 0) | (starts + lengths > len(window))
-    if outside.any():
-        i = int(np.argmax(outside))
-        _check_span(window, int(starts[i]), int(lengths[i]))
 
 
 # The Karp-Rabin hash of the cover check: a word w has the hash
@@ -540,25 +537,30 @@ def thue_morse_split_sets(index: FactorIndex):
     S1 holds every suffix (and S2 every prefix) of the r-fold images of both
     letters under 0->01, 1->10, for the least r >= 1 with 2^r >= n_max,
     which gives exactly two words per length; the images are the Thue-Morse
-    prefix of 2^r letters, which the window check has already generated
-    when the window holds 2 * n_max >= 2^r letters, and its complement. The
-    returned ``rule(starts, lengths)`` gives the :class:`SplitRecords` that
-    cut each factor ``window[start:start + n]`` at the boundary of maximal
-    2-adic valuation inside that span, keeping both parts non-empty when
-    n >= 2; the valuation makes the left part a suffix, and the right part a
-    prefix, of some iterate.
+    prefix of 2^r letters, built by doubling ``"0"`` as u + complement(u),
+    and its complement. The returned ``rule(starts, lengths)`` gives the
+    :class:`SplitRecords` that cut each factor ``window[start:start + n]`` at
+    the boundary of maximal 2-adic valuation inside that span, keeping both
+    parts non-empty when n >= 2; the valuation makes the left part a suffix,
+    and the right part a prefix, of some iterate.
 
     The route holds for the Thue-Morse word only, whatever spec names it, so
-    the window is compared with the Thue-Morse prefix of the same length.
+    the window is checked against the recursion that defines that word: it
+    starts with ``0``, t[2i] = t[i], and t[2i + 1] is the other letter.
     """
     n_max, window = index.n_max, index.window
-    tm = thue_morse()
-    if window != tm.prefix(index.n_work):
+    t = _code_points(window)
+    size = len(t)
+    if (t[:1] != ord("0")).any() or (t[::2] != t[:(size + 1) // 2]).any() \
+            or (t[1::2] != ord("0") + ord("1") - t[:size // 2]).any():
         raise PreconditionError(
             "method-mismatch",
             "the doubling-morphism route is specific to the tm word")
-    block = tm.prefix(2 ** max(1, (n_max - 1).bit_length()))
-    coblock = block.translate(str.maketrans("01", "10"))
+    complement = str.maketrans("01", "10")
+    block = "0"
+    while len(block) < max(2, n_max):
+        block += block.translate(complement)
+    coblock = block.translate(complement)
     s1 = LeveledLanguage([""])
     s2 = LeveledLanguage([""])
     for m in range(1, n_max + 1):

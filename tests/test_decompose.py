@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from factorlang import (
     FactorIndex,
     LeveledLanguage,
-    MarkerOccurrences,
     MarkerSet,
     Morphism,
     PreconditionError,
@@ -43,7 +42,8 @@ from factorlang.decompose import (
     OCCURRENCE_CLASSES,
     CoverReport,
     _bit_length,
-    _marker_cut,
+    _marker_cuts,
+    _marker_table,
 )
 from oracles import per_record_splits_csv, record_columns, slicing_witness_split
 
@@ -166,18 +166,25 @@ def _family_d(markers):
     return next(iter(markers.values())).D
 
 
+def marker_tables(index, markers):
+    """One occurrence table per order, over the whole window."""
+    return {order: _marker_table(index, ms.markers, 2 ** order, index.n_work)
+            for order, ms in markers.items()}
+
+
 @pytest.mark.parametrize("index_name", ["tm_index", "fib_index"])
 def test_split_factor_invariants(index_name, request):
     index = request.getfixturevalue(index_name)
     markers = build_all_markers(index)
-    occurrences = MarkerOccurrences(index, markers)
+    tables = marker_tables(index, markers)
     d = _family_d(markers)
     top = max(markers)
     window = index.window
     for n in (2 * d, 3 * d, 40, 97, 128):
-        for i in table_row(index, n).tolist():
+        row = table_row(index, n)
+        cuts, orders, _, _ = _marker_cuts(window, tables, d, row, n)
+        for i, cut, order in zip(row.tolist(), cuts.tolist(), orders.tolist()):
             v = window[i:i + n]
-            cut, order, _, _ = _marker_cut(occurrences, i, n)
             assert i <= cut <= i + n
             s, t = window[i:cut], window[cut:i + n]
             half = 2 ** (order - 1)
@@ -197,21 +204,23 @@ def test_split_factor_invariants(index_name, request):
 
 def test_split_factor_rejects_short_and_foreign(tm_index):
     markers = build_all_markers(tm_index)
-    occurrences = MarkerOccurrences(tm_index, markers)
+    tables = marker_tables(tm_index, markers)
     d = _family_d(markers)
+    window = tm_index.window
     with pytest.raises(PreconditionError, match="precondition-violation"):
-        _marker_cut(occurrences, 0, 2 * d - 1)
+        _marker_cuts(window, tables, d, np.array([0]), 2 * d - 1)
     # a span reaching outside the window is no factor of it
     for start in (-1, tm_index.n_work - 2 * d + 1):
         with pytest.raises(PreconditionError, match="out-of-range"):
-            _marker_cut(occurrences, start, 2 * d)
+            _marker_cuts(window, tables, d, np.array([0, start]), 2 * d)
 
 
 def test_split_factor_leftmost_fib(fib_index):
     markers = build_all_markers(fib_index)
     d = _family_d(markers)
     v = fibonacci_word().prefix(2 * d)
-    cut, order, position, _ = _marker_cut(MarkerOccurrences(fib_index, markers), 0, 2 * d)
+    cut, order, position, _ = (column.item() for column in _marker_cuts(
+        fib_index.window, marker_tables(fib_index, markers), d, np.array([0]), 2 * d))
     s, t = v[:cut], v[cut:]
     half = 2 ** (order - 1)
     assert cut == position + half
@@ -479,8 +488,9 @@ def test_mask_cover_refuses_offsets_that_are_no_table(offsets):
 def scanning_split_factor(index, markers, start, n):
     """Oracle for the marker cut: search ``v = window[start:start+n]`` for
     every marker of every order and classify each occurrence of the chosen
-    marker afresh. Returns what ``_marker_cut`` returns: the cut, the order,
-    the position of the chosen occurrence and its class."""
+    marker afresh. Returns what ``_marker_cuts`` gives for one row: the cut,
+    the order, the position of the chosen occurrence and its class (a label,
+    not a code)."""
     v = index.window[start:start + n]
     for order in sorted(markers, reverse=True):
         half = 2 ** (order - 1)
@@ -570,16 +580,31 @@ def brute_starts(window, word):
 def test_marker_occurrence_lists_match_brute_force(spec):
     index = build_factor_index(parse_word_spec(spec), n_max=96)
     markers = build_all_markers(index)
-    occurrences = MarkerOccurrences(index, markers)
-    assert occurrences.orders == sorted(markers, reverse=True)
-    for order, ms in markers.items():
-        merged = []
-        for m in ms.markers:
-            assert occurrences.own[m] == brute_starts(index.window, m)
-            merged.extend((i, m) for i in occurrences.own[m])
-        merged.sort()
-        assert occurrences.starts[order] == [i for i, _ in merged]
-        assert occurrences.marker_at[order] == [m for _, m in merged]
+    window = index.window
+    table_reach = max(int(table_row(index, n).max()) + n for n in range(1, 97))
+    for reach in (table_reach, 2 * table_reach + 1):
+        for order, ms in markers.items():
+            length = 2 ** order
+            occ, codes, extreme, classified = _marker_table(index, ms.markers, length, reach)
+            merged = sorted((i, m) for m in ms.markers for i in brute_starts(window, m)
+                            if i + length <= reach)
+            count = len(merged)
+            # the occurrences ending by reach, then the closing row
+            assert occ.tolist() == [i for i, _ in merged] + [reach]
+            assert (codes[count], extreme[count], classified[count]) == (0, count, count)
+            labels = []
+            for i, _ in merged:
+                try:
+                    labels.append(classify_occurrence(window, i, length))
+                except PreconditionError:
+                    labels.append(None)
+            assert [OCCURRENCE_CLASSES[c] for c in codes[:count].tolist()] == labels
+            for j, (_, m) in enumerate(merged):
+                later = [jj for jj in range(j, count) if merged[jj][1] == m]
+                assert classified[j] == next(
+                    (jj for jj in later if labels[jj] is not None), count)
+                assert extreme[j] == next(
+                    (jj for jj in later if labels[jj] not in (None, "internal")), count)
 
 
 @settings(max_examples=60, deadline=None)
@@ -595,16 +620,20 @@ def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
         pool = sorted(index.factors_of_length(2 ** order))
         chosen = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4))
         markers[order] = MarkerSet(order=order, markers=frozenset(chosen), D=2)
-    occurrences = MarkerOccurrences(index, markers)
+    tables = marker_tables(index, markers)
     for n in range(4, n_max + 1):
-        for start in table_row(index, n).tolist():
+        row = table_row(index, n)
+        columns = _marker_cuts(index.window, tables, 2, row, n)
+        for start, *got in zip(row.tolist(), *(column.tolist() for column in columns)):
             try:
-                expected = scanning_split_factor(index, markers, start, n)
-            except VerificationError:
-                with pytest.raises(VerificationError, match="no-marker-found"):
-                    _marker_cut(occurrences, start, n)
+                cut, order, position, cls = scanning_split_factor(index, markers, start, n)
+            except VerificationError as exc:
+                # order -1, and -1 for the cut and the position, exactly
+                # where the oracle finds no marker
+                assert "no-marker-found" in str(exc)
+                assert got == [-1, -1, -1, 0]
                 continue
-            assert _marker_cut(occurrences, start, n) == expected
+            assert got == [cut, order, position, OCCURRENCE_CLASSES.index(cls)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -757,6 +786,14 @@ def test_thue_morse_sets_window_guard(fib_index):
     # the route checks the window itself, not the spec that named it
     with pytest.raises(PreconditionError, match="method-mismatch"):
         thue_morse_split_sets(fib_index)
+    # windows one letter or one renaming away from the tm prefix
+    tm = thue_morse().prefix(64)
+    thue_morse_split_sets(FactorIndex(thue_morse(), tm, 16))
+    flipped = tm[:-1] + {"0": "1", "1": "0"}[tm[-1]]
+    for window in (flipped, tm.translate(str.maketrans("01", "10")),
+                   tm.translate(str.maketrans("01", "ab")), tm[:-1] + "2"):
+        with pytest.raises(PreconditionError, match="method-mismatch"):
+            thue_morse_split_sets(FactorIndex(thue_morse(), window, 16))
 
 
 def test_witness_split():
