@@ -229,24 +229,6 @@ class FactorIndex:
         words = sorted(text[i:i + n] for i in (self._row(n + 1) + shift).tolist())
         return {a for a, b in zip(words, words[1:]) if a == b}
 
-    # -- occurrences --------------------------------------------------------
-
-    def occurrences(self, word: str) -> list[int]:
-        """All start positions of ``word`` in the window, in order.
-
-        The empty word occurs at every boundary 0..n_work.
-        """
-        if len(word) > self.n_max:
-            raise PreconditionError(
-                "out-of-range",
-                f"occurrence queries are limited to length <= {self.n_max}")
-        out = []
-        start = self.window.find(word)
-        while start != -1:
-            out.append(start)
-            start = self.window.find(word, start + 1)
-        return out
-
 
 def _slopes(p: np.ndarray, g: np.ndarray) -> tuple[int, int]:
     """Smallest integer slopes (C, K) with p(n) <= C*n and g(n) <= K*n for

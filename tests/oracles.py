@@ -10,6 +10,17 @@ from factorlang import (
 from factorlang.decompose import OCCURRENCE_CLASSES
 
 
+def find_occurrences(window: str, word: str) -> list[int]:
+    """All start positions of ``word`` in ``window``, in order, by repeated
+    ``str.find``; the empty word occurs at every boundary 0..len(window)."""
+    out = []
+    start = window.find(word)
+    while start != -1:
+        out.append(start)
+        start = window.find(word, start + 1)
+    return out
+
+
 def slicing_witness_split(window, start, n, s_lang, t_lang) -> tuple:
     """Oracle for the cuts of verify_cover: the leftmost cut of
     ``window[start:start+n]`` with both parts in the given sets, found by

@@ -1,5 +1,7 @@
 """Factor index vs sliding-frame oracles, plus profile and window guards."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from factorlang.factors import window_profile
 from oracles import (
     StateAutomaton,
     doubled_build_profile,
+    find_occurrences,
     interval_length_counts,
     interval_special,
     interval_table,
@@ -123,6 +126,22 @@ def test_count_only_build_keeps_no_state_arrays():
         assert len(getattr(ref, name)) == ref.n_states == lean.n_states
     assert lean.floor.dtype == np.int64 and len(lean.floor) == 1000
     assert lean.floor.tolist() == ref.floor.tolist()
+
+
+@pytest.mark.parametrize("spec", ["abk", "tm"])
+def test_build_memory_per_letter(spec):
+    # the build's lists hold 2 + |alphabet| slots a state, and the ints it
+    # allocates stay alive in them; a state made by a letter shares one int
+    # for its id and maxlen, a clone its maxlen with a position state.
+    # tracemalloc counts allocations, so the bound holds on any host
+    text = parse_word_spec(spec).prefix(2 * 10 ** 5)
+    tracemalloc.start()
+    try:
+        SuffixAutomaton(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * len(text), peak / len(text)
 
 
 @settings(max_examples=80, deadline=None)
@@ -287,17 +306,16 @@ def test_detect_eventual_periodicity():
 def test_occurrences():
     index = build_factor_index(thue_morse(), n_work=64, n_max=16)
     window = thue_morse().prefix(64)
-    occ = index.occurrences("11")
+    occ = find_occurrences(window, "11")
     assert occ[:3] == [1, 7, 13]
     assert occ == [i for i in range(63) if window[i:i + 2] == "11"]
-    assert index.occurrences("") == list(range(65))
+    assert find_occurrences(window, "") == list(range(65))
     # the tm cut rule refuses a span that reaches outside the window
     _, _, rule = thue_morse_split_sets(index)
     for start in (-1, 63):
         with pytest.raises(PreconditionError, match="out-of-range"):
             rule(np.array([start]), np.array([2]))
-    fib = build_factor_index(fibonacci_word(), n_work=64, n_max=16)
-    assert fib.occurrences("11") == []
+    assert find_occurrences(fibonacci_word().prefix(64), "11") == []
 
 
 def test_range_guards():
@@ -308,8 +326,6 @@ def test_range_guards():
         index.complexity(0)
     with pytest.raises(PreconditionError, match="out-of-range"):
         index.right_special(8)  # extensions do not fit at the cap
-    with pytest.raises(PreconditionError, match="out-of-range"):
-        index.occurrences("0" * 9)
     for n in (0, 9):
         with pytest.raises(PreconditionError, match="out-of-range"):
             index.factors_of_length(n)
