@@ -18,7 +18,7 @@ from factorlang import (
 # Thue-Morse prefixes form a language with exactly one word per length, so
 # g(n) = n and the budget slope is K = 1. The greedy route of
 # build_decomposition splits the prefixes of the window up to n_max and
-# records the leftmost cut of each, shortest first.
+# records the leftmost cut of each, one row per length, shortest first.
 index = build_factor_index(thue_morse(), n_max=64)
 dec = build_decomposition(index, "greedy", budget=1)
 s_lang, t_lang = dec.s_lang, dec.t_lang
@@ -29,8 +29,9 @@ print(f"  per-length max: S = {s_lang.per_length_max()},"
 print(f"  |S| = {s_lang.total()}, |T| = {t_lang.total()}")
 
 window = index.window
-for i in (5, 40):
-    start, cut, end = dec.records.start[i], dec.records.cut[i], dec.records.end[i]
+rows = list(dec.rows())
+for n in (6, 41):
+    (start, cut, end, *_), = rows[n - 1].tuples()
     print(f"  {window[start:end]!r} = {window[start:cut]!r} + {window[cut:end]!r}")
 
 # The same pass on a language that genuinely needs more than two factors per

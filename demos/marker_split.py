@@ -29,7 +29,7 @@ for spec in ["tm", "fib"]:
     for r in orders:
         print(f"  order {r}: {sorted(markers[r].markers)}")
 
-    s_lang, t_lang, records = build_st(index, markers)
+    s_lang, t_lang, rule = build_st(index, markers)
     report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     c, _ = index.slope_constants()
     r_max = max(len(m.markers) for m in markers.values())
@@ -39,16 +39,16 @@ for spec in ["tm", "fib"]:
           f"T = {t_lang.per_length_max()}, bound {bound:.1f}")
 
     # one split in detail: the record of the factor window[60:60 + 5D], cut
-    # at its first occurrence; the records are integer columns holding
-    # positions, not words
+    # at its first occurrence by the rule, which cuts a row of starts of one
+    # length; the records are integer columns holding positions, not words
     window = index.window
     v = window[60:60 + 5 * d]
     start = window.find(v)
-    i = np.flatnonzero((records.start == start) & (records.end == start + len(v)))[0]
-    cut = records.cut[i]
+    record = rule(np.array([start]), len(v))
+    cut = record.cut[0]
     print(f"  {v!r}\n"
           f"    = {window[start:cut]!r} + {window[cut:start + len(v)]!r} "
-          f"(order {records.order[i]}, occurrence {OCCURRENCE_CLASSES[records.classes[i]]})")
+          f"(order {record.order[0]}, occurrence {OCCURRENCE_CLASSES[record.classes[0]]})")
     print()
 
 # The marker property only exists for linear-complexity words. The abk word

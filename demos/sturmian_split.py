@@ -15,8 +15,8 @@ from factorlang import (
     verify_cover,
 )
 
-# build_decomposition runs the route: the sets, one split record per factor
-# and the cover report of verify_cover.
+# build_decomposition runs the route: the sets, the cover report of
+# verify_cover, and one row of split records per length.
 index = build_factor_index(parse_word_spec("fib"), n_max=64)
 dec = build_decomposition(index, "sturmian")
 s1, s2 = dec.s_lang, dec.t_lang
@@ -32,7 +32,8 @@ print(f"  coverage: {dec.report.coverage:.6f} over {dec.report.total} factors")
 # as a span of the window at the factor's first occurrence.
 window = index.window
 v = window[7:29]
-start, cut, end, *_ = next(r for r in dec.records.tuples() if window[r[0]:r[2]] == v)
+start, cut, end, *_ = next(r for row in dec.rows() for r in row.tuples()
+                           if window[r[0]:r[2]] == v)
 print(f"  {v!r} = {window[start:cut]!r} + {window[cut:end]!r}")
 
 # The construction checks the Sturmian signature before trusting it, so a

@@ -8,6 +8,8 @@
 # covers every factor as one product S1 * S2, and both sets hold exactly two
 # words per length.
 
+import numpy as np
+
 from factorlang import build_factor_index, thue_morse, thue_morse_split_sets, verify_cover
 
 N_MAX = 64
@@ -23,9 +25,10 @@ print()
 print("sample cuts at first occurrences (boundary position is absolute in the window):")
 window = index.window
 samples = ["11", "0110", "10010110", min(index.factors_of_length(21))]
-# the rule cuts many spans at once and returns their records as columns
-records = rule([window.find(v) for v in samples], [len(v) for v in samples])
-for v, (start, cut, end, order, position, _) in zip(samples, records.tuples()):
+# the rule cuts a row of starts of one length and returns its records as
+# columns; here each row holds one start
+for v in samples:
+    (start, cut, end, order, position, _), = rule(np.array([window.find(v)]), len(v)).tuples()
     print(f"  {v!r} -> {window[start:cut]!r} + {window[cut:end]!r}"
           f"  (order {order}, boundary at {position})")
 

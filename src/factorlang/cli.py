@@ -159,7 +159,7 @@ def cmd_decompose(args) -> int:
     stats.update(dec.extras)
     _write_atomic(out_dir / "S.jsonl", (s_lang.to_jsonl("S"),))
     _write_atomic(out_dir / "T.jsonl", (t_lang.to_jsonl("T"),))
-    _write_atomic(out_dir / "splits.csv", split_records_to_csv(index.window, dec.records))
+    _write_atomic(out_dir / "splits.csv", split_records_to_csv(index.window, dec.rows()))
     _write_atomic(out_dir / "stats.json",
                   (json.dumps(stats, sort_keys=True, indent=2) + "\n",))
     print(f"word: {args.spec}")
@@ -319,6 +319,13 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except FactorLangError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_status
+    except MemoryError:
+        # a backstop: the sizes known to be too large are refused before they
+        # run, and a run that still runs out of memory is refused the same way
+        exc = PreconditionError(
+            "resource-limit", "out of memory; a smaller --window or --n-max may fit")
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_status
 

@@ -29,29 +29,31 @@ The four routes are listed once, in :data:`ROUTES`, keyed by method name;
 gives the sets, the route's claim (the most words of one length S or T may
 hold), a function that gives the table the cover check reads
 (``index.table``, or the prefix table of the start 0 at every length for
-greedy), a function that gives the records once the check has passed or
-None for the cuts the check reports, the route's figures and its markers.
-:func:`build_decomposition` is the one entry point that runs a route, by name, and returns its sets,
-records and cover report, on one path for every route: one call of the
-entry's table function and one :func:`verify_cover` call, then the refusal
-of an uncovered word and of sets above the claim, then the records.
+greedy), the route's row rule or None for the cuts the check reports, the
+route's figures and its markers.
+:func:`build_decomposition` is the one entry point that runs a route, by
+name, and returns its sets, cover report and rows, on one path for every
+route: one call of the entry's table function and one :func:`verify_cover`
+call, then the refusal of an uncovered word and of sets above the claim.
 ``experiment lemma1`` reads the sets of the same entries; the tm and
 Sturmian entries build no factor table for their sets, so it builds none
-(the marker entry's :func:`build_st` reads the table for its records).
+(the marker entry's :func:`build_st` reads the table for its sets).
 
 The marker, tm and Sturmian routes cut the window positions of the factor
 table, :meth:`FactorIndex.table`: one int64 array of first-occurrence starts
 in (length, word) order and the offsets of its lengths. The greedy route cuts
 the prefixes, the table of start 0 at every length, so a split record is a
-span of the window, start <= cut <= end, and never holds a word. A route's
-records are integer columns, :class:`SplitRecords`: start, cut, end, order and
-position as int64 arrays, and the occurrence class as a small code; no route
-builds an object per record. The start and end columns are the table's, the
-tm cuts are one numpy expression over the whole table, and the Sturmian and
-greedy cuts are those of the cover report. The words v, s and t are
-sliced from the window where a set needs them, and for splits.csv in
-:func:`split_records_to_csv` alone, one line at a time, from the columns read
-back in blocks.
+span of the window, start <= cut <= end, and never holds a word. A route
+gives its records one length at a time: its row rule, ``rule(row, n)``, cuts
+the length-n starts ``row`` into a :class:`SplitRecords`, start, cut, end,
+order and position as int64 arrays and the occurrence class as a small
+code. No route builds an object per record, nor a record column as long as
+the table. The marker rule reads the occurrence tables that
+:func:`build_st` built, the tm rule is one numpy expression over the row,
+and the Sturmian and greedy rules read the row's slice of the cover report's
+cuts. :meth:`Decomposition.rows` cuts each row only when it is read. The
+words v, s and t are sliced from the window where a set needs them, and for
+splits.csv in :func:`split_records_to_csv` alone, one line at a time.
 """
 
 from __future__ import annotations
@@ -143,21 +145,19 @@ class LeveledLanguage:
 OCCURRENCE_CLASSES = (None, "internal", "initial", "final", "initial+final")
 _CLASS_CODE = {label: code for code, label in enumerate(OCCURRENCE_CLASSES)}
 
-# records per block when the columns are read back as Python values
-_BLOCK = 1 << 12
-
 
 class SplitRecords:
-    """The split records of one route, one row per word, as integer columns.
+    """The split records of one row, one per word, as integer columns.
 
-    Row i cuts the factor ``v = window[start[i]:end[i]]`` into
+    Record i cuts the factor ``v = window[start[i]:end[i]]`` into
     ``s = window[start[i]:cut[i]]`` and ``t = window[cut[i]:end[i]]``.
     ``start``, ``cut``, ``end``, ``order`` and ``position`` are int64 arrays,
     -1 standing for an order or position the record does not carry, and
     ``classes`` holds codes into :data:`OCCURRENCE_CLASSES`. A scalar given
-    for ``order``, ``position`` or ``classes`` is broadcast to every row
-    without a copy. Any row with its cut outside [start, end] is refused as
-    ``bad-split``.
+    for ``cut``, ``end``, ``order``, ``position`` or ``classes`` is broadcast
+    to every record without a copy. Any record with its cut outside
+    [start, end] is refused as ``bad-split``. A route's row rule gives one
+    per length, so no column is longer than one row of the factor table.
 
     For marker splits, ``order`` is the marker order, ``position`` the window
     position of the chosen marker occurrence and the class its label from
@@ -172,12 +172,10 @@ class SplitRecords:
 
     def __init__(self, start, cut, end, order=-1, position=-1, classes=0):
         self.start = np.asarray(start, dtype=np.int64)
-        shape = self.start.shape
-        self.cut = np.broadcast_to(np.asarray(cut, dtype=np.int64), shape)
-        self.end = np.broadcast_to(np.asarray(end, dtype=np.int64), shape)
-        self.order = np.broadcast_to(np.asarray(order, dtype=np.int64), shape)
-        self.position = np.broadcast_to(np.asarray(position, dtype=np.int64), shape)
-        self.classes = np.broadcast_to(np.asarray(classes, dtype=np.int8), shape)
+        self.cut, self.end, self.order, self.position, self.classes = (
+            np.broadcast_to(np.asarray(column, dtype=dtype), self.start.shape)
+            for column, dtype in ((cut, np.int64), (end, np.int64), (order, np.int64),
+                                  (position, np.int64), (classes, np.int8)))
         bad = np.flatnonzero((self.cut < self.start) | (self.cut > self.end))
         if bad.size:
             i = bad[0]
@@ -190,44 +188,36 @@ class SplitRecords:
 
     def tuples(self):
         """The records as tuples of Python ints (start, cut, end, order,
-        position, class code), read from the columns a block at a time."""
-        for lo in range(0, len(self), _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            yield from zip(*(column[block].tolist() for column in (
-                self.start, self.cut, self.end, self.order, self.position, self.classes)))
+        position, class code)."""
+        return zip(*(column.tolist() for column in (
+            self.start, self.cut, self.end, self.order, self.position, self.classes)))
 
 
 SPLIT_CSV_HEADER = "v,s,t,k,pos,class"
 
 
-def split_records_to_csv(window: str, records: SplitRecords):
-    """Yield the lines of splits.csv, one per record after the header,
-    slicing each record's v, s and t from ``window``. The columns are read
-    back in blocks, so no list as long as the file is built."""
+def split_records_to_csv(window: str, rows):
+    """Yield the lines of splits.csv, one per record after the header, from
+    the :class:`SplitRecords` of ``rows`` in turn, slicing each record's v, s
+    and t from ``window``. No list as long as the file is built, and a row
+    given by a generator is cut only when its lines are reached."""
     labels = [label or "" for label in OCCURRENCE_CLASSES]
     yield SPLIT_CSV_HEADER + "\n"
-    for start, cut, end, order, position, code in records.tuples():
-        yield (f"{window[start:end]},{window[start:cut]},{window[cut:end]},"
-               f"{'' if order < 0 else order},{'' if position < 0 else position},"
-               f"{labels[code]}\n")
+    for records in rows:
+        for start, cut, end, order, position, code in records.tuples():
+            yield (f"{window[start:end]},{window[start:cut]},{window[cut:end]},"
+                   f"{'' if order < 0 else order},{'' if position < 0 else position},"
+                   f"{labels[code]}\n")
 
 
-def _table_lengths(offsets: np.ndarray) -> np.ndarray:
-    """The length of each word of a factor table, ``offsets[n]`` being the
-    end of its words of length n, as int64."""
-    return np.repeat(np.arange(1, len(offsets), dtype=np.int64), np.diff(offsets))
-
-
-def _check_spans(window: str, starts: np.ndarray, lengths: np.ndarray):
-    """Refuse the first span ``[start, start + n)`` that reaches outside
+def _check_spans(window: str, starts: np.ndarray, ends: np.ndarray):
+    """Refuse the first span ``[start, end)`` that reaches outside
     ``window``."""
-    outside = (starts < 0) | (starts + lengths > len(window))
+    outside = (starts < 0) | (ends > len(window))
     if outside.any():
         i = int(np.argmax(outside))
-        start, n = int(starts[i]), int(lengths[i])
-        raise PreconditionError(
-            "out-of-range",
-            f"span [{start}, {start + n}) outside the window of {len(window)} letters")
+        raise PreconditionError("out-of-range", f"span [{starts[i]}, {ends[i]}) outside"
+                                f" the window of {len(window)} letters")
 
 
 # -- marker construction ------------------------------------------------------
@@ -301,12 +291,14 @@ def _marker_cuts(window: str, tables: dict, d: int, starts: np.ndarray, n: int):
     if n < 2 * d:
         raise PreconditionError(
             "precondition-violation", f"marker splitting needs |v| >= {2 * d}, got {n}")
-    _check_spans(window, starts, np.full_like(starts, n))
-    cut = np.full(len(starts), -1, dtype=np.int64)
-    order, position = cut.copy(), cut.copy()
+    _check_spans(window, starts, starts + n)
+    cut, order, position = np.full((3, len(starts)), -1, dtype=np.int64)
     codes = np.zeros_like(cut)
     rest = np.arange(len(starts))
     for k in sorted(tables, reverse=True):
+        # every span has its order: the lower orders would cut none
+        if not rest.size:
+            break
         occ, code, extreme, classified = tables[k]
         bound = starts[rest] + n - 2 ** k
         at = np.searchsorted(occ, starts[rest])
@@ -326,46 +318,55 @@ def split_sets_bound(R: int, C: int, D: int) -> float:
     return R * (math.log2(D) + 2) * (1 + 4 * C * (2 * D + 1))
 
 
+def _marker_rule(window: str, tables: dict, d: int, starts: np.ndarray,
+                 n: int) -> SplitRecords:
+    """The marker records of the length-``n`` factors at ``starts``: rows
+    shorter than 2D go into S wholesale, cut at their end and carrying their
+    start as the position; longer ones are cut by :func:`_marker_cuts` over
+    ``tables``."""
+    if n < 2 * d:
+        return SplitRecords(starts, starts + n, starts + n, position=starts)
+    cut, order, position, codes = _marker_cuts(window, tables, d, starts, n)
+    return SplitRecords(starts, cut, starts + n, order, position, codes)
+
+
 def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     """Split every indexed factor into S and T via marker midpoints.
 
     Factors shorter than 2D go into S wholesale, paired with the empty word;
     the rest are cut at their first occurrence by :func:`_marker_cuts`, one
     row of the factor table at a time, all reading one :func:`_marker_table`
-    per order built here. The first factor in table order that holds no
-    marker is refused as ``no-marker-found``. Returns (S, T, records) with
-    one record per indexed factor in (length, word) order, as
-    :class:`SplitRecords`: the start and end columns are the factor table's,
-    and each row's cuts are written into the other columns in place.
+    per order built here, once. The first factor in table order that holds
+    no marker is refused as ``no-marker-found``. Returns (S, T, rule), where
+    ``rule(row, n)`` gives the :class:`SplitRecords` of the length-n starts
+    ``row`` from the same tables: the loop here keeps the words of S and T
+    and no record, and the rule cuts a row again when its records are read.
     """
     if not markers:
         raise PreconditionError("no-marker-orders", "empty marker family")
     d = next(iter(markers.values())).D
     window = index.window
     starts, offsets = index.table()
-    ends = starts + _table_lengths(offsets)
-    reach = int(ends.max(initial=0))
+    rows = [(n, starts[offsets[n - 1]:offsets[n]]) for n in range(1, len(offsets))]
+    reach = max((int(row.max()) + n for n, row in rows if len(row)), default=0)
     tables = {k: _marker_table(index, ms.markers, 2 ** k, reach)
               for k, ms in markers.items()}
-    cut, position = ends.copy(), starts.copy()
-    order, classes = np.full_like(starts, -1), np.zeros(len(starts), dtype=np.int8)
     s_words, t_words = set(), {""}
-    for n in range(1, len(offsets)):
-        row = slice(offsets[n - 1], offsets[n])
+    for n, row in rows:
+        cut = row + n
         if n >= 2 * d:
-            cut[row], order[row], position[row], classes[row] = _marker_cuts(
-                window, tables, d, starts[row], n)
-            missing = np.flatnonzero(order[row] < 0)
+            cut, order, _, _ = _marker_cuts(window, tables, d, row, n)
+            missing = np.flatnonzero(order < 0)
             if missing.size:
-                i = int(starts[row][missing[0]])
+                i = int(row[missing[0]])
                 raise VerificationError(
                     "no-marker-found", f"no marker of any order occurs in"
                     f" {window[i:i + n]!r} (undersized window?)")
-        spans = list(zip(starts[row].tolist(), cut[row].tolist()))
+        spans = list(zip(row.tolist(), cut.tolist()))
         s_words.update(window[i:c] for i, c in spans)
         t_words.update(window[c:i + n] for i, c in spans)
-    records = SplitRecords(starts, cut, ends, order, position, classes)
-    return LeveledLanguage(s_words), LeveledLanguage(t_words), records
+    rule = functools.partial(_marker_rule, window, tables, d)
+    return LeveledLanguage(s_words), LeveledLanguage(t_words), rule
 
 
 # -- independent coverage check ----------------------------------------------
@@ -449,9 +450,10 @@ def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
         raise PreconditionError(
             "out-of-range", f"offsets must rise from 0 to {len(starts)}, the number of starts")
     hi = len(offsets) - 1
-    lengths = _table_lengths(offsets)
-    _check_spans(window, starts, lengths)
+    # the length of each table word
+    lengths = np.repeat(np.arange(1, hi + 1, dtype=np.int64), np.diff(offsets))
     ends = starts + lengths
+    _check_spans(window, starts, ends)
     reach = int(ends.max(initial=0))
     longest_from = np.zeros(reach + 1, dtype=np.int64)
     np.maximum.at(longest_from, starts, lengths)
@@ -506,9 +508,10 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 
 
 def _thue_morse_records(window: str, n_max: int, starts: np.ndarray,
-                        lengths: np.ndarray) -> SplitRecords:
-    """Cut every span (start, n) of ``window`` at the boundary of maximal
-    2-adic valuation in [lo, hi], lo = start + 1 and hi = start + max(n - 1, 1).
+                        n: int) -> SplitRecords:
+    """Cut every span (start, n) of ``window``, start in ``starts``, at the
+    boundary of maximal 2-adic valuation in [lo, hi], lo = start + 1 and
+    hi = start + max(n - 1, 1).
 
     Two boundaries sharing the maximal valuation would have a
     higher-valuation multiple strictly between them, so the boundary is
@@ -518,17 +521,15 @@ def _thue_morse_records(window: str, n_max: int, starts: np.ndarray,
     outside 1..n_max, or a span outside the window, is refused as
     ``out-of-range``.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if ((lengths < 1) | (lengths > n_max)).any():
+    if not 1 <= n <= n_max:
         raise PreconditionError(
-            "out-of-range", f"the tm cut is defined for lengths 1..{n_max}")
-    _check_spans(window, starts, lengths)
+            "out-of-range", f"the tm cut is defined for lengths 1..{n_max}, got {n}")
+    _check_spans(window, starts, starts + n)
     # a single letter has the one boundary start + 1, which leaves t empty
-    hi = starts + np.maximum(lengths - 1, 1)
+    hi = starts + max(n - 1, 1)
     k = _bit_length(hi ^ starts) - 1
     boundary = (hi >> k) << k
-    return SplitRecords(starts, boundary, starts + lengths, k, boundary)
+    return SplitRecords(starts, boundary, starts + n, k, boundary)
 
 
 def thue_morse_split_sets(index: FactorIndex):
@@ -538,11 +539,11 @@ def thue_morse_split_sets(index: FactorIndex):
     letters under 0->01, 1->10, for the least r >= 1 with 2^r >= n_max,
     which gives exactly two words per length; the images are the Thue-Morse
     prefix of 2^r letters, built by doubling ``"0"`` as u + complement(u),
-    and its complement. The returned ``rule(starts, lengths)`` gives the
-    :class:`SplitRecords` that cut each factor ``window[start:start + n]`` at
-    the boundary of maximal 2-adic valuation inside that span, keeping both
-    parts non-empty when n >= 2; the valuation makes the left part a suffix,
-    and the right part a prefix, of some iterate.
+    and its complement. The returned ``rule(row, n)`` gives the
+    :class:`SplitRecords` that cut each factor ``window[start:start + n]``,
+    start in ``row``, at the boundary of maximal 2-adic valuation inside that
+    span, keeping both parts non-empty when n >= 2; the valuation makes the
+    left part a suffix, and the right part a prefix, of some iterate.
 
     The route holds for the Thue-Morse word only, whatever spec names it, so
     the window is checked against the recursion that defines that word: it
@@ -667,18 +668,37 @@ def greedy_two_sets(lang: LeveledLanguage, budget_slope: int):
 # -- the table of the four routes ------------------------------------------------
 
 
+def _leftmost_rule(cuts: np.ndarray, offsets: np.ndarray, starts: np.ndarray,
+                   n: int) -> SplitRecords:
+    """The records of the length-``n`` row ``starts`` of the table whose
+    offsets are ``offsets``, cut at the leftmost cuts that ``cuts``, a cover
+    report's, hold for that row."""
+    return SplitRecords(starts, starts + cuts[offsets[n - 1]:offsets[n]], starts + n)
+
+
 @dataclass(frozen=True)
 class Decomposition:
-    """What one route built on one index: the sets, one split record per
-    covered word, the route's own figures (``extras``), the marker family of
-    the marker route (None on the others) and the cover report."""
+    """What one route built on one index: the sets, the route's own figures
+    (``extras``), the marker family of the marker route (None on the
+    others), the cover report, and the table the report checked with the
+    row rule ``cut(row, n)`` that gives the split records of one of its
+    rows; :meth:`rows` reads the records."""
 
     s_lang: LeveledLanguage
     t_lang: LeveledLanguage
-    records: SplitRecords
     extras: dict
     markers: dict[int, MarkerSet] | None
     report: CoverReport
+    table: tuple[np.ndarray, np.ndarray]
+    cut: Callable[[np.ndarray, int], SplitRecords]
+
+    def rows(self):
+        """The split records, one :class:`SplitRecords` per length from 1
+        up, one record per covered word in table order, as a generator: a
+        row is cut when it is reached, and each call starts again from
+        length 1."""
+        starts, offsets = self.table
+        return (self.cut(starts[offsets[n - 1]:offsets[n]], n) for n in range(1, len(offsets)))
 
 
 @dataclass(frozen=True)
@@ -686,31 +706,30 @@ class _Route:
     """What one route built on one index, before the cover check: the sets;
     ``claim``, the most words of one length that S or T may hold; ``table``,
     a function of no arguments that gives the ``(starts, offsets)`` the cover
-    check reads, called once, just before it; ``records``, a function
-    that gives the :class:`SplitRecords` once the check has passed, or None
-    for the table's starts cut at the report's leftmost cuts; the route's own
-    figures (``extras``); and the marker family of the marker route, None on
-    the others."""
+    check reads, called once, just before it; ``cut``, the route's row rule
+    ``cut(row, n)``, which gives the :class:`SplitRecords` of the length-n
+    starts ``row``, or None for the row's leftmost cuts in the cover report;
+    the route's own figures (``extras``); and the marker family of the
+    marker route, None on the others."""
 
     s_lang: LeveledLanguage
     t_lang: LeveledLanguage
     claim: float
     table: Callable[[], tuple[np.ndarray, np.ndarray]]
-    records: Callable[[], SplitRecords] | None = None
+    cut: Callable[[np.ndarray, int], SplitRecords] | None = None
     extras: dict = field(default_factory=dict)
     markers: dict[int, MarkerSet] | None = None
 
 
 def _marker_route(index: FactorIndex, budget: int) -> _Route:
     markers = build_all_markers(index)
-    s_lang, t_lang, records = build_st(index, markers)
+    s_lang, t_lang, rule = build_st(index, markers)
     c, k = index.slope_constants()
     d = next(iter(markers.values())).D
     r = max(len(ms.markers) for ms in markers.values())
     extras = {"C": c, "K": k, "D": d, "R": r, "orders": sorted(markers),
               "bound": split_sets_bound(r, c, d)}
-    return _Route(s_lang, t_lang, extras["bound"], index.table, lambda: records,
-                  extras, markers)
+    return _Route(s_lang, t_lang, extras["bound"], index.table, rule, extras, markers)
 
 
 def _greedy_route(index: FactorIndex, budget: int) -> _Route:
@@ -725,8 +744,7 @@ def _greedy_route(index: FactorIndex, budget: int) -> _Route:
 
 def _tm_route(index: FactorIndex, budget: int) -> _Route:
     s_lang, t_lang, rule = thue_morse_split_sets(index)
-    return _Route(s_lang, t_lang, 2, index.table,
-                  lambda: rule(index.table()[0], _table_lengths(index.table()[1])))
+    return _Route(s_lang, t_lang, 2, index.table, rule)
 
 
 def _sturmian_route(index: FactorIndex, budget: int) -> _Route:
@@ -757,12 +775,12 @@ def build_decomposition(index: FactorIndex, method: str,
     function gives, which gives the report; a word with no cut is refused
     there, on every route, before anything is returned, and so are sets
     above the entry's per-length claim as ``bound-exceeded``. The records
-    are :class:`SplitRecords` columns, built only once both checks pass:
-    by the entry's ``records`` function (the :func:`build_st` records on
-    the marker route, the tm rule applied to the whole table on the tm
-    route), or, on the sturmian and greedy routes, as the table's starts
-    plus the leftmost cuts that the report holds. A ``budget`` below 1 is
-    refused on every route, not only on greedy.
+    are cut only afterwards, one row at a time as
+    :meth:`Decomposition.rows` reads them: by the entry's row rule (the
+    :func:`build_st` rule on the marker route, the
+    :func:`thue_morse_split_sets` rule on the tm route), or, on the
+    sturmian and greedy routes, at the leftmost cuts that the report holds.
+    A ``budget`` below 1 is refused on every route, not only on greedy.
     """
     if budget < 1:
         raise PreconditionError(
@@ -781,10 +799,11 @@ def build_decomposition(index: FactorIndex, method: str,
         raise VerificationError(
             "bound-exceeded", f"{most} words of one length in S or T, above the claim"
             f" {route.claim}")
-    records = route.records() if route.records is not None else SplitRecords(
-        starts, starts + np.array(report.cuts, dtype=np.int64), starts + _table_lengths(offsets))
-    return Decomposition(s_lang=route.s_lang, t_lang=route.t_lang, records=records,
-                         extras=route.extras, markers=route.markers, report=report)
+    # the report's cuts read in place, without a copy
+    cut = route.cut or functools.partial(
+        _leftmost_rule, np.frombuffer(report.cuts, dtype=np.int64), offsets)
+    return Decomposition(route.s_lang, route.t_lang, route.extras, route.markers, report,
+                         (starts, offsets), cut)
 
 
 # -- counting bounds -------------------------------------------------------------

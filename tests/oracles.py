@@ -1,5 +1,7 @@
 """Slow, direct forms of fast library functions, shared by the test modules."""
 
+import itertools
+
 import numpy as np
 
 from factorlang import (
@@ -34,10 +36,16 @@ def slicing_witness_split(window, start, n, s_lang, t_lang) -> tuple:
     raise VerificationError("coverage-incomplete", f"no split found for {v!r}")
 
 
-def record_columns(records) -> SplitRecords:
-    """The columns of a list of record tuples, in the order of
-    ``SplitRecords.tuples()``, read one record at a time."""
-    return SplitRecords(*([r[j] for r in records] for j in range(6)))
+def record_rows(records) -> list[SplitRecords]:
+    """The rows of a list of record tuples, in the order of
+    ``SplitRecords.tuples()``: one :class:`SplitRecords` per run of records
+    of one length (end - start), in the order given, each column read one
+    record at a time."""
+    rows = []
+    for _, run in itertools.groupby(records, key=lambda r: r[2] - r[0]):
+        run = list(run)
+        rows.append(SplitRecords(*([r[j] for r in run] for j in range(6))))
+    return rows
 
 
 def per_record_splits_csv(window, records):

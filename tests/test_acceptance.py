@@ -75,11 +75,13 @@ def test_criterion_3_marker_construction(capsys):
         for source in (thue_morse(), fibonacci_word()):
             index = build_factor_index(source, n_max=128)
             markers = build_all_markers(index)
-            s_lang, t_lang, records = build_st(index, markers)
-            report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+            s_lang, t_lang, rule = build_st(index, markers)
+            starts, offsets = index.table()
+            report = verify_cover(index.window, starts, offsets, s_lang, t_lang)
             assert report.coverage == 1.0
             d = next(iter(markers.values())).D
-            for start, cut, end, order, _, _ in records.tuples():
+            rows = (rule(starts[offsets[n - 1]:offsets[n]], n) for n in range(1, 129))
+            for start, cut, end, order, _, _ in (r for row in rows for r in row.tuples()):
                 if order < 0:
                     continue
                 for l in (cut - start, end - cut):

@@ -87,6 +87,27 @@ def test_complexity_refuses_over_cap_before_any_build(monkeypatch, capsys):
     assert "prefix length 18000000" in err
 
 
+def test_out_of_memory_exits_3_without_a_traceback():
+    # a window of 4e6 letters needs about 570 MB; in a child whose address
+    # space is capped at 350 MB it runs out of memory, and the backstop in
+    # cli.run refuses it as resource-limit (the cap keeps the test small)
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (350 << 20, 350 << 20))
+
+    # one BLAS thread, so the address space numpy reserves at import does
+    # not grow with the machine's cores
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "factorlang.cli", "complexity", "abk", "--n-max", "1000",
+         "--window", "4000000"],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: resource-limit: out of memory")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
 def test_complexity_builds_one_automaton_over_the_window(monkeypatch, capsys):
     built = []
     real = factors.SuffixAutomaton

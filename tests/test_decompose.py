@@ -45,7 +45,7 @@ from factorlang.decompose import (
     _marker_cuts,
     _marker_table,
 )
-from oracles import per_record_splits_csv, record_columns, slicing_witness_split
+from oracles import per_record_splits_csv, record_rows, slicing_witness_split
 
 
 def table_row(index, n):
@@ -57,6 +57,16 @@ def table_row(index, n):
 def prefix_table(n):
     """The table of the prefixes up to length n: the start 0 at every length."""
     return np.zeros(n, dtype=np.int64), np.arange(n + 1)
+
+
+def rule_records(rule, spans):
+    """The records of ``spans`` (start, n) as the row rule ``rule(row, n)``
+    gives them, one call per length, as tuples in the order of ``spans``."""
+    starts = collections.defaultdict(list)
+    for i, n in spans:
+        starts[n].append(i)
+    rows = {n: rule(np.array(row, dtype=np.int64), n).tuples() for n, row in starts.items()}
+    return [next(rows[n]) for _, n in spans]
 
 
 # -- leveled languages ---------------------------------------------------------
@@ -138,15 +148,23 @@ def test_split_records_columns_refuse_a_cut_outside_the_span():
     records = SplitRecords([0, 2, 2, 2, 3], [0, 2, 3, 4, 3], [1, 4, 4, 4, 3])
     assert len(records) == 5
     assert list(records.tuples())[1:4] == [(2, c, 4, -1, -1, 0) for c in (2, 3, 4)]
-    assert len(record_columns([])) == 0 and list(record_columns([]).tuples()) == []
+    # one row of 5000 words of length 2, its order a scalar broadcast
+    # without a copy, read back whole as tuples
+    row = np.arange(0, 3 * 5000, 3)
+    records = SplitRecords(row, row + 1, row + 2, order=1)
+    assert records.order.strides == (0,)
+    assert list(records.tuples()) == [(i, i + 1, i + 2, 1, -1, 0) for i in row.tolist()]
+    assert record_rows([]) == [] and list(SplitRecords([], [], []).tuples()) == []
 
 
 def test_split_records_csv():
-    records = record_columns([(1, 2, 3, 1, 4, 0), (1, 2, 2, -1, 0, 0)])
-    lines = split_records_to_csv("cab", records)
+    # two rows, of lengths 2 and 1, written in the order given
+    rows = record_rows([(1, 2, 3, 1, 4, 0), (1, 2, 2, -1, 0, 0)])
+    assert [len(row) for row in rows] == [1, 1]
+    lines = split_records_to_csv("cab", rows)
     assert "".join(lines) == "v,s,t,k,pos,class\nab,a,b,1,4,\na,a,,,0,\n"
-    empty = record_columns([])
-    assert "".join(split_records_to_csv("cab", empty)) == "v,s,t,k,pos,class\n"
+    for empty in ([], [SplitRecords([], [], [])]):
+        assert "".join(split_records_to_csv("cab", empty)) == "v,s,t,k,pos,class\n"
 
 
 # -- marker route ----------------------------------------------------------------
@@ -231,7 +249,7 @@ def test_split_factor_leftmost_fib(fib_index):
 def test_build_st_coverage_and_bound(index_name, request):
     index = request.getfixturevalue(index_name)
     markers = build_all_markers(index)
-    s_lang, t_lang, records = build_st(index, markers)
+    s_lang, t_lang, rule = build_st(index, markers)
     report = verify_cover(index.window, *index.table(), s_lang, t_lang)
     assert report.coverage == 1.0
     assert report.total == sum(index.complexity(n) for n in range(1, 129))
@@ -245,7 +263,7 @@ def test_build_st_coverage_and_bound(index_name, request):
     assert "" in t_lang
     for n in range(1, 2 * d):
         assert index.factors_of_length(n) <= s_lang.by_length[n]
-    assert len(records) == report.total
+    assert sum(len(rule(table_row(index, n), n)) for n in range(1, 129)) == report.total
 
 
 def test_verify_cover_degenerate_cases():
@@ -550,7 +568,7 @@ def test_build_st_matches_scanning_oracle(spec, n_max, window, monkeypatch):
         return classify_occurrence(window, position, length)
 
     monkeypatch.setattr(decompose, "classify_occurrence", counting_classify)
-    s_lang, t_lang, records = build_st(index, markers)
+    s_lang, t_lang, rule = build_st(index, markers)
     monkeypatch.undo()
     # one classification per distinct occurrence, however many factors hold it
     assert calls and set(calls.values()) == {1}
@@ -566,7 +584,8 @@ def test_build_st_matches_scanning_oracle(spec, n_max, window, monkeypatch):
                 expected.append((start, cut, start + n, order, position,
                                  OCCURRENCE_CLASSES.index(cls)))
     # every field of every row, the occurrence class included
-    assert list(records.tuples()) == expected
+    assert [r for n in range(1, n_max + 1)
+            for r in rule(table_row(index, n), n).tuples()] == expected
     by_words = lambda w: (len(w), w)  # noqa: E731
     assert list(s_lang.words()) == sorted({window[r[0]:r[1]] for r in expected}, key=by_words)
     assert list(t_lang.words()) == sorted({window[r[1]:r[2]] for r in expected}, key=by_words)
@@ -668,9 +687,8 @@ def scan_records(spans):
 def test_max_valuation_boundary_matches_scan():
     # every range [lo, hi] within [1, 511], as the span (lo - 1, hi - lo + 2)
     spans = [(lo - 1, hi - lo + 2) for lo in range(1, 512) for hi in range(lo, 512)]
-    starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*spans))
     _, _, rule = thue_morse_split_sets(FactorIndex(thue_morse(), thue_morse().prefix(512), 512))
-    assert list(rule(starts, lengths).tuples()) == scan_records(spans)
+    assert rule_records(rule, spans) == scan_records(spans)
 
 
 def test_bit_length_is_exact_up_to_the_prefix_cap():
@@ -687,14 +705,13 @@ def tm_index_256():
 
 
 def test_thue_morse_records_match_the_scalar_rule(tm_index_256):
-    # every row of the index: the route's rule against the scan, one span at
-    # a time
+    # every row of the index: the route's rule, one call per row, against
+    # the scan, one span at a time
     spans = [(i, n) for n in range(1, 257) for i in table_row(tm_index_256, n).tolist()]
-    starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*spans))
     _, _, rule = thue_morse_split_sets(tm_index_256)
-    records = rule(starts, lengths)
-    assert len(records) == tm_index_256.accumulative(256)
-    assert list(records.tuples()) == scan_records(spans)
+    rows = [rule(table_row(tm_index_256, n), n) for n in range(1, 257)]
+    assert sum(map(len, rows)) == tm_index_256.accumulative(256)
+    assert [r for row in rows for r in row.tuples()] == scan_records(spans)
 
 
 def test_thue_morse_records_near_powers_of_two(tm_index_256):
@@ -706,13 +723,11 @@ def test_thue_morse_records_near_powers_of_two(tm_index_256):
     spans = sorted({(i, n) for m in marks for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 255, 256)
                     for i in (m, m - n) if 0 <= i and i + n <= len(window)}
                    | {(i, 1) for i in range(40)})
-    starts, lengths = (np.array(column, dtype=np.int64) for column in zip(*spans))
-    assert list(rule(starts, lengths).tuples()) == scan_records(spans)
-    # a span outside the window, and lengths outside 1..n_max
-    for bad_starts, bad_lengths in (([0, len(window) - 3], [1, 4]), ([-1], [2]),
-                                    ([0, 5], [1, 0]), ([0, 5], [1, 257])):
+    assert rule_records(rule, spans) == scan_records(spans)
+    # a span outside the window, and the lengths 0 and n_max + 1
+    for bad_starts, n in (([0, len(window) - 3], 4), ([-1], 2), ([0, 5], 0), ([0, 5], 257)):
         with pytest.raises(PreconditionError, match="out-of-range"):
-            rule(np.array(bad_starts), np.array(bad_lengths))
+            rule(np.array(bad_starts), n)
 
 
 @pytest.mark.parametrize("method,spec", [
@@ -720,22 +735,26 @@ def test_thue_morse_records_near_powers_of_two(tm_index_256):
 def test_splits_csv_matches_the_per_record_writer(method, spec):
     index = build_factor_index(parse_word_spec(spec), n_max=64)
     dec = build_decomposition(index, method)
-    assert isinstance(dec.records, SplitRecords)
+    rows = list(dec.rows())
+    # one row per length, each a SplitRecords of that length's words
+    assert len(rows) == 64 and all(isinstance(row, SplitRecords) for row in rows)
+    assert all((row.end - row.start == n).all() for n, row in enumerate(rows, 1))
     # the records one at a time: the scanned tm cuts, the leftmost cuts of
-    # the report, and the marker records as the columns give them back
+    # the report, and the marker records as the rows give them back
     starts, offsets = prefix_table(64) if method == "greedy" else index.table()
     spans = [(i, n) for n in range(1, 65) for i in starts[offsets[n - 1]:offsets[n]].tolist()]
     if method == "tm":
         expected = scan_records(spans)
     elif method == "marker":
-        expected = list(dec.records.tuples())
+        expected = [r for row in rows for r in row.tuples()]
     else:
         expected = [(i, i + c, i + n, -1, -1, 0) for (i, n), c in zip(spans, dec.report.cuts)]
-    written = "".join(split_records_to_csv(index.window, dec.records))
+    written = "".join(split_records_to_csv(index.window, dec.rows()))
     assert written == "".join(per_record_splits_csv(index.window, expected))
-    assert written.count("\n") == len(dec.records) + 1
-    empty = record_columns([])
-    assert ("".join(split_records_to_csv(index.window, empty))
+    assert written.count("\n") == dec.report.total + 1
+    # rows() starts again on each call: a second read writes the same file
+    assert "".join(split_records_to_csv(index.window, dec.rows())) == written
+    assert ("".join(split_records_to_csv(index.window, record_rows([])))
             == "".join(per_record_splits_csv(index.window, [])) == "v,s,t,k,pos,class\n")
 
 
@@ -748,14 +767,14 @@ def test_thue_morse_sets_counts_and_cuts(tm_index):
     assert window[1:3] == "11"
     # the boundary after the second letter, 1-based, of valuation 1; a
     # single letter is cut after it
-    assert list(rule(np.array([1, 0]), np.array([2, 1])).tuples()) == [
-        (1, 2, 3, 1, 2, 0), (0, 1, 1, 0, 1, 0)]
+    assert list(rule(np.array([1]), 2).tuples()) == [(1, 2, 3, 1, 2, 0)]
+    assert list(rule(np.array([0]), 1).tuples()) == [(0, 1, 1, 0, 1, 0)]
     report = verify_cover(tm_index.window, *tm_index.table(), s1, s2)
     assert report.coverage == 1.0
     # each cut produces parts from the sets themselves
     for n in (1, 2, 7, 32, 128):
         row = table_row(tm_index, n)
-        records = rule(row, np.full(len(row), n))
+        records = rule(row, n)
         assert (records.start == row).all() and (records.end == row + n).all()
         for i, cut in zip(row.tolist(), records.cut.tolist()):
             assert window[i:cut] in s1 and window[cut:i + n] in s2
@@ -908,21 +927,24 @@ def test_build_decomposition_routes(method, spec):
     assert dec.report.coverage == 1.0
     assert (dec.markers is not None) == (method == "marker")
     window = index.window
-    for start, cut, end, *_ in dec.records.tuples():
+    rows = list(dec.rows())
+    records = [r for row in rows for r in row.tuples()]
+    for start, cut, end, *_ in records:
         assert window[start:cut] in dec.s_lang
         assert window[cut:end] in dec.t_lang
     if method == "greedy":
         # one record per prefix of the window, each a certificate of its cover
-        assert (dec.records.start == 0).all()
-        assert dec.records.end.tolist() == list(range(1, 33))
+        assert [row.start.tolist() for row in rows] == [[0]] * 32
+        assert [row.end.tolist() for row in rows] == [[n] for n in range(1, 33)]
         assert dec.report == verify_cover(window, *prefix_table(32), dec.s_lang, dec.t_lang)
         assert dec.report.total == 32
     else:
         assert dec.report == verify_cover(window, *index.table(), dec.s_lang, dec.t_lang)
-        assert dec.report.total == index.accumulative(32) == len(dec.records)
+        assert dec.report.total == index.accumulative(32) == len(records)
+        assert [len(row) for row in rows] == [index.complexity(n) for n in range(1, 33)]
     if method in ("sturmian", "greedy"):
         # the records are the leftmost cuts the report holds
-        assert (dec.records.cut - dec.records.start).tolist() == list(dec.report.cuts)
+        assert [cut - start for start, cut, *_ in records] == list(dec.report.cuts)
 
 
 def test_build_decomposition_sturmian_makes_one_cover_pass(fib_index, monkeypatch):
