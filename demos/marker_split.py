@@ -30,7 +30,7 @@ for spec in ["tm", "fib"]:
         print(f"  order {r}: {sorted(markers[r].markers)}")
 
     s_lang, t_lang, rule = build_st(index, markers)
-    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+    report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
     c, _ = index.slope_constants()
     r_max = max(len(m.markers) for m in markers.values())
     bound = split_sets_bound(r_max, c, d)

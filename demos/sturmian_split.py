@@ -49,4 +49,5 @@ except PreconditionError as exc:
 other = build_factor_index(parse_word_spec("sturm:2,(1)"), n_max=32)
 o1, o2 = sturmian_split_sets(other)
 print(f"\nsturm:2,(1) prefix: {other.window[:20]}")
-print(f"coverage: {verify_cover(other.window, *other.table(), o1, o2).coverage:.6f}")
+report = verify_cover(other.window, other.row, other.n_max, o1, o2)
+print(f"coverage: {report.coverage:.6f}")

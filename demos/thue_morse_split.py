@@ -32,7 +32,7 @@ for v in samples:
     print(f"  {v!r} -> {window[start:cut]!r} + {window[cut:end]!r}"
           f"  (order {order}, boundary at {position})")
 
-report = verify_cover(index.window, *index.table(), s1, s2)
+report = verify_cover(index.window, index.row, index.n_max, s1, s2)
 print()
 print(f"coverage of all factors up to length {N_MAX}: {report.coverage:.6f}")
 print(f"factors checked: {report.total}")

@@ -138,6 +138,10 @@ def cmd_decompose(args) -> int:
     dec = build_decomposition(index, args.method, args.budget)
     s_lang, t_lang, report = dec.s_lang, dec.t_lang, dec.report
     out_dir = Path(args.out)
+    # splits.csv, the long write that may run out of space, goes first, so
+    # its failure leaves an earlier run's artifacts as they were; stats.json
+    # goes last
+    _write_atomic(out_dir / "splits.csv", split_records_to_csv(index.window, dec.rows()))
     if dec.markers is not None:
         _write_atomic(out_dir / "markers.jsonl", (markers_to_jsonl(dec.markers),))
 
@@ -159,7 +163,6 @@ def cmd_decompose(args) -> int:
     stats.update(dec.extras)
     _write_atomic(out_dir / "S.jsonl", (s_lang.to_jsonl("S"),))
     _write_atomic(out_dir / "T.jsonl", (t_lang.to_jsonl("T"),))
-    _write_atomic(out_dir / "splits.csv", split_records_to_csv(index.window, dec.rows()))
     _write_atomic(out_dir / "stats.json",
                   (json.dumps(stats, sort_keys=True, indent=2) + "\n",))
     print(f"word: {args.spec}")
@@ -178,7 +181,7 @@ def cmd_verify(args) -> int:
     s_lang = _read_set_file(args.s_file, "S")
     t_lang = _read_set_file(args.t_file, "T")
     index = build_factor_index(source, args.window, args.n_max)
-    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+    report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
     print(f"factors: {report.total}")
     print(f"coverage: {report.coverage:.6f}")
     print(f"per-length max: S={s_lang.per_length_max()} T={t_lang.per_length_max()}")

@@ -27,32 +27,29 @@ report, and the words of that length are checked once their bits are set.
 The four routes are listed once, in :data:`ROUTES`, keyed by method name;
 :data:`METHODS` is its keys. An entry runs its route on a factor index and
 gives the sets, the route's claim (the most words of one length S or T may
-hold), a function that gives the table the cover check reads
-(``index.table``, or the prefix table of the start 0 at every length for
-greedy), the route's row rule or None for the cuts the check reports, the
-route's figures and its markers.
+hold), the row function the cover check reads (``index.row``, or the start 0
+at every length for greedy), the route's row rule or None for the cuts the
+check reports, the route's figures and its markers.
 :func:`build_decomposition` is the one entry point that runs a route, by
 name, and returns its sets, cover report and rows, on one path for every
-route: one call of the entry's table function and one :func:`verify_cover`
-call, then the refusal of an uncovered word and of sets above the claim.
-``experiment lemma1`` reads the sets of the same entries; the tm and
-Sturmian entries build no factor table for their sets, so it builds none
-(the marker entry's :func:`build_st` reads the table for its sets).
+route: one :func:`verify_cover` call over the entry's rows, then the refusal
+of an uncovered word and of sets above the claim. ``experiment lemma1``
+reads the sets of the same entries and no cover check.
 
-The marker, tm and Sturmian routes cut the window positions of the factor
-table, :meth:`FactorIndex.table`: one int64 array of first-occurrence starts
-in (length, word) order and the offsets of its lengths. The greedy route cuts
-the prefixes, the table of start 0 at every length, so a split record is a
-span of the window, start <= cut <= end, and never holds a word. A route
+Factors are enumerated one length at a time. The marker, tm and Sturmian
+routes cut the window positions that :meth:`FactorIndex.row` gives: the
+first-occurrence starts of the length-n factors, in word order. The greedy
+route cuts the prefixes, the start 0 at every length, so a split record is
+a span of the window, start <= cut <= end, and never holds a word. A route
 gives its records one length at a time: its row rule, ``rule(row, n)``, cuts
 the length-n starts ``row`` into a :class:`SplitRecords`, start, cut, end,
 order and position as int64 arrays and the occurrence class as a small
-code. No route builds an object per record, nor a record column as long as
-the table. The marker rule reads the occurrence tables that
-:func:`build_st` built, the tm rule is one numpy expression over the row,
-and the Sturmian and greedy rules read the row's slice of the cover report's
-cuts. :meth:`Decomposition.rows` cuts each row only when it is read. The
-words v, s and t are sliced from the window where a set needs them, and for
+code. No route builds an object per record, nor an array that spans every
+length. The marker rule reads the occurrence tables that :func:`build_st`
+built, the tm rule is one numpy expression over the row, and the Sturmian
+and greedy rules read that length's cuts in the cover report.
+:meth:`Decomposition.rows` cuts each row only when it is read. The words v,
+s and t are sliced from the window where a set needs them, and for
 splits.csv in :func:`split_records_to_csv` alone, one line at a time.
 """
 
@@ -157,7 +154,7 @@ class SplitRecords:
     for ``cut``, ``end``, ``order``, ``position`` or ``classes`` is broadcast
     to every record without a copy. Any record with its cut outside
     [start, end] is refused as ``bad-split``. A route's row rule gives one
-    per length, so no column is longer than one row of the factor table.
+    per length, so no column is longer than one row.
 
     For marker splits, ``order`` is the marker order, ``position`` the window
     position of the chosen marker occurrence and the class its label from
@@ -335,9 +332,10 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
 
     Factors shorter than 2D go into S wholesale, paired with the empty word;
     the rest are cut at their first occurrence by :func:`_marker_cuts`, one
-    row of the factor table at a time, all reading one :func:`_marker_table`
-    per order built here, once. The first factor in table order that holds
-    no marker is refused as ``no-marker-found``. Returns (S, T, rule), where
+    :meth:`FactorIndex.row` at a time, all reading one :func:`_marker_table`
+    per order built here, once, for the reach that one read of the rows
+    finds. The first factor in row order that holds no marker is refused as
+    ``no-marker-found``. Returns (S, T, rule), where
     ``rule(row, n)`` gives the :class:`SplitRecords` of the length-n starts
     ``row`` from the same tables: the loop here keeps the words of S and T
     and no record, and the rule cuts a row again when its records are read.
@@ -345,14 +343,13 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     if not markers:
         raise PreconditionError("no-marker-orders", "empty marker family")
     d = next(iter(markers.values())).D
-    window = index.window
-    starts, offsets = index.table()
-    rows = [(n, starts[offsets[n - 1]:offsets[n]]) for n in range(1, len(offsets))]
-    reach = max((int(row.max()) + n for n, row in rows if len(row)), default=0)
+    window, lengths = index.window, range(1, index.n_max + 1)
+    reach = max(int(index.row(n).max(initial=-n)) + n for n in lengths)
     tables = {k: _marker_table(index, ms.markers, 2 ** k, reach)
               for k, ms in markers.items()}
     s_words, t_words = set(), {""}
-    for n, row in rows:
+    for n in lengths:
+        row = index.row(n)
         cut = row + n
         if n >= 2 * d:
             cut, order, _, _ = _marker_cuts(window, tables, d, row, n)
@@ -375,12 +372,13 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
 @dataclass
 class CoverReport:
     """What :func:`verify_cover` found: the number of words checked, the
-    uncovered ones in table order, and the leftmost cut of each word in table
-    order (-1 for an uncovered word)."""
+    uncovered ones in row order, and the leftmost cut of each word, -1 for an
+    uncovered word: ``cuts[n - 1]`` holds those of the length-n row, in row
+    order, as an ``array('q')``."""
 
     total: int
     uncovered: list[str]
-    cuts: array
+    cuts: list[array]
 
     @property
     def covered(self) -> int:
@@ -406,14 +404,15 @@ def _code_points(text: str) -> np.ndarray:
                          dtype=np.uint32).astype(np.int64)
 
 
-def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
+def verify_cover(window: str, row: Callable[[int], np.ndarray], hi: int,
                  s_lang: LeveledLanguage, t_lang: LeveledLanguage) -> CoverReport:
     """Check by membership that every word ``window[i:i+n]``, i in
-    ``starts[offsets[n-1]:offsets[n]]``, is a word of S times T.
+    ``row(n)``, n = 1..hi, is a word of S times T.
 
-    ``(starts, offsets)`` is a factor table as :meth:`FactorIndex.table`
-    gives it: ``offsets`` rises from 0 to ``len(starts)``, one entry per
-    length 0..hi. Any other table is refused as ``out-of-range``.
+    ``row(n)`` gives the starts of the length-n words as an int64 array, as
+    :meth:`FactorIndex.row` does, and the same starts on every call: the
+    check reads each row three times and keeps none. A negative ``hi`` is
+    refused as ``out-of-range``.
 
     This deliberately ignores any split records: a word counts as covered
     when some cut puts its left part in S and its right part in T. The cut
@@ -424,44 +423,41 @@ def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
 
     * for each start i, a mask with bit c set when ``w[i:i+c]`` is in S;
     * for each end j, a mask with bit ``hi - l`` set when ``w[j-l:j]`` is in
-      T, where hi = len(offsets) - 1 is the longest length;
+      T;
 
-    both no longer than the longest table word starting (ending) there. The
+    both no longer than the longest row word starting (ending) there. The
     mask of (i, n) is the start mask of i ANDed with the end mask of i + n
     shifted down by hi - n.
 
-    One loop over the lengths n = 1..hi fills the masks and reads them. Its
-    step n rolls a Karp-Rabin hash of every length-n word of
-    ``window[:reach]``, reach the largest end of any table word, by one
-    letter; sets bit n of the start masks and bit hi - n of the end masks;
-    and then reads the masks of the length-n table words, whose bits all
-    come from lengths up to n. The hashes only propose where a word of S or
-    T may lie: a binary search in the sorted hashes of that length's words
-    of S (T) picks the candidates, and ``slice in s_lang`` (``t_lang``)
-    decides each one. Equal words have equal hashes, so no member is
-    missed, and a collision fails its membership test, so the report is the
-    one that membership alone gives. A span outside the window is refused
-    as ``out-of-range``.
+    A first read of the rows refuses a span outside the window as
+    ``out-of-range`` and finds the reach, the largest end of any row word;
+    a second finds the longest row word from each start and to each end, in
+    arrays as long as the reach. One loop over the lengths n = 1..hi then
+    fills the masks and reads them. Its step n rolls a Karp-Rabin hash of
+    every length-n word of ``window[:reach]`` by one letter; sets bit n of
+    the start masks and bit hi - n of the end masks; and then reads the
+    masks of the length-n row, whose bits all come from lengths up to n. The
+    hashes only propose where a word of S or T may lie: a binary search in
+    the sorted hashes of that length's words of S (T) picks the candidates,
+    and ``slice in s_lang`` (``t_lang``) decides each one. Equal words have
+    equal hashes, so no member is missed, and a collision fails its
+    membership test, so the report is the one that membership alone gives.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    if not len(offsets) or offsets[0] != 0 or offsets[-1] != len(starts) \
-            or (np.diff(offsets) < 0).any():
-        raise PreconditionError(
-            "out-of-range", f"offsets must rise from 0 to {len(starts)}, the number of starts")
-    hi = len(offsets) - 1
-    # the length of each table word
-    lengths = np.repeat(np.arange(1, hi + 1, dtype=np.int64), np.diff(offsets))
-    ends = starts + lengths
-    _check_spans(window, starts, ends)
-    reach = int(ends.max(initial=0))
+    if hi < 0:
+        raise PreconditionError("out-of-range", f"the top length must be >= 0, got {hi}")
+    lengths = range(1, hi + 1)
+    reach = 0
+    for n in lengths:
+        starts = row(n)
+        _check_spans(window, starts, starts + n)
+        reach = max(reach, int(starts.max(initial=-n)) + n)
     longest_from = np.zeros(reach + 1, dtype=np.int64)
-    np.maximum.at(longest_from, starts, lengths)
     longest_to = np.zeros(reach + 1, dtype=np.int64)
-    np.maximum.at(longest_to, ends, lengths)
-    # the lengths and ends take 16 bytes a word; freed here, they are not
-    # held while the masks are built
-    del lengths, ends
+    for n in lengths:
+        # n rises, so the last length written at a position is its longest
+        starts = row(n)
+        longest_from[starts] = n
+        longest_to[starts + n] = n
     mod, base = _HASH_MOD, _HASH_BASE % _HASH_MOD
     powers = np.array([pow(base, k, mod) for k in range(hi)], dtype=np.int64)
     letters = _code_points(window[:reach])
@@ -471,8 +467,8 @@ def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
     to_end = [("" in t_lang) << hi] * (reach + 1)
     sides = ((s_lang, longest_from, from_start, False), (t_lang, longest_to, to_end, True))
     uncovered = []
-    cuts = array("q")
-    for n in range(1, hi + 1):
+    cuts = []
+    for n in lengths:
         hashes = (hashes[:-1] * base + letters[n - 1:]) % mod
         for lang, longest, side, from_end in sides:
             words = lang.by_length.get(n)
@@ -489,12 +485,12 @@ def verify_cover(window: str, starts: np.ndarray, offsets: np.ndarray,
             for p, b in zip(at[candidate].tolist(), begin[candidate].tolist()):
                 if window[b:b + n] in lang:
                     side[p] |= bit
-        row = starts[offsets[n - 1]:offsets[n]].tolist()
-        masks = [from_start[i] & (to_end[i + n] >> (hi - n)) for i in row]
-        uncovered.extend(window[i:i + n] for i, m in zip(row, masks) if not m)
+        starts = row(n).tolist()
+        masks = [from_start[i] & (to_end[i + n] >> (hi - n)) for i in starts]
+        uncovered.extend(window[i:i + n] for i, m in zip(starts, masks) if not m)
         # the lowest set bit; a zero mask gives -1
-        cuts.extend([(m & -m).bit_length() - 1 for m in masks])
-    return CoverReport(total=len(cuts), uncovered=uncovered, cuts=cuts)
+        cuts.append(array("q", [(m & -m).bit_length() - 1 for m in masks]))
+    return CoverReport(total=sum(map(len, cuts)), uncovered=uncovered, cuts=cuts)
 
 
 # -- doubling-morphism route ---------------------------------------------------
@@ -668,54 +664,52 @@ def greedy_two_sets(lang: LeveledLanguage, budget_slope: int):
 # -- the table of the four routes ------------------------------------------------
 
 
-def _leftmost_rule(cuts: np.ndarray, offsets: np.ndarray, starts: np.ndarray,
-                   n: int) -> SplitRecords:
-    """The records of the length-``n`` row ``starts`` of the table whose
-    offsets are ``offsets``, cut at the leftmost cuts that ``cuts``, a cover
-    report's, hold for that row."""
-    return SplitRecords(starts, starts + cuts[offsets[n - 1]:offsets[n]], starts + n)
+def _leftmost_rule(cuts: list[array], starts: np.ndarray, n: int) -> SplitRecords:
+    """The records of the length-``n`` row ``starts``, cut at the leftmost
+    cuts that ``cuts``, a cover report's, holds for that row."""
+    return SplitRecords(starts, starts + np.frombuffer(cuts[n - 1], dtype=np.int64),
+                        starts + n)
 
 
 @dataclass(frozen=True)
 class Decomposition:
     """What one route built on one index: the sets, the route's own figures
     (``extras``), the marker family of the marker route (None on the
-    others), the cover report, and the table the report checked with the
-    row rule ``cut(row, n)`` that gives the split records of one of its
-    rows; :meth:`rows` reads the records."""
+    others), the cover report, the row function ``row(n)`` whose rows the
+    report checked, and the row rule ``cut(row, n)`` that gives the split
+    records of one of those rows; :meth:`rows` reads the records."""
 
     s_lang: LeveledLanguage
     t_lang: LeveledLanguage
     extras: dict
     markers: dict[int, MarkerSet] | None
     report: CoverReport
-    table: tuple[np.ndarray, np.ndarray]
+    row: Callable[[int], np.ndarray]
     cut: Callable[[np.ndarray, int], SplitRecords]
 
     def rows(self):
         """The split records, one :class:`SplitRecords` per length from 1
-        up, one record per covered word in table order, as a generator: a
-        row is cut when it is reached, and each call starts again from
-        length 1."""
-        starts, offsets = self.table
-        return (self.cut(starts[offsets[n - 1]:offsets[n]], n) for n in range(1, len(offsets)))
+        up to the top length the report checked, one record per covered word
+        in row order, as a generator: a row is read and cut when it is
+        reached, and each call starts again from length 1."""
+        return (self.cut(self.row(n), n) for n in range(1, len(self.report.cuts) + 1))
 
 
 @dataclass(frozen=True)
 class _Route:
     """What one route built on one index, before the cover check: the sets;
-    ``claim``, the most words of one length that S or T may hold; ``table``,
-    a function of no arguments that gives the ``(starts, offsets)`` the cover
-    check reads, called once, just before it; ``cut``, the route's row rule
-    ``cut(row, n)``, which gives the :class:`SplitRecords` of the length-n
-    starts ``row``, or None for the row's leftmost cuts in the cover report;
-    the route's own figures (``extras``); and the marker family of the
-    marker route, None on the others."""
+    ``claim``, the most words of one length that S or T may hold; ``row``,
+    the row function ``row(n)`` that gives the starts of the length-n words
+    the cover check reads; ``cut``, the route's row rule ``cut(row, n)``,
+    which gives the :class:`SplitRecords` of the length-n starts ``row``, or
+    None for the row's leftmost cuts in the cover report; the route's own
+    figures (``extras``); and the marker family of the marker route, None on
+    the others."""
 
     s_lang: LeveledLanguage
     t_lang: LeveledLanguage
     claim: float
-    table: Callable[[], tuple[np.ndarray, np.ndarray]]
+    row: Callable[[int], np.ndarray]
     cut: Callable[[np.ndarray, int], SplitRecords] | None = None
     extras: dict = field(default_factory=dict)
     markers: dict[int, MarkerSet] | None = None
@@ -729,27 +723,25 @@ def _marker_route(index: FactorIndex, budget: int) -> _Route:
     r = max(len(ms.markers) for ms in markers.values())
     extras = {"C": c, "K": k, "D": d, "R": r, "orders": sorted(markers),
               "bound": split_sets_bound(r, c, d)}
-    return _Route(s_lang, t_lang, extras["bound"], index.table, rule, extras, markers)
+    return _Route(s_lang, t_lang, extras["bound"], index.row, rule, extras, markers)
 
 
 def _greedy_route(index: FactorIndex, budget: int) -> _Route:
-    n_max = index.n_max
-    prefixes = LeveledLanguage(index.window[:n] for n in range(1, n_max + 1))
+    prefixes = LeveledLanguage(index.window[:n] for n in range(1, index.n_max + 1))
     s_lang, t_lang = greedy_two_sets(prefixes, budget)
-    # the prefixes as a table: the start 0 at every length
-    return _Route(s_lang, t_lang, 2 * budget + 1,
-                  lambda: (np.zeros(n_max, dtype=np.int64), np.arange(n_max + 1)),
+    # the prefixes: the start 0 at every length
+    return _Route(s_lang, t_lang, 2 * budget + 1, lambda n: np.zeros(1, dtype=np.int64),
                   extras={"budget": budget})
 
 
 def _tm_route(index: FactorIndex, budget: int) -> _Route:
     s_lang, t_lang, rule = thue_morse_split_sets(index)
-    return _Route(s_lang, t_lang, 2, index.table, rule)
+    return _Route(s_lang, t_lang, 2, index.row, rule)
 
 
 def _sturmian_route(index: FactorIndex, budget: int) -> _Route:
     s_lang, t_lang = sturmian_split_sets(index)
-    return _Route(s_lang, t_lang, 2, index.table)
+    return _Route(s_lang, t_lang, 2, index.row)
 
 
 # The one list of routes, by method name. Each entry names its route function
@@ -767,12 +759,12 @@ def build_decomposition(index: FactorIndex, method: str,
     it built.
 
     The marker, tm and sturmian routes split every indexed factor, at its
-    first occurrence as :meth:`FactorIndex.table` lists it. The greedy
-    route splits the prefixes of the window up to length n_max under the
-    per-length budget slope ``budget``, and checks them as the table of
-    the start 0 at every length. Every route ends in one
-    :func:`verify_cover` call over the table that its entry's ``table``
-    function gives, which gives the report; a word with no cut is refused
+    first occurrence as :meth:`FactorIndex.row` gives it. The greedy route
+    splits the prefixes of the window up to length n_max under the
+    per-length budget slope ``budget``, and checks them as the rows of the
+    start 0 at every length. Every route ends in one :func:`verify_cover`
+    call over the rows of its entry's ``row`` function up to n_max, which
+    gives the report; a word with no cut is refused
     there, on every route, before anything is returned, and so are sets
     above the entry's per-length claim as ``bound-exceeded``. The records
     are cut only afterwards, one row at a time as
@@ -789,8 +781,7 @@ def build_decomposition(index: FactorIndex, method: str,
         raise PreconditionError(
             "unknown-method", f"method must be one of {', '.join(METHODS)}, got {method!r}")
     route = ROUTES[method](index, budget)
-    starts, offsets = route.table()
-    report = verify_cover(index.window, starts, offsets, route.s_lang, route.t_lang)
+    report = verify_cover(index.window, route.row, index.n_max, route.s_lang, route.t_lang)
     if report.uncovered:
         raise VerificationError(
             "coverage-incomplete", f"no split found for {report.uncovered[0]!r}")
@@ -799,11 +790,9 @@ def build_decomposition(index: FactorIndex, method: str,
         raise VerificationError(
             "bound-exceeded", f"{most} words of one length in S or T, above the claim"
             f" {route.claim}")
-    # the report's cuts read in place, without a copy
-    cut = route.cut or functools.partial(
-        _leftmost_rule, np.frombuffer(report.cuts, dtype=np.int64), offsets)
+    cut = route.cut or functools.partial(_leftmost_rule, report.cuts)
     return Decomposition(route.s_lang, route.t_lang, route.extras, route.markers, report,
-                         (starts, offsets), cut)
+                         route.row, cut)
 
 
 # -- counting bounds -------------------------------------------------------------

@@ -5,10 +5,10 @@ A :class:`FactorIndex` fixes a window (a prefix of the source of length
 about the distinct factors of the window: how many there are, which of them
 are right or left special, where a factor first occurs. The distinct
 first-occurrence starts are sorted once by the words they start; each
-length's row of first occurrences is one filter of that order, already in
-word order, and the rows laid end to end form one read-only table of int64
-starts in (length, word) order, :meth:`FactorIndex.table`, which every route
-and the cover check read. All results are statements about the window;
+length's row of first occurrences, :meth:`FactorIndex.row`, is one filter of
+that order, already in word order, and is the one way factors are
+enumerated: every route, the cover check and splits.csv read rows, one
+length at a time. All results are statements about the window;
 ``stabilized_profile`` justifies reading the profile as a property of the
 infinite word by checking that doubling the window leaves it unchanged, with
 one automaton over the window and a walk of the doubled window through it.
@@ -67,11 +67,9 @@ class FactorIndex:
     one filter on ``floor`` of one sorted array of the distinct
     first-occurrence starts, built on first use. ``factors_of_length`` reads
     the length-n row and the special factors of length n the length-(n + 1)
-    row, so neither builds the whole table. :meth:`table`, also built on
-    first use, lays every row into one int64 array of the first-occurrence
-    starts of the g(n_max) distinct factors, with the offsets of the
-    lengths. Rows and table hold integers, never factor strings, and runs
-    that only count factors build neither.
+    row. No array of every length's starts is built or kept: rows hold
+    integers, never factor strings, each is computed when it is read, and
+    runs that only count factors read none.
     """
 
     def __init__(self, source: WordSource, window: str, n_max: int):
@@ -85,7 +83,6 @@ class FactorIndex:
         self._p = self._sam.length_counts(n_max)
         self._g = np.cumsum(self._p)
         self._order: np.ndarray | None = None
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- complexity ----------------------------------------------------------
 
@@ -141,11 +138,12 @@ class FactorIndex:
 
     # -- factor enumeration --------------------------------------------------
 
-    def _row(self, n: int) -> np.ndarray:
+    def row(self, n: int) -> np.ndarray:
         """The first-occurrence starts of the length-``n`` factors, in word
-        order: the sorted distinct starts i with i + n <= n_work and
-        floor[i + n - 1] < n, those whose length-n word first ends at
-        i + n - 1.
+        order, as a new int64 array: the sorted distinct starts i with
+        i + n <= n_work and floor[i + n - 1] < n, those whose length-n word
+        first ends at i + n - 1. A length outside 1..n_max is refused as
+        ``out-of-range``.
 
         The sorted starts are built on first use and kept. The letter at
         ``pos`` adds the factors that first end there, of the lengths
@@ -160,6 +158,7 @@ class FactorIndex:
         one: where most positions start no new factor, as in the block
         product, they are a small part of it.
         """
+        self._check_range(n)
         floor, n_max = self._sam.floor, self.n_max
         if self._order is None:
             pos = np.flatnonzero(floor < n_max)
@@ -174,34 +173,10 @@ class FactorIndex:
         # a clipped end lies past the window, and the first test drops it
         return self._order[(end < self.n_work) & (floor.take(end, mode="clip") < n)]
 
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The factor table ``(starts, offsets)``: ``starts`` holds the
-        first-occurrence starts of the distinct factors in (length, word)
-        order, and ``offsets`` is [0, g(1), ..., g(n_max)], so the starts of
-        the length-n factors are ``starts[offsets[n-1]:offsets[n]]``. Both are
-        read-only int64 arrays, built once, on first use, and shared by every
-        caller.
-
-        Each length's row comes from the one sorted order of the distinct
-        starts (see :meth:`_row`), already in word order, and is laid into
-        its place in one preallocated ``starts``; no array but the table
-        grows with g(n_max).
-        """
-        if self._table is None:
-            offsets = np.concatenate(([0], self._g)).astype(np.int64)
-            starts = np.empty(offsets[-1], dtype=np.int64)
-            for n in range(1, self.n_max + 1):
-                starts[offsets[n - 1]:offsets[n]] = self._row(n)
-            starts.flags.writeable = False
-            offsets.flags.writeable = False
-            self._table = starts, offsets
-        return self._table
-
     def factors_of_length(self, n: int) -> set[str]:
         """The distinct factors of length ``n``."""
-        self._check_range(n)
         text = self.window
-        return {text[i:i + n] for i in self._row(n).tolist()}
+        return {text[i:i + n] for i in self.row(n).tolist()}
 
     # -- special factors -----------------------------------------------------
 
@@ -226,7 +201,7 @@ class FactorIndex:
         length-(n + 1) factors, read from the row of that length; sorted,
         equal words are neighbours."""
         text = self.window
-        words = sorted(text[i:i + n] for i in (self._row(n + 1) + shift).tolist())
+        words = sorted(text[i:i + n] for i in (self.row(n + 1) + shift).tolist())
         return {a for a, b in zip(words, words[1:]) if a == b}
 
 
@@ -270,7 +245,11 @@ def window_profile(source: WordSource, n_work: int | None = None,
     defaulted as in :func:`build_factor_index` and in the same order, from a
     suffix automaton instead of an index."""
     n_work = _window_length(n_work, n_max)
-    return _count_window(source.spec, source.prefix(n_work), n_max, walk=False)[1]
+    sam = SuffixAutomaton(source.prefix(n_work))
+    # nothing walks this build, and its transition lists, freed before the
+    # count, leave room for the count's temporaries
+    del sam._walk
+    return ComplexityProfile.from_counts(source.spec, n_work, sam.length_counts(n_max))
 
 
 def stabilized_profile(source: WordSource, n_work: int | None = None,
@@ -292,17 +271,7 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
     n_work = _window_length(n_work, n_max)
     source.check_length(n_work)
     doubled = source.prefix(2 * n_work)
-    sam, profile = _count_window(source.spec, doubled[:n_work], n_max, walk=True)
+    sam = SuffixAutomaton(doubled[:n_work])
+    profile = ComplexityProfile.from_counts(source.spec, n_work, sam.length_counts(n_max))
     return profile, sam.first_unmatched(doubled[n_work - n_max + 1:], n_max) is None
 
-
-def _count_window(spec: str, window: str, n_max: int,
-                  walk: bool) -> tuple[SuffixAutomaton, ComplexityProfile]:
-    """The automaton over ``window`` and the window's profile read from it.
-    Unless a ``walk`` follows, the build's transition lists are dropped
-    before the profile is counted."""
-    sam = SuffixAutomaton(window)
-    if not walk:
-        del sam._walk
-    profile = ComplexityProfile.from_counts(spec, len(window), sam.length_counts(n_max))
-    return sam, profile

@@ -167,21 +167,17 @@ def interval_length_counts(sam: StateAutomaton, n_max: int) -> np.ndarray:
     return np.cumsum(diff)[1:n_max + 1]
 
 
-def interval_table(text, n_max):
-    """Oracle for FactorIndex.table: the starts of every state's factors of
+def interval_rows(text, n_max):
+    """Oracle for FactorIndex.row: the starts of every state's factors of
     length n <= n_max, first_end - n + 1 for n in [minlen, maxlen], sorted by
-    word within each length. Returns (starts, offsets) as lists."""
+    word within each length. Returns one list per length 1..n_max."""
     sam = StateAutomaton(text)
     rows = [[] for _ in range(n_max + 1)]
     for lo, hi, end in zip(sam.minlen[1:].tolist(), sam.maxlen[1:].tolist(),
                            sam.first_end[1:].tolist()):
         for n in range(lo, min(hi, n_max) + 1):
             rows[n].append(end - n + 1)
-    starts, offsets = [], [0]
-    for n in range(1, n_max + 1):
-        starts += sorted(rows[n], key=lambda i: text[i:i + n])
-        offsets.append(len(starts))
-    return starts, offsets
+    return [sorted(rows[n], key=lambda i: text[i:i + n]) for n in range(1, n_max + 1)]
 
 
 def interval_special(text, n_max):

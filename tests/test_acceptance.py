@@ -66,7 +66,7 @@ def test_criterion_2_thue_morse_two_sets(capsys):
         for m in range(1, 65):
             assert s1.cardinality(m) == 2
             assert s2.cardinality(m) == 2
-        report = verify_cover(index.window, *index.table(), s1, s2)
+        report = verify_cover(index.window, index.row, index.n_max, s1, s2)
         assert report.coverage == 1.0
 
 
@@ -76,11 +76,10 @@ def test_criterion_3_marker_construction(capsys):
             index = build_factor_index(source, n_max=128)
             markers = build_all_markers(index)
             s_lang, t_lang, rule = build_st(index, markers)
-            starts, offsets = index.table()
-            report = verify_cover(index.window, starts, offsets, s_lang, t_lang)
+            report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
             assert report.coverage == 1.0
             d = next(iter(markers.values())).D
-            rows = (rule(starts[offsets[n - 1]:offsets[n]], n) for n in range(1, 129))
+            rows = (rule(index.row(n), n) for n in range(1, 129))
             for start, cut, end, order, _, _ in (r for row in rows for r in row.tuples()):
                 if order < 0:
                     continue
@@ -205,7 +204,7 @@ def test_sturmian_route_cross_check(capsys):
     with verdict(capsys, "+ sturmian sets cover the Fibonacci window", 30):
         index = build_factor_index(fibonacci_word(), n_max=128)
         s1, s2 = sturmian_split_sets(index)
-        assert verify_cover(index.window, *index.table(), s1, s2).coverage == 1.0
+        assert verify_cover(index.window, index.row, index.n_max, s1, s2).coverage == 1.0
         for n in range(1, 129):
             assert s1.cardinality(n) == 2
             assert s2.cardinality(n) == 2

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import errno
 import hashlib
 import io
 import json
@@ -480,6 +481,26 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "coverage: 1.000000" in capsys.readouterr().out
 
 
+def test_decompose_failed_splits_write_keeps_the_earlier_artifacts(tmp_path, capsys,
+                                                                  monkeypatch):
+    # splits.csv, the long write, runs out of space after its header: the run
+    # exits 3 and leaves the earlier run's artifacts as they were, no temp
+    # file beside them
+    out = tmp_path / "dc"
+    assert run(["decompose", "tm", "tm", "--n-max", "16", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def full_disk(window, rows):
+        yield decompose.SPLIT_CSV_HEADER + "\n"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "split_records_to_csv", full_disk)
+    assert run(["decompose", "tm", "tm", "--n-max", "32", "--out", str(out)]) == 3
+    assert "unwritable-output" in capsys.readouterr().err
+    assert not list(out.glob("*.tmp*"))
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_decompose_refuses_uncovered_word_before_writing(tmp_path, capsys, monkeypatch):
     # a tm S missing one of its words: the route must refuse in the cover
     # check, before any artifact is written
@@ -667,14 +688,12 @@ def test_experiment_lemma1_sturmian_rows(capsys):
 
 
 def test_experiment_lemma1_reads_the_sets_alone(monkeypatch, capsys):
-    # lemma1 runs the route for its sets: no cover check, no split records
-    # and no factor table
+    # lemma1 runs the route for its sets: no cover check and no split records
     def refuse(*args, **kwargs):
-        raise AssertionError("lemma1 checked the cover, built records or a factor table")
+        raise AssertionError("lemma1 checked the cover or built records")
 
     monkeypatch.setattr(decompose, "verify_cover", refuse)
     monkeypatch.setattr(decompose, "SplitRecords", refuse)
-    monkeypatch.setattr(factors.FactorIndex, "table", refuse)
     for spec, method in (("tm", "tm"), ("fib", "sturmian")):
         assert run(["experiment", "lemma1", "--word", spec, "--method", method,
                     "--n", "8,16,32"]) == 0

@@ -48,15 +48,21 @@ from factorlang.decompose import (
 from oracles import per_record_splits_csv, record_rows, slicing_witness_split
 
 
-def table_row(index, n):
-    """The starts of the length-n factors, a slice of the index's table."""
-    starts, offsets = index.table()
-    return starts[offsets[n - 1]:offsets[n]]
+def prefix_rows(n):
+    """The row function and top length of the prefixes up to length n, as
+    verify_cover reads them: the start 0 at every length."""
+    return (lambda _: np.zeros(1, dtype=np.int64)), n
 
 
-def prefix_table(n):
-    """The table of the prefixes up to length n: the start 0 at every length."""
-    return np.zeros(n, dtype=np.int64), np.arange(n + 1)
+def listed_rows(rows):
+    """The row function and top length of the lists ``rows``, rows[n - 1]
+    the starts of the length-n words."""
+    return (lambda n: np.array(rows[n - 1], dtype=np.int64)), len(rows)
+
+
+def flat(cuts):
+    """A cover report's cuts, every length's in turn, as one list."""
+    return list(itertools.chain.from_iterable(cuts))
 
 
 def rule_records(rule, spans):
@@ -199,7 +205,7 @@ def test_split_factor_invariants(index_name, request):
     top = max(markers)
     window = index.window
     for n in (2 * d, 3 * d, 40, 97, 128):
-        row = table_row(index, n)
+        row = index.row(n)
         cuts, orders, _, _ = _marker_cuts(window, tables, d, row, n)
         for i, cut, order in zip(row.tolist(), cuts.tolist(), orders.tolist()):
             v = window[i:i + n]
@@ -250,7 +256,7 @@ def test_build_st_coverage_and_bound(index_name, request):
     index = request.getfixturevalue(index_name)
     markers = build_all_markers(index)
     s_lang, t_lang, rule = build_st(index, markers)
-    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+    report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
     assert report.coverage == 1.0
     assert report.total == sum(index.complexity(n) for n in range(1, 129))
     c, _ = index.slope_constants()
@@ -263,7 +269,7 @@ def test_build_st_coverage_and_bound(index_name, request):
     assert "" in t_lang
     for n in range(1, 2 * d):
         assert index.factors_of_length(n) <= s_lang.by_length[n]
-    assert sum(len(rule(table_row(index, n), n)) for n in range(1, 129)) == report.total
+    assert sum(len(rule(index.row(n), n)) for n in range(1, 129)) == report.total
 
 
 def test_verify_cover_degenerate_cases():
@@ -271,28 +277,29 @@ def test_verify_cover_degenerate_cases():
     everything = LeveledLanguage(
         w for n in range(1, 17) for w in index.factors_of_length(n))
     just_epsilon = LeveledLanguage([""])
-    report = verify_cover(index.window, *index.table(), everything, just_epsilon)
+    report = verify_cover(index.window, index.row, index.n_max, everything, just_epsilon)
     assert report.coverage == 1.0
     empty = LeveledLanguage()
-    report = verify_cover(index.window, *index.table(), empty, just_epsilon)
+    report = verify_cover(index.window, index.row, index.n_max, empty, just_epsilon)
     assert report.coverage == 0.0
     assert len(report.uncovered) == report.total
 
 
 def slicing_verify_cover(index, s_lang, t_lang) -> CoverReport:
-    """Oracle for verify_cover over the index table: try every cut of every
+    """Oracle for verify_cover over the index's rows: try every cut of every
     factor by slicing, in (length, word) order; the cut of a factor is the
     one slicing_witness_split finds, -1 where it refuses."""
     uncovered = []
-    cuts = array("q")
+    cuts = []
     for n in range(1, index.n_max + 1):
+        cuts.append(array("q"))
         for v in sorted(index.factors_of_length(n)):
             try:
-                cuts.append(slicing_witness_split(v, 0, n, s_lang, t_lang)[1])
+                cuts[-1].append(slicing_witness_split(v, 0, n, s_lang, t_lang)[1])
             except VerificationError:
                 uncovered.append(v)
-                cuts.append(-1)
-    return CoverReport(total=len(cuts), uncovered=uncovered, cuts=cuts)
+                cuts[-1].append(-1)
+    return CoverReport(total=sum(map(len, cuts)), uncovered=uncovered, cuts=cuts)
 
 
 COVER_SPECS = ["tm", "fib", "abk", "ultper:01|10", "ultper:0|011"]
@@ -335,10 +342,9 @@ def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
     s_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     t_lang = LeveledLanguage(data.draw(st.lists(words, max_size=30)))
     hi = data.draw(st.integers(min_value=1, max_value=n_max))
-    # the same window, indexed up to hi, has the first hi lengths of the table
+    # the same window, indexed up to hi, has the first hi rows of the index
     up_to_hi = build_factor_index(parse_word_spec(spec), n_work=8 * n_max, n_max=hi)
-    starts, offsets = index.table()
-    assert verify_cover(index.window, starts[:offsets[hi]], offsets[:hi + 1],
+    assert verify_cover(index.window, index.row, hi,
                         s_lang, t_lang) == slicing_verify_cover(up_to_hi, s_lang, t_lang)
 
 
@@ -347,11 +353,11 @@ def test_mask_cover_matches_slicing_oracle_random_sets(spec, n_max, data):
 def test_mask_cover_matches_slicing_oracle_on_thinned_routes(spec, n_max, data):
     index = small_index(spec, n_max)
     s_lang, t_lang = route_sets(spec, index)
-    assert verify_cover(index.window, *index.table(), s_lang, t_lang).coverage == 1.0
+    assert verify_cover(index.window, index.row, index.n_max, s_lang, t_lang).coverage == 1.0
     drop_s = data.draw(st.sets(st.sampled_from(list(s_lang.words())), max_size=4))
     drop_t = data.draw(st.sets(st.sampled_from(list(t_lang.words())), max_size=4))
     s_lang, t_lang = without(s_lang, drop_s), without(t_lang, drop_t)
-    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+    report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
 
@@ -362,7 +368,7 @@ def test_mask_cover_reports_uncovered_in_oracle_order(spec):
     # without the empty word in T the short factors, kept whole in S, and
     # the factors cut into that T word lose their cover
     t_lang = without(t_lang, {"", max(t_lang.words())})
-    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+    report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
     assert len(report.uncovered) > 5
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
@@ -389,23 +395,25 @@ def test_mask_cover_matches_slicing_oracle_when_hashes_collide(spec, n_max, data
     for name, value in [("_HASH_MOD", 3), ("_HASH_BASE", 1), ("_HASH_BASE", decompose._HASH_MOD)]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose, name, value)
-            report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+            report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
         assert report == expected, (name, value)
 
 
-def slicing_cover_of_table(window, starts, offsets, s_lang, t_lang) -> CoverReport:
-    """Oracle for verify_cover over any table: the leftmost cut of each word
-    in table order, found by slicing, -1 for an uncovered word."""
+def slicing_cover_of_table(window, row, hi, s_lang, t_lang) -> CoverReport:
+    """Oracle for verify_cover over any rows: the leftmost cut of each word
+    of row(n), n = 1..hi, in row order, found by slicing, -1 for an
+    uncovered word."""
     uncovered = []
-    cuts = array("q")
-    for n in range(1, len(offsets)):
-        for i in starts[offsets[n - 1]:offsets[n]].tolist():
+    cuts = []
+    for n in range(1, hi + 1):
+        cuts.append(array("q"))
+        for i in row(n).tolist():
             try:
-                cuts.append(slicing_witness_split(window, i, n, s_lang, t_lang)[1] - i)
+                cuts[-1].append(slicing_witness_split(window, i, n, s_lang, t_lang)[1] - i)
             except VerificationError:
                 uncovered.append(window[i:i + n])
-                cuts.append(-1)
-    return CoverReport(total=len(cuts), uncovered=uncovered, cuts=cuts)
+                cuts[-1].append(-1)
+    return CoverReport(total=sum(map(len, cuts)), uncovered=uncovered, cuts=cuts)
 
 
 def test_mask_cover_with_foreign_letters_and_long_words():
@@ -418,32 +426,31 @@ def test_mask_cover_with_foreign_letters_and_long_words():
         s_lang.add(word)
         t_lang.add(word)
     s_lang, t_lang = without(s_lang, {"", "01"}), without(t_lang, {"0"})
-    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+    report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
     assert 0 < len(report.uncovered) < report.total
     assert report == slicing_verify_cover(index, s_lang, t_lang)
     # a window of foreign letters, against the same sets
     window = "0\U0001F6000\ud8000" * 4
-    table = np.array([0, 1, 3, 0, 1, 1, 2, 0]), np.array([0, 3, 5, 7, 8])
-    assert verify_cover(window, *table, s_lang, t_lang) == \
-        slicing_cover_of_table(window, *table, s_lang, t_lang)
+    rows = listed_rows([[0, 1, 3], [0, 1], [1, 2], [0]])
+    assert verify_cover(window, *rows, s_lang, t_lang) == \
+        slicing_cover_of_table(window, *rows, s_lang, t_lang)
 
 
 def test_mask_cover_of_a_table_whose_top_lengths_hold_no_word():
-    # the offsets stay flat above length 6, so the longest length, 40, runs
-    # past the reach, the largest end of any table word; S and T also hold
-    # a word longer than the reach
+    # the rows are empty above length 6, so the longest length, 40, runs
+    # past the reach, the largest end of any row word; S and T also hold a
+    # word longer than the reach
     index = small_index("tm", 12)
     s_lang, t_lang = route_sets("tm", index)
     s_lang = without(s_lang, {"01"})
     s_lang.add(index.window[:35])
     t_lang.add(index.window[1:36])
-    starts, offsets = index.table()
-    table = starts[:offsets[6]], np.concatenate([offsets[:7], np.full(34, offsets[6])])
-    reach = max(i + n for n in range(1, 7) for i in starts[offsets[n - 1]:offsets[n]].tolist())
-    assert reach < 35 < len(table[1]) - 1 == 40
-    report = verify_cover(index.window, *table, s_lang, t_lang)
+    rows = listed_rows([index.row(n).tolist() for n in range(1, 7)] + [[]] * 34)
+    reach = max(i + n for n in range(1, 7) for i in index.row(n).tolist())
+    assert reach < 35 < rows[1] == 40
+    report = verify_cover(index.window, *rows, s_lang, t_lang)
     assert 0 < len(report.uncovered) < report.total
-    assert report == slicing_cover_of_table(index.window, *table, s_lang, t_lang)
+    assert report == slicing_cover_of_table(index.window, *rows, s_lang, t_lang)
 
 
 @pytest.mark.parametrize("s_empty,t_empty", [(True, False), (False, True), (True, True)])
@@ -452,28 +459,28 @@ def test_mask_cover_with_the_empty_word_on_either_side(s_empty, t_empty):
     factors = [w for n in range(1, 5) for w in sorted(index.factors_of_length(n))]
     s_lang = LeveledLanguage(factors[::2] + [""] * s_empty)
     t_lang = LeveledLanguage(factors[1::2] + [""] * t_empty)
-    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+    report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
     # "0" is in S and "1" in T: each letter is covered by the empty word on
     # the other side alone
-    assert [c >= 0 for c in report.cuts[:2]] == [t_empty, s_empty]
-    table = prefix_table(12)
-    assert verify_cover(index.window, *table, s_lang, t_lang) == \
-        slicing_cover_of_table(index.window, *table, s_lang, t_lang)
+    assert [c >= 0 for c in report.cuts[0]] == [t_empty, s_empty]
+    rows = prefix_rows(12)
+    assert verify_cover(index.window, *rows, s_lang, t_lang) == \
+        slicing_cover_of_table(index.window, *rows, s_lang, t_lang)
 
 
 def test_mask_cover_on_greedy_prefix_rows():
     word = thue_morse().prefix(48)
     s_lang, t_lang = greedy_two_sets(LeveledLanguage(word[:n] for n in range(1, 49)), 1)
-    table = prefix_table(48)
-    assert verify_cover(word, *table, s_lang, t_lang) == \
-        slicing_cover_of_table(word, *table, s_lang, t_lang)
+    rows = prefix_rows(48)
+    assert verify_cover(word, *rows, s_lang, t_lang) == \
+        slicing_cover_of_table(word, *rows, s_lang, t_lang)
     # without two of its words some prefixes lose their cover
     thinned_s = without(s_lang, {max(s_lang.words(), key=len)})
     thinned_t = without(t_lang, {max(t_lang.words(), key=len)})
-    report = verify_cover(word, *table, thinned_s, thinned_t)
+    report = verify_cover(word, *rows, thinned_s, thinned_t)
     assert report.uncovered
-    assert report == slicing_cover_of_table(word, *table, thinned_s, thinned_t)
+    assert report == slicing_cover_of_table(word, *rows, thinned_s, thinned_t)
 
 
 def test_mask_cover_over_a_long_window():
@@ -481,7 +488,7 @@ def test_mask_cover_over_a_long_window():
     index = build_factor_index(thue_morse(), n_work=50_000, n_max=64)
     s_lang, t_lang, _ = thue_morse_split_sets(index)
     s_lang = without(s_lang, {w for w in s_lang.words() if len(w) % 7 == 3})
-    report = verify_cover(index.window, *index.table(), s_lang, t_lang)
+    report = verify_cover(index.window, index.row, index.n_max, s_lang, t_lang)
     assert 0 < len(report.uncovered) < report.total == index.accumulative(64)
     assert report == slicing_verify_cover(index, s_lang, t_lang)
 
@@ -489,18 +496,18 @@ def test_mask_cover_over_a_long_window():
 def test_mask_cover_refuses_a_span_outside_the_window():
     s_lang, t_lang = LeveledLanguage(["0"]), LeveledLanguage([""])
     with pytest.raises(PreconditionError, match="out-of-range"):
-        verify_cover("011", *prefix_table(4), s_lang, t_lang)
+        verify_cover("011", *prefix_rows(4), s_lang, t_lang)
     with pytest.raises(PreconditionError, match="out-of-range"):
-        verify_cover("011", np.array([-1]), np.array([0, 1]), s_lang, t_lang)
+        verify_cover("011", *listed_rows([[-1]]), s_lang, t_lang)
 
 
-@pytest.mark.parametrize("offsets", [[], [1, 2], [0, 1], [0, 3], [0, 2, 1, 2]])
-def test_mask_cover_refuses_offsets_that_are_no_table(offsets):
-    # two starts: the offsets must rise from 0 to 2
+def test_mask_cover_refuses_a_negative_top_length():
     s_lang, t_lang = LeveledLanguage(["0"]), LeveledLanguage([""])
     with pytest.raises(PreconditionError, match="out-of-range"):
-        verify_cover("011", np.array([0, 1]), np.array(offsets, dtype=np.int64),
-                     s_lang, t_lang)
+        verify_cover("011", *prefix_rows(-1), s_lang, t_lang)
+    # no length at all: nothing to check
+    assert verify_cover("011", *prefix_rows(0), s_lang, t_lang) == CoverReport(
+        total=0, uncovered=[], cuts=[])
 
 
 def scanning_split_factor(index, markers, start, n):
@@ -585,7 +592,7 @@ def test_build_st_matches_scanning_oracle(spec, n_max, window, monkeypatch):
                                  OCCURRENCE_CLASSES.index(cls)))
     # every field of every row, the occurrence class included
     assert [r for n in range(1, n_max + 1)
-            for r in rule(table_row(index, n), n).tuples()] == expected
+            for r in rule(index.row(n), n).tuples()] == expected
     by_words = lambda w: (len(w), w)  # noqa: E731
     assert list(s_lang.words()) == sorted({window[r[0]:r[1]] for r in expected}, key=by_words)
     assert list(t_lang.words()) == sorted({window[r[1]:r[2]] for r in expected}, key=by_words)
@@ -600,8 +607,8 @@ def test_marker_occurrence_lists_match_brute_force(spec):
     index = build_factor_index(parse_word_spec(spec), n_max=96)
     markers = build_all_markers(index)
     window = index.window
-    table_reach = max(int(table_row(index, n).max()) + n for n in range(1, 97))
-    for reach in (table_reach, 2 * table_reach + 1):
+    row_reach = max(int(index.row(n).max()) + n for n in range(1, 97))
+    for reach in (row_reach, 2 * row_reach + 1):
         for order, ms in markers.items():
             length = 2 ** order
             occ, codes, extreme, classified = _marker_table(index, ms.markers, length, reach)
@@ -641,7 +648,7 @@ def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
         markers[order] = MarkerSet(order=order, markers=frozenset(chosen), D=2)
     tables = marker_tables(index, markers)
     for n in range(4, n_max + 1):
-        row = table_row(index, n)
+        row = index.row(n)
         columns = _marker_cuts(index.window, tables, 2, row, n)
         for start, *got in zip(row.tolist(), *(column.tolist() for column in columns)):
             try:
@@ -707,9 +714,9 @@ def tm_index_256():
 def test_thue_morse_records_match_the_scalar_rule(tm_index_256):
     # every row of the index: the route's rule, one call per row, against
     # the scan, one span at a time
-    spans = [(i, n) for n in range(1, 257) for i in table_row(tm_index_256, n).tolist()]
+    spans = [(i, n) for n in range(1, 257) for i in tm_index_256.row(n).tolist()]
     _, _, rule = thue_morse_split_sets(tm_index_256)
-    rows = [rule(table_row(tm_index_256, n), n) for n in range(1, 257)]
+    rows = [rule(tm_index_256.row(n), n) for n in range(1, 257)]
     assert sum(map(len, rows)) == tm_index_256.accumulative(256)
     assert [r for row in rows for r in row.tuples()] == scan_records(spans)
 
@@ -741,14 +748,15 @@ def test_splits_csv_matches_the_per_record_writer(method, spec):
     assert all((row.end - row.start == n).all() for n, row in enumerate(rows, 1))
     # the records one at a time: the scanned tm cuts, the leftmost cuts of
     # the report, and the marker records as the rows give them back
-    starts, offsets = prefix_table(64) if method == "greedy" else index.table()
-    spans = [(i, n) for n in range(1, 65) for i in starts[offsets[n - 1]:offsets[n]].tolist()]
+    row = prefix_rows(64)[0] if method == "greedy" else index.row
+    spans = [(i, n) for n in range(1, 65) for i in row(n).tolist()]
     if method == "tm":
         expected = scan_records(spans)
     elif method == "marker":
         expected = [r for row in rows for r in row.tuples()]
     else:
-        expected = [(i, i + c, i + n, -1, -1, 0) for (i, n), c in zip(spans, dec.report.cuts)]
+        expected = [(i, i + c, i + n, -1, -1, 0)
+                    for (i, n), c in zip(spans, flat(dec.report.cuts))]
     written = "".join(split_records_to_csv(index.window, dec.rows()))
     assert written == "".join(per_record_splits_csv(index.window, expected))
     assert written.count("\n") == dec.report.total + 1
@@ -769,11 +777,11 @@ def test_thue_morse_sets_counts_and_cuts(tm_index):
     # single letter is cut after it
     assert list(rule(np.array([1]), 2).tuples()) == [(1, 2, 3, 1, 2, 0)]
     assert list(rule(np.array([0]), 1).tuples()) == [(0, 1, 1, 0, 1, 0)]
-    report = verify_cover(tm_index.window, *tm_index.table(), s1, s2)
+    report = verify_cover(tm_index.window, tm_index.row, tm_index.n_max, s1, s2)
     assert report.coverage == 1.0
     # each cut produces parts from the sets themselves
     for n in (1, 2, 7, 32, 128):
-        row = table_row(tm_index, n)
+        row = tm_index.row(n)
         records = rule(row, n)
         assert (records.start == row).all() and (records.end == row + n).all()
         for i, cut in zip(row.tolist(), records.cut.tolist()):
@@ -824,10 +832,10 @@ def test_witness_split():
         slicing_witness_split("11", 0, 2, s, t)
     # verify_cover reports the same leftmost cuts, for the words "0" and "01"
     # of the window "011", and -1 for its uncovered word "11"
-    assert verify_cover("011", *prefix_table(2), s, t) == CoverReport(
-        total=2, uncovered=[], cuts=array("q", [1, rec[1]]))
-    assert verify_cover("011", np.array([1]), np.array([0, 0, 1]), s, t) == CoverReport(
-        total=1, uncovered=["11"], cuts=array("q", [-1]))
+    assert verify_cover("011", *prefix_rows(2), s, t) == CoverReport(
+        total=2, uncovered=[], cuts=[array("q", [1]), array("q", [rec[1]])])
+    assert verify_cover("011", *listed_rows([[], [1]]), s, t) == CoverReport(
+        total=1, uncovered=["11"], cuts=[array("q"), array("q", [-1])])
 
 
 # -- Sturmian route --------------------------------------------------------------
@@ -839,7 +847,7 @@ def test_sturmian_sets(fib_index):
         assert s1.cardinality(n) == 2
         assert s2.cardinality(n) == 2
     assert s1.by_length[2] == {"00", "01"}
-    report = verify_cover(fib_index.window, *fib_index.table(), s1, s2)
+    report = verify_cover(fib_index.window, fib_index.row, fib_index.n_max, s1, s2)
     assert report.coverage == 1.0
 
 
@@ -851,7 +859,7 @@ def test_sturmian_rejects_thue_morse(tm_index):
 def test_sturmian_other_directive():
     index = build_factor_index(parse_word_spec("sturm:2,(1)"), n_max=64)
     s1, s2 = sturmian_split_sets(index)
-    assert verify_cover(index.window, *index.table(), s1, s2).coverage == 1.0
+    assert verify_cover(index.window, index.row, index.n_max, s1, s2).coverage == 1.0
 
 
 # -- greedy route ----------------------------------------------------------------
@@ -897,8 +905,8 @@ def test_greedy_prefix_language_always_feasible(word):
     assert t_lang.per_length_max() <= 3
     oracle = [slicing_witness_split(word, 0, n, s_lang, t_lang)[1]
               for n in range(1, len(word) + 1)]
-    report = verify_cover(word, *prefix_table(len(word)), s_lang, t_lang)
-    assert report.uncovered == [] and list(report.cuts) == oracle
+    report = verify_cover(word, *prefix_rows(len(word)), s_lang, t_lang)
+    assert report.uncovered == [] and flat(report.cuts) == oracle
 
 
 @settings(max_examples=40, deadline=None)
@@ -936,15 +944,15 @@ def test_build_decomposition_routes(method, spec):
         # one record per prefix of the window, each a certificate of its cover
         assert [row.start.tolist() for row in rows] == [[0]] * 32
         assert [row.end.tolist() for row in rows] == [[n] for n in range(1, 33)]
-        assert dec.report == verify_cover(window, *prefix_table(32), dec.s_lang, dec.t_lang)
+        assert dec.report == verify_cover(window, *prefix_rows(32), dec.s_lang, dec.t_lang)
         assert dec.report.total == 32
     else:
-        assert dec.report == verify_cover(window, *index.table(), dec.s_lang, dec.t_lang)
+        assert dec.report == verify_cover(window, index.row, index.n_max, dec.s_lang, dec.t_lang)
         assert dec.report.total == index.accumulative(32) == len(records)
         assert [len(row) for row in rows] == [index.complexity(n) for n in range(1, 33)]
     if method in ("sturmian", "greedy"):
         # the records are the leftmost cuts the report holds
-        assert [cut - start for start, cut, *_ in records] == list(dec.report.cuts)
+        assert [cut - start for start, cut, *_ in records] == flat(dec.report.cuts)
 
 
 def test_build_decomposition_sturmian_makes_one_cover_pass(fib_index, monkeypatch):
@@ -959,7 +967,7 @@ def test_build_decomposition_sturmian_makes_one_cover_pass(fib_index, monkeypatc
     dec = build_decomposition(fib_index, "sturmian")
     route = calls["probes"]
     calls.clear()
-    verify_cover(fib_index.window, *fib_index.table(), dec.s_lang, dec.t_lang)
+    verify_cover(fib_index.window, fib_index.row, fib_index.n_max, dec.s_lang, dec.t_lang)
     assert route == calls["probes"] > 0
 
 

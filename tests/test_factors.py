@@ -27,8 +27,8 @@ from oracles import (
     doubled_build_profile,
     find_occurrences,
     interval_length_counts,
+    interval_rows,
     interval_special,
-    interval_table,
     prefix_doubling_profile,
 )
 
@@ -198,11 +198,10 @@ def test_factor_enumeration_and_positions(spec):
     source = parse_word_spec(spec)
     index = build_factor_index(source, n_work=400, n_max=24)
     window = source.prefix(400)
-    starts, offsets = index.table()
     for n in range(1, 25):
         oracle = frame_factors(window, n)
         assert index.factors_of_length(n) == oracle
-        pairs = [(window[i:i + n], i) for i in starts[offsets[n - 1]:offsets[n]].tolist()]
+        pairs = [(window[i:i + n], i) for i in index.row(n).tolist()]
         assert pairs == sorted((word, window.find(word)) for word in oracle)
 
 
@@ -222,23 +221,18 @@ def test_factor_table_matches_brute_force_at_every_length(spec, n_max, extra):
     n_work = 2 * n_max + extra
     index = build_factor_index(source, n_work=n_work, n_max=n_max)
     window = source.prefix(n_work)
-    starts, offsets = index.table()
-    assert starts.dtype == offsets.dtype == np.int64
-    assert offsets.tolist() == [0] + [index.accumulative(n) for n in range(1, n_max + 1)]
     for n in range(1, n_max + 1):
         oracle = sorted(frame_factors(window, n))
-        assert starts[offsets[n - 1]:offsets[n]].tolist() == [window.find(w) for w in oracle]
+        row = index.row(n)
+        assert row.dtype == np.int64 and len(row) == index.complexity(n)
+        assert row.tolist() == [window.find(w) for w in oracle]
 
 
-def test_factor_table_is_read_only():
+@pytest.mark.parametrize("n", [0, -1, 17])
+def test_row_refuses_lengths_outside_the_index(n):
     index = build_factor_index(thue_morse(), n_max=16)
-    starts, offsets = index.table()
-    assert index.table()[0] is starts
-    for column in (starts, offsets):
-        with pytest.raises(ValueError):
-            column[0] = 1
-        with pytest.raises(ValueError):
-            column[1:3] += 1
+    with pytest.raises(PreconditionError, match="out-of-range"):
+        index.row(n)
 
 
 def test_thue_morse_profile_values():
@@ -448,10 +442,8 @@ def test_factor_table_and_special_factors_at_scale_match_the_state_oracle(spec, 
     n_work = 10 ** 5
     window = source.prefix(n_work)
     index = build_factor_index(source, n_work, n_max)
-    starts, offsets = index.table()
-    want_starts, want_offsets = interval_table(window, n_max)
-    assert offsets.tolist() == want_offsets
-    assert starts.tolist() == want_starts
+    for n, want in enumerate(interval_rows(window, n_max), 1):
+        assert index.row(n).tolist() == want, n
     right, left = interval_special(window, n_max)
     for n in range(1, n_max):
         assert index.right_special(n) == right[n], n

@@ -261,7 +261,7 @@ def test_linear_window_gate_needs_each_rule(spec, n_max, n_work, code, rule, mon
     # the half-window growth, the plateau, and the growth of max p(n)/n
     index = build_factor_index(parse_word_spec(spec), n_work=n_work, n_max=n_max)
     monkeypatch.setattr(periodicity, "build_markers", _refuse_to_build)
-    monkeypatch.setattr(FactorIndex, "table", _refuse_to_build)
+    monkeypatch.setattr(FactorIndex, "row", _refuse_to_build)
     with pytest.raises(PreconditionError, match=f"{code}: .*{rule}"):
         build_all_markers(index)
 
