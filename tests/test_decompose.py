@@ -501,6 +501,16 @@ def test_mask_cover_refuses_a_span_outside_the_window():
         verify_cover("011", *listed_rows([[-1]]), s_lang, t_lang)
 
 
+@pytest.mark.parametrize("offsets", [
+    [[3]], [[0], [2]], [[0], [0, 1], [1]], [[0, -1]], [[0], [0], [0], [0]]])
+def test_mask_cover_refuses_offsets_that_are_no_table(offsets):
+    # offsets[n - 1] are the starts of the length-n rows; each table has a
+    # span that leaves the window "011"
+    s_lang, t_lang = LeveledLanguage(["0"]), LeveledLanguage([""])
+    with pytest.raises(PreconditionError, match="out-of-range"):
+        verify_cover("011", *listed_rows(offsets), s_lang, t_lang)
+
+
 def test_mask_cover_refuses_a_negative_top_length():
     s_lang, t_lang = LeveledLanguage(["0"]), LeveledLanguage([""])
     with pytest.raises(PreconditionError, match="out-of-range"):
