@@ -3,8 +3,15 @@
 Exit statuses: 0 on success, 2 for usage errors (including malformed word
 specs), 3 when an operation is invoked outside its preconditions, 4 when a
 verification the run was supposed to establish fails. Output files are
-written atomically (temp file plus rename) and identical invocations produce
-byte-identical outputs.
+written atomically (temp file plus rename), the files of one run all before
+any is renamed, and identical invocations produce byte-identical outputs.
+
+The module imports only the numpy-free ``errors``, ``words`` and
+``experiments`` at its top. A command that builds windows, markers or
+decompositions imports ``factors``, ``periodicity`` and ``decompose`` in its
+own body, so ``word``, the counting experiments, ``--help`` and usage errors
+start without numpy; those imports read the modules' attributes when the
+command runs, so a function replaced on its home module is the one called.
 """
 
 from __future__ import annotations
@@ -16,15 +23,8 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .decompose import (
-    METHODS,
-    ROUTES,
-    LeveledLanguage,
-    build_decomposition,
-    split_records_to_csv,
-    verify_cover,
-)
 from .errors import FactorLangError, PreconditionError, VerificationError
 from .experiments import (
     growth_fit,
@@ -34,32 +34,38 @@ from .experiments import (
     staircase_pair_count,
     witness_pair_count,
 )
-from .factors import (
-    DEFAULT_N_MAX,
-    _window_length,
-    build_factor_index,
-    stabilized_profile,
-    window_profile,
-)
-from .periodicity import markers_to_jsonl
-from .words import parse_word_spec
+from .words import DEFAULT_N_MAX, parse_word_spec
+
+if TYPE_CHECKING:
+    from .decompose import LeveledLanguage
+
+# the keys of decompose.ROUTES, spelled out so that building the parser
+# imports no numpy; a test holds the two equal
+METHODS = ("marker", "greedy", "tm", "sturmian")
 
 
-def _write_atomic(path: Path, chunks):
-    """Write the text chunks of the iterable ``chunks`` to ``path`` through a
-    temp file and a rename, one chunk at a time. The temp file is removed
-    whatever exception interrupts the write; a path that cannot be written
+def _write_atomic(*files):
+    """Write each ``(path, chunks)`` pair of ``files``, the text chunks of
+    the iterable ``chunks`` to ``path``, one chunk at a time, each through
+    a temp file beside its path. Every temp file is written before any is
+    renamed, and they are renamed in the order given, so a write that fails
+    leaves every file as an earlier run left it. The temp files are removed
+    whatever exception interrupts the writes; a path that cannot be written
     (its parent is a file, it is a directory, no permission) is refused as
     ``unwritable-output``, and any other exception propagates as it is."""
-    tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
+    tmps = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for path, chunks in files:
+            tmps.append(path.parent / f"{path.name}.tmp{os.getpid()}")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmps[-1], "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        for (path, _), tmp in zip(files, tmps):
+            os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise PreconditionError("unwritable-output", f"cannot write {path}: {exc}")
         raise
@@ -68,7 +74,7 @@ def _write_atomic(path: Path, chunks):
 def _emit_csv(csv: str, out: str | None):
     """Write ``csv`` atomically to ``out`` and say so, or to stdout."""
     if out:
-        _write_atomic(Path(out), (csv,))
+        _write_atomic((Path(out), (csv,)))
         print(f"wrote {out}")
     else:
         sys.stdout.write(csv)
@@ -77,6 +83,8 @@ def _emit_csv(csv: str, out: str | None):
 def _read_set_file(path: str, set_name: str) -> LeveledLanguage:
     """Load one set file; one that cannot be read as UTF-8 text (missing, a
     directory, other bytes) is refused as ``bad-set-file``."""
+    from .decompose import LeveledLanguage
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -114,6 +122,8 @@ def cmd_word(args) -> int:
 
 
 def cmd_complexity(args) -> int:
+    from .factors import stabilized_profile
+
     source = parse_word_spec(args.spec)
     profile, stable = stabilized_profile(source, args.window, args.n_max)
     if not stable:
@@ -126,6 +136,10 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decompose import build_decomposition, split_records_to_csv
+    from .factors import build_factor_index
+    from .periodicity import markers_to_jsonl
+
     source = parse_word_spec(args.spec)
     index = build_factor_index(source, args.window, args.n_max)
     # splits.csv writes its words unquoted, so a letter that a CSV reader
@@ -137,14 +151,6 @@ def cmd_decompose(args) -> int:
                 " splits.csv cannot write unquoted")
     dec = build_decomposition(index, args.method, args.budget)
     s_lang, t_lang, report = dec.s_lang, dec.t_lang, dec.report
-    out_dir = Path(args.out)
-    # splits.csv, the long write that may run out of space, goes first, so
-    # its failure leaves an earlier run's artifacts as they were; stats.json
-    # goes last
-    _write_atomic(out_dir / "splits.csv", split_records_to_csv(index.window, dec.rows()))
-    if dec.markers is not None:
-        _write_atomic(out_dir / "markers.jsonl", (markers_to_jsonl(dec.markers),))
-
     stats = {
         # the invocation as "<command> key=value ...", keys sorted
         "config": (f"decompose method={args.method} n-max={args.n_max}"
@@ -161,10 +167,17 @@ def cmd_decompose(args) -> int:
         "t_total": t_lang.total(),
     }
     stats.update(dec.extras)
-    _write_atomic(out_dir / "S.jsonl", (s_lang.to_jsonl("S"),))
-    _write_atomic(out_dir / "T.jsonl", (t_lang.to_jsonl("T"),))
-    _write_atomic(out_dir / "stats.json",
-                  (json.dumps(stats, sort_keys=True, indent=2) + "\n",))
+    # every artifact is written before any replaces an earlier run's, and
+    # stats.json is renamed last; each text is made only when its file is
+    # written, splits.csv one line at a time
+    out_dir = Path(args.out)
+    files = [(out_dir / "splits.csv", split_records_to_csv(index.window, dec.rows()))]
+    if dec.markers is not None:
+        files.append((out_dir / "markers.jsonl", map(markers_to_jsonl, [dec.markers])))
+    files += [(out_dir / "S.jsonl", map(s_lang.to_jsonl, ["S"])),
+              (out_dir / "T.jsonl", map(t_lang.to_jsonl, ["T"])),
+              (out_dir / "stats.json", [json.dumps(stats, sort_keys=True, indent=2) + "\n"])]
+    _write_atomic(*files)
     print(f"word: {args.spec}")
     print(f"method: {args.method}")
     print(f"factors: {report.total}")
@@ -177,6 +190,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .decompose import verify_cover
+    from .factors import build_factor_index
+
     source = parse_word_spec(args.spec)
     s_lang = _read_set_file(args.s_file, "S")
     t_lang = _read_set_file(args.t_file, "T")
@@ -217,6 +233,8 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
                     "out-of-range", f"count / n at n of {len(str(n))} digits is not a float")
         return rows, f"witness pairs at k={args.k} against n"
     if name == "fit":
+        from .factors import _window_length, window_profile
+
         lo, hi = args.range
         # everything is checked before the window is built, in the order of
         # the checks made with it: the spec, the model's name, the window's
@@ -234,6 +252,9 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
                 f" {fit.spread:.3f}")
         return rows, note
     # lemma1
+    from .decompose import ROUTES
+    from .factors import build_factor_index
+
     ns = args.n or [8, 16, 32, 64]
     hi = max(ns)
     index = build_factor_index(parse_word_spec(args.spec), args.window, hi)

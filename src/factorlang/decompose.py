@@ -51,6 +51,9 @@ and greedy rules read that length's cuts in the cover report.
 :meth:`Decomposition.rows` cuts each row only when it is read. The words v,
 s and t are sliced from the window where a set needs them, and for
 splits.csv in :func:`split_records_to_csv` alone, one line at a time.
+
+The counting bound of a product of languages needs no decomposition and is
+in :mod:`factorlang.experiments`, which imports no numpy.
 """
 
 from __future__ import annotations
@@ -794,21 +797,3 @@ def build_decomposition(index: FactorIndex, method: str,
     return Decomposition(route.s_lang, route.t_lang, route.extras, route.markers, report,
                          route.row, cut)
 
-
-# -- counting bounds -------------------------------------------------------------
-
-
-def compositions_count(n: int, k: int) -> int:
-    """Number of ways to write n as an ordered sum of k + 1 counts >= 0."""
-    if n < 0 or k < 0:
-        raise PreconditionError("out-of-range", f"need n >= 0 and k >= 0, got {n}, {k}")
-    return math.comb(n + k, k)
-
-
-def product_complexity_bound(cap: int, k: int, n: int) -> int:
-    """Upper bound cap^(k+1) * comb(n+k, k) for the complexity at length n
-    of a product of k + 1 languages each holding at most ``cap`` words per
-    length."""
-    if cap < 1:
-        raise PreconditionError("out-of-range", f"per-length cap must be >= 1, got {cap}")
-    return cap ** (k + 1) * compositions_count(n, k)

@@ -3,20 +3,27 @@
 These functions quantify how fast the block-product words grow: the staircase
 words a b^l a b^(l+1) ... a b^(l+k-1) a and the count of (k, l) shapes that
 fit in a given length, the pair counts that witness the cubed-length family
-of the general block product, and ratio-band fits of measured complexity
-profiles against reference growth models.
+of the general block product, ratio-band fits of measured complexity
+profiles against reference growth models, and the counting bound on the
+complexity of a product of languages with few words per length.
+
+The module is plain integer and float arithmetic and imports no numpy: it
+reads profiles, indexes and languages that its callers built, so the
+counting experiments run without the numpy layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import PreconditionError
-from .factors import ComplexityProfile, FactorIndex
-from .decompose import LeveledLanguage, product_complexity_bound
 from .words import _F_SPECS
+
+if TYPE_CHECKING:
+    from .decompose import LeveledLanguage
+    from .factors import ComplexityProfile, FactorIndex
 
 # the largest n staircase_pair_count counts, in isqrt(2n) = 1.4 million steps
 # (half a second on a 2-core host); read on each call, so a test can lower it
@@ -153,6 +160,22 @@ def growth_fit(profile: ComplexityProfile, model: str, lo: int, hi: int) -> Grow
     ratios = [p / value for p, value in zip(profile.p[lo - 1:hi], values)]
     return GrowthFit(model=name, lo=lo, hi=hi,
                      ratio_min=min(ratios), ratio_max=max(ratios))
+
+
+def compositions_count(n: int, k: int) -> int:
+    """Number of ways to write n as an ordered sum of k + 1 counts >= 0."""
+    if n < 0 or k < 0:
+        raise PreconditionError("out-of-range", f"need n >= 0 and k >= 0, got {n}, {k}")
+    return math.comb(n + k, k)
+
+
+def product_complexity_bound(cap: int, k: int, n: int) -> int:
+    """Upper bound cap^(k+1) * comb(n+k, k) for the complexity at length n
+    of a product of k + 1 languages each holding at most ``cap`` words per
+    length."""
+    if cap < 1:
+        raise PreconditionError("out-of-range", f"per-length cap must be >= 1, got {cap}")
+    return cap ** (k + 1) * compositions_count(n, k)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ length at a time. All results are statements about the window;
 ``stabilized_profile`` justifies reading the profile as a property of the
 infinite word by checking that doubling the window leaves it unchanged, with
 one automaton over the window and a walk of the doubled window through it.
+The default length cap and window size come from :mod:`factorlang.words`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ import numpy as np
 
 from .automaton import SuffixAutomaton
 from .errors import PreconditionError
-from .words import WordSource
-
-DEFAULT_N_MAX = 128
-DEFAULT_STABILIZATION_FACTOR = 50
+from .words import DEFAULT_N_MAX, DEFAULT_STABILIZATION_FACTOR, WordSource
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ Sources can also be described by a compact spec string (``tm``, ``fib``,
 
 Every source refuses a prefix longer than :data:`PREFIX_CAP` letters with
 ``resource-limit``; the cap is read when a prefix is requested, so a test can
-lower it with ``monkeypatch.setattr(words, "PREFIX_CAP", ...)``.
+lower it with ``monkeypatch.setattr(words, "PREFIX_CAP", ...)``. The default
+factor length cap, :data:`DEFAULT_N_MAX`, and the default window of
+:data:`DEFAULT_STABILIZATION_FACTOR` letters per unit of it live here too, so
+the command line reads them without importing the numpy layer.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from typing import Callable
 from .errors import PreconditionError, WordSpecError
 
 PREFIX_CAP = 2 ** 24
+DEFAULT_N_MAX = 128
+DEFAULT_STABILIZATION_FACTOR = 50
 
 
 @dataclass(frozen=True)
@@ -104,19 +109,33 @@ class WordSource:
 def fixed_point(morphism: Morphism, _spec: str | None = None) -> WordSource:
     """Fixed point of a prolongable morphism, starting from its start letter.
 
-    Generation consumes the word letter by letter and appends each letter's
-    image, which stays linear in the requested length even when the morphism
-    grows slowly (for instance c->cab, a->ab, b->b).
+    Generation reads the word a block at a time and appends the images of
+    the block's letters, in order, as one string made by ``str.translate``,
+    so no object is made per letter. A block lies within one appended
+    piece and holds at most the letters still missing divided by the
+    longest image, rounded up, so the prefix overshoots the request by less
+    than one image and the temporaries stay near one window. The work
+    stays linear in the requested length even when the morphism grows
+    slowly (for instance c->cab, a->ab, b->b), where each block is short.
     """
     images = morphism.images
+    widest = max(map(len, images.values()))
+    table = str.maketrans(images)
 
     def grow(n: int) -> str:
-        buf = list(images[morphism.start])
-        i = 1
-        while len(buf) < n:
-            buf.extend(images[buf[i]])
-            i += 1
-        return "".join(buf)
+        # the unread letters start at parts[c][o]; the image of the start
+        # letter begins with that letter, so its second letter is the first
+        parts = [images[morphism.start]]
+        total, c, o = len(parts[0]), 0, 1
+        while total < n:
+            # ceil((n - total) / widest) letters add fewer than n - total + widest
+            block = parts[c][o:o + -(-(n - total) // widest)]
+            o += len(block)
+            if o == len(parts[c]):
+                c, o = c + 1, 0
+            parts.append(block.translate(table))
+            total += len(parts[-1])
+        return "".join(parts)
 
     if _spec is None:
         rules = ",".join(f"{a}->{img}" for a, img in sorted(morphism.images.items()))

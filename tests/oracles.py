@@ -60,6 +60,17 @@ def per_record_splits_csv(window, records):
                f"{k},{pos},{OCCURRENCE_CLASSES[code] or ''}\n")
 
 
+def letter_by_letter_fixed_point(images: dict, start: str, n: int) -> str:
+    """Oracle for words.fixed_point: the first n letters of the fixed point,
+    appending one letter's image at a time."""
+    buf = list(images[start])
+    i = 1
+    while len(buf) < n:
+        buf.extend(images[buf[i]])
+        i += 1
+    return "".join(buf[:n])
+
+
 def staircase_word(k: int, l: int) -> str:
     """The word a b^l a b^(l+1) ... a b^(l+k-1) a with k growing b-runs.
 

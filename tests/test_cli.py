@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -284,7 +285,7 @@ def test_write_atomic_removes_temp_file_when_chunks_raise(tmp_path, error):
         raise error("halfway")
 
     with pytest.raises(error, match="halfway"):
-        _write_atomic(target, chunks())
+        _write_atomic((target, chunks()))
     assert len(listed) == 2  # the temp file existed while the chunks ran
     assert sorted(p.name for p in tmp_path.iterdir()) == ["splits.csv"]
     assert target.read_text() == "old\n"
@@ -483,22 +484,41 @@ def test_verify_round_trip(tmp_path, capsys):
 
 def test_decompose_failed_splits_write_keeps_the_earlier_artifacts(tmp_path, capsys,
                                                                   monkeypatch):
-    # splits.csv, the long write, runs out of space after its header: the run
-    # exits 3 and leaves the earlier run's artifacts as they were, no temp
-    # file beside them
+    # a write that runs out of space, on splits.csv after its header or on
+    # any later artifact as its temp file is opened: the run exits 3 and
+    # leaves the earlier run's artifacts as they were, no temp file beside
+    # them
     out = tmp_path / "dc"
-    assert run(["decompose", "tm", "tm", "--n-max", "16", "--out", str(out)]) == 0
+    assert run(["decompose", "marker", "tm", "--n-max", "16", "--out", str(out)]) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["S.jsonl", "T.jsonl", "markers.jsonl", "splits.csv",
+                              "stats.json"]
+    again = ["decompose", "marker", "tm", "--n-max", "24", "--out", str(out)]
 
     def full_disk(window, rows):
         yield decompose.SPLIT_CSV_HEADER + "\n"
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(cli, "split_records_to_csv", full_disk)
-    assert run(["decompose", "tm", "tm", "--n-max", "32", "--out", str(out)]) == 3
-    assert "unwritable-output" in capsys.readouterr().err
-    assert not list(out.glob("*.tmp*"))
-    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    def check_refused():
+        assert run(again) == 3
+        assert "unwritable-output" in capsys.readouterr().err
+        assert not list(out.glob("*.tmp*"))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decompose, "split_records_to_csv", full_disk)
+        check_refused()
+    for name in sorted(before):
+        def full_disk_at(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if Path(file).name.startswith(f"{name}.tmp"):
+                fh.close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "open", full_disk_at, raising=False)
+            check_refused()
 
 
 def test_decompose_refuses_uncovered_word_before_writing(tmp_path, capsys, monkeypatch):
@@ -659,7 +679,7 @@ def test_experiment_fit_refuses_a_bad_model_before_the_window(monkeypatch, capsy
     def no_window(*args):
         raise AssertionError("the window was built")
 
-    monkeypatch.setattr(cli, "window_profile", no_window)
+    monkeypatch.setattr(factors, "window_profile", no_window)
     assert run(["experiment", "fit", "--word", "abk", *argv]) == 3
     assert f"error: {error}" in capsys.readouterr().err
 
@@ -867,3 +887,53 @@ def test_unwritable_output_exits_3(fuzz_files, capsys, argv):
     # no temp file is left next to the refused output
     assert sorted(p.name for p in paths["a-file"].parent.iterdir()) == before
     assert sorted(p.name for p in paths["directory"].iterdir()) == dc_before
+
+
+# -- start-up: what each command imports ----------------------------------------
+
+# runs the statements of argv[1] in this interpreter and prints the exit
+# status they give (0 when they return) and whether numpy was imported
+IMPORTS_AFTER = """
+import sys
+try:
+    exec(sys.argv[1])
+    status = 0
+except SystemExit as exc:
+    status = exc.code
+print(status, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("statements,status", [
+    ("import factorlang", 0),
+    ("import factorlang.cli", 0),
+    *((f"from factorlang import cli; sys.exit(cli.run({argv!r}))", status)
+      for argv, status in [
+          (["word", "tm"], 0),
+          (["experiment", "e-count"], 0),
+          (["experiment", "claim-pairs", "--k", "3"], 0),
+          (["--help"], 0),
+          (["decompose", "--help"], 0),
+          (["decompose", "bogus", "tm"], 2),
+      ]),
+])
+def test_commands_that_need_no_window_import_no_numpy(statements, status):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", IMPORTS_AFTER, statements],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == f"{status} False", done.stderr
+
+
+def test_lazy_exports_resolve_to_their_home_objects():
+    import factorlang
+
+    for name in factorlang.__all__:
+        home = importlib.import_module(f"factorlang.{factorlang._EXPORTS[name]}")
+        assert getattr(factorlang, name) is getattr(home, name)
+        assert name in dir(factorlang)
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        factorlang.bogus
+
+
+def test_parser_methods_are_the_route_table():
+    assert cli.METHODS == tuple(decompose.ROUTES)

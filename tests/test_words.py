@@ -18,6 +18,7 @@ from factorlang import (
     ultimately_periodic,
     words,
 )
+from oracles import letter_by_letter_fixed_point
 
 TM_64 = "0110100110010110100101100110100110010110011010010110100110010110"
 
@@ -199,3 +200,20 @@ def test_sturmian_directive_determinism(pre, per):
     a = sturmian_characteristic(tuple(pre), tuple(per)).prefix(120)
     b = sturmian_characteristic(tuple(pre), tuple(per)).prefix(120)
     assert a == b
+
+
+@pytest.mark.parametrize("images,start", [
+    ({"0": "01", "1": "10"}, "0"),
+    ({"0": "01", "1": "00"}, "0"),
+    ({"c": "cab", "a": "ab", "b": "b"}, "c"),
+    ({"0": "001", "1": "0"}, "0"),
+])
+def test_fixed_point_matches_letter_by_letter_oracle(images, start):
+    morphism = Morphism(images, start)
+    want = letter_by_letter_fixed_point(images, start, 10 ** 5)
+    for n in [*range(1, 301), 10 ** 5]:
+        assert fixed_point(morphism).prefix(n) == want[:n]
+    # growing and shrinking requests on one source
+    source = fixed_point(morphism)
+    for n in (1, 2, 3, 17, 300, 299, 4096, 10 ** 5, 5):
+        assert source.prefix(n) == want[:n]

@@ -90,6 +90,9 @@ GATES = [
         ("-c", SPLITS_TO_SINK, "tm")]),
     Gate("the marker route at tm n_max 1024 with every splits.csv line", 110, [
         ("-c", SPLITS_TO_SINK, "marker")]),
+    Gate("the counting experiments without numpy", 22, [
+        CLI + ("experiment", "e-count"),
+        CLI + ("experiment", "claim-pairs", "--k", "3")]),
 ]
 
 
