@@ -233,7 +233,7 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
                     "out-of-range", f"count / n at n of {len(str(n))} digits is not a float")
         return rows, f"witness pairs at k={args.k} against n"
     if name == "fit":
-        from .factors import _window_length, window_profile
+        from .factors import _window_length, build_factor_index
 
         lo, hi = args.range
         # everything is checked before the window is built, in the order of
@@ -243,7 +243,7 @@ def _experiment_rows(args) -> tuple[list[tuple], str]:
         resolve_model(args.model)
         source.check_length(_window_length(args.window, hi))
         model_name, values = model_values(args.model, lo, hi)
-        profile = window_profile(source, args.window, hi)
+        profile = build_factor_index(source, args.window, hi).profile()
         fit = growth_fit(profile, args.model, lo, hi)
         rows = [(n, p, f"{m:.3f}", f"{p / m:.6f}")
                 for n, p, m in zip(range(lo, hi + 1), profile.p[lo - 1:hi], values)]

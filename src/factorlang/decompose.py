@@ -7,7 +7,8 @@ indexed factor while each keeps a bounded number of words per length:
   occurrence chosen inside its first occurrence (the general construction
   for linear-complexity words): each order has one table of its marker
   occurrences, each classified once, and each row of factors is cut with
-  one binary search per order;
+  one binary search per order, by the same row rule that later gives the
+  records;
 * :func:`thue_morse_split_sets` uses suffixes and prefixes of the iterated
   doubling morphism, cutting at the boundary of maximal 2-adic valuation;
 * :func:`sturmian_split_sets` extends the unique right and left special
@@ -26,15 +27,16 @@ decides each of them, so a hash collision costs time and never changes the
 report, and the words of that length are checked once their bits are set.
 The four routes are listed once, in :data:`ROUTES`, keyed by method name;
 :data:`METHODS` is its keys. An entry runs its route on a factor index and
-gives the sets, the route's claim (the most words of one length S or T may
-hold), the row function the cover check reads (``index.row``, or the start 0
-at every length for greedy), the route's row rule or None for the cuts the
-check reports, the route's figures and its markers.
-:func:`build_decomposition` is the one entry point that runs a route, by
-name, and returns its sets, cover report and rows, on one path for every
-route: one :func:`verify_cover` call over the entry's rows, then the refusal
-of an uncovered word and of sets above the claim. ``experiment lemma1``
-reads the sets of the same entries and no cover check.
+gives a :class:`Decomposition` without a cover report: the sets, the route's
+claim (the most words of one length S or T may hold), the row function the
+cover check reads (``index.row``, or the start 0 at every length for
+greedy), the route's row rule or None for the cuts the check reports, the
+route's figures and its markers. :func:`build_decomposition` is the one
+entry point that runs a route, by name, and returns that record with its
+cover report, on one path for every route: one :func:`verify_cover` call
+over the entry's rows, then the refusal of an uncovered word and of sets
+above the claim. ``experiment lemma1`` reads the sets of the same entries
+and no cover check.
 
 Factors are enumerated one length at a time. The marker, tm and Sturmian
 routes cut the window positions that :meth:`FactorIndex.row` gives: the
@@ -63,7 +65,7 @@ import json
 import math
 from array import array
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -323,25 +325,33 @@ def _marker_rule(window: str, tables: dict, d: int, starts: np.ndarray,
     """The marker records of the length-``n`` factors at ``starts``: rows
     shorter than 2D go into S wholesale, cut at their end and carrying their
     start as the position; longer ones are cut by :func:`_marker_cuts` over
-    ``tables``."""
+    ``tables``. The first factor in row order that holds no marker of any
+    order is refused as ``no-marker-found``."""
     if n < 2 * d:
         return SplitRecords(starts, starts + n, starts + n, position=starts)
     cut, order, position, codes = _marker_cuts(window, tables, d, starts, n)
+    missing = np.flatnonzero(order < 0)
+    if missing.size:
+        i = int(starts[missing[0]])
+        raise VerificationError(
+            "no-marker-found", f"no marker of any order occurs in"
+            f" {window[i:i + n]!r} (undersized window?)")
     return SplitRecords(starts, cut, starts + n, order, position, codes)
 
 
 def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     """Split every indexed factor into S and T via marker midpoints.
 
-    Factors shorter than 2D go into S wholesale, paired with the empty word;
-    the rest are cut at their first occurrence by :func:`_marker_cuts`, one
-    :meth:`FactorIndex.row` at a time, all reading one :func:`_marker_table`
-    per order built here, once, for the reach that one read of the rows
-    finds. The first factor in row order that holds no marker is refused as
-    ``no-marker-found``. Returns (S, T, rule), where
-    ``rule(row, n)`` gives the :class:`SplitRecords` of the length-n starts
-    ``row`` from the same tables: the loop here keeps the words of S and T
-    and no record, and the rule cuts a row again when its records are read.
+    Builds one :func:`_marker_table` per order, once, for the reach that one
+    read of the rows finds, and the rule ``rule(row, n)``, which gives the
+    :class:`SplitRecords` of the length-n starts ``row`` from those tables by
+    :func:`_marker_rule`: factors shorter than 2D go into S wholesale,
+    paired with the empty word, and the rest are cut at their first
+    occurrence. S and T are filled from ``rule(index.row(n), n)``, one
+    :meth:`FactorIndex.row` at a time, so the first factor in row order that
+    holds no marker is refused here as ``no-marker-found``. Returns
+    (S, T, rule): the loop here keeps the words of S and T and no record,
+    and the rule cuts a row again when its records are read.
     """
     if not markers:
         raise PreconditionError("no-marker-orders", "empty marker family")
@@ -350,22 +360,13 @@ def build_st(index: FactorIndex, markers: dict[int, MarkerSet]):
     reach = max(int(index.row(n).max(initial=-n)) + n for n in lengths)
     tables = {k: _marker_table(index, ms.markers, 2 ** k, reach)
               for k, ms in markers.items()}
+    rule = functools.partial(_marker_rule, window, tables, d)
     s_words, t_words = set(), {""}
     for n in lengths:
-        row = index.row(n)
-        cut = row + n
-        if n >= 2 * d:
-            cut, order, _, _ = _marker_cuts(window, tables, d, row, n)
-            missing = np.flatnonzero(order < 0)
-            if missing.size:
-                i = int(row[missing[0]])
-                raise VerificationError(
-                    "no-marker-found", f"no marker of any order occurs in"
-                    f" {window[i:i + n]!r} (undersized window?)")
-        spans = list(zip(row.tolist(), cut.tolist()))
+        records = rule(index.row(n), n)
+        spans = list(zip(records.start.tolist(), records.cut.tolist()))
         s_words.update(window[i:c] for i, c in spans)
         t_words.update(window[c:i + n] for i, c in spans)
-    rule = functools.partial(_marker_rule, window, tables, d)
     return LeveledLanguage(s_words), LeveledLanguage(t_words), rule
 
 
@@ -676,38 +677,15 @@ def _leftmost_rule(cuts: list[array], starts: np.ndarray, n: int) -> SplitRecord
 
 @dataclass(frozen=True)
 class Decomposition:
-    """What one route built on one index: the sets, the route's own figures
-    (``extras``), the marker family of the marker route (None on the
-    others), the cover report, the row function ``row(n)`` whose rows the
-    report checked, and the row rule ``cut(row, n)`` that gives the split
-    records of one of those rows; :meth:`rows` reads the records."""
-
-    s_lang: LeveledLanguage
-    t_lang: LeveledLanguage
-    extras: dict
-    markers: dict[int, MarkerSet] | None
-    report: CoverReport
-    row: Callable[[int], np.ndarray]
-    cut: Callable[[np.ndarray, int], SplitRecords]
-
-    def rows(self):
-        """The split records, one :class:`SplitRecords` per length from 1
-        up to the top length the report checked, one record per covered word
-        in row order, as a generator: a row is read and cut when it is
-        reached, and each call starts again from length 1."""
-        return (self.cut(self.row(n), n) for n in range(1, len(self.report.cuts) + 1))
-
-
-@dataclass(frozen=True)
-class _Route:
-    """What one route built on one index, before the cover check: the sets;
-    ``claim``, the most words of one length that S or T may hold; ``row``,
-    the row function ``row(n)`` that gives the starts of the length-n words
-    the cover check reads; ``cut``, the route's row rule ``cut(row, n)``,
-    which gives the :class:`SplitRecords` of the length-n starts ``row``, or
-    None for the row's leftmost cuts in the cover report; the route's own
-    figures (``extras``); and the marker family of the marker route, None on
-    the others."""
+    """What one route built on one index: the sets; ``claim``, the most
+    words of one length that S or T may hold; ``row``, the row function
+    ``row(n)`` that gives the starts of the length-n words the cover check
+    reads; ``cut``, the route's row rule ``cut(row, n)``, which gives the
+    :class:`SplitRecords` of the length-n starts ``row``, or None for the
+    row's leftmost cuts in the cover report; the route's own figures
+    (``extras``); the marker family of the marker route, None on the
+    others; and the cover report, None until :func:`build_decomposition`
+    has checked the sets. :meth:`rows` reads the records."""
 
     s_lang: LeveledLanguage
     t_lang: LeveledLanguage
@@ -716,9 +694,18 @@ class _Route:
     cut: Callable[[np.ndarray, int], SplitRecords] | None = None
     extras: dict = field(default_factory=dict)
     markers: dict[int, MarkerSet] | None = None
+    report: CoverReport | None = None
+
+    def rows(self):
+        """The split records, one :class:`SplitRecords` per length from 1
+        up to the top length the report checked, one record per covered word
+        in row order, as a generator: a row is read and cut when it is
+        reached, and each call starts again from length 1."""
+        cut = self.cut or functools.partial(_leftmost_rule, self.report.cuts)
+        return (cut(self.row(n), n) for n in range(1, len(self.report.cuts) + 1))
 
 
-def _marker_route(index: FactorIndex, budget: int) -> _Route:
+def _marker_route(index: FactorIndex, budget: int) -> Decomposition:
     markers = build_all_markers(index)
     s_lang, t_lang, rule = build_st(index, markers)
     c, k = index.slope_constants()
@@ -726,25 +713,25 @@ def _marker_route(index: FactorIndex, budget: int) -> _Route:
     r = max(len(ms.markers) for ms in markers.values())
     extras = {"C": c, "K": k, "D": d, "R": r, "orders": sorted(markers),
               "bound": split_sets_bound(r, c, d)}
-    return _Route(s_lang, t_lang, extras["bound"], index.row, rule, extras, markers)
+    return Decomposition(s_lang, t_lang, extras["bound"], index.row, rule, extras, markers)
 
 
-def _greedy_route(index: FactorIndex, budget: int) -> _Route:
+def _greedy_route(index: FactorIndex, budget: int) -> Decomposition:
     prefixes = LeveledLanguage(index.window[:n] for n in range(1, index.n_max + 1))
     s_lang, t_lang = greedy_two_sets(prefixes, budget)
     # the prefixes: the start 0 at every length
-    return _Route(s_lang, t_lang, 2 * budget + 1, lambda n: np.zeros(1, dtype=np.int64),
-                  extras={"budget": budget})
+    return Decomposition(s_lang, t_lang, 2 * budget + 1,
+                         lambda n: np.zeros(1, dtype=np.int64), extras={"budget": budget})
 
 
-def _tm_route(index: FactorIndex, budget: int) -> _Route:
+def _tm_route(index: FactorIndex, budget: int) -> Decomposition:
     s_lang, t_lang, rule = thue_morse_split_sets(index)
-    return _Route(s_lang, t_lang, 2, index.row, rule)
+    return Decomposition(s_lang, t_lang, 2, index.row, rule)
 
 
-def _sturmian_route(index: FactorIndex, budget: int) -> _Route:
+def _sturmian_route(index: FactorIndex, budget: int) -> Decomposition:
     s_lang, t_lang = sturmian_split_sets(index)
-    return _Route(s_lang, t_lang, 2, index.row)
+    return Decomposition(s_lang, t_lang, 2, index.row)
 
 
 # The one list of routes, by method name. Each entry names its route function
@@ -769,8 +756,9 @@ def build_decomposition(index: FactorIndex, method: str,
     call over the rows of its entry's ``row`` function up to n_max, which
     gives the report; a word with no cut is refused
     there, on every route, before anything is returned, and so are sets
-    above the entry's per-length claim as ``bound-exceeded``. The records
-    are cut only afterwards, one row at a time as
+    above the entry's per-length claim as ``bound-exceeded``. The entry's
+    :class:`Decomposition` is returned with the report filled in. The
+    records are cut only afterwards, one row at a time as
     :meth:`Decomposition.rows` reads them: by the entry's row rule (the
     :func:`build_st` rule on the marker route, the
     :func:`thue_morse_split_sets` rule on the tm route), or, on the
@@ -793,7 +781,4 @@ def build_decomposition(index: FactorIndex, method: str,
         raise VerificationError(
             "bound-exceeded", f"{most} words of one length in S or T, above the claim"
             f" {route.claim}")
-    cut = route.cut or functools.partial(_leftmost_rule, report.cuts)
-    return Decomposition(route.s_lang, route.t_lang, route.extras, route.markers, report,
-                         route.row, cut)
-
+    return replace(route, report=report)

@@ -237,19 +237,6 @@ def build_factor_index(source: WordSource, n_work: int | None = None,
     return FactorIndex(source, source.prefix(n_work), n_max)
 
 
-def window_profile(source: WordSource, n_work: int | None = None,
-                   n_max: int = DEFAULT_N_MAX) -> ComplexityProfile:
-    """The complexity profile of the length-``n_work`` window, checked and
-    defaulted as in :func:`build_factor_index` and in the same order, from a
-    suffix automaton instead of an index."""
-    n_work = _window_length(n_work, n_max)
-    sam = SuffixAutomaton(source.prefix(n_work))
-    # nothing walks this build, and its transition lists, freed before the
-    # count, leave room for the count's temporaries
-    del sam._walk
-    return ComplexityProfile.from_counts(source.spec, n_work, sam.length_counts(n_max))
-
-
 def stabilized_profile(source: WordSource, n_work: int | None = None,
                        n_max: int = DEFAULT_N_MAX) -> tuple[ComplexityProfile, bool]:
     """The complexity profile of the length-``n_work`` window, and whether
@@ -259,7 +246,7 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
     and the prefix cap at ``n_work`` before the one at ``2 * n_work``, so an
     inadmissible request is refused before any letter is generated. The
     profile comes from the suffix automaton over the window, as in
-    :func:`window_profile`. The doubled window D has the same counts up to
+    :class:`FactorIndex`. The doubled window D has the same counts up to
     ``n_max`` exactly when each of its length-``n_max`` factors occurs in the
     window W, since every shorter factor of D is a prefix of one of them or
     a suffix of the last; the factors inside W do, so the check walks

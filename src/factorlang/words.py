@@ -154,7 +154,10 @@ def sturmian_characteristic(preperiod=(), period=(1,), _spec: str | None = None)
     The directive entries a_1, a_2, ... (all positive) drive the standard-word
     recursion s_{-1} = "1", s_0 = "0", s_{j+1} = s_j^{a_{j+1}} s_{j-1}; every
     s_j is a prefix of the next, and the word is their common extension. The
-    all-ones directive gives the Fibonacci word 01001010...
+    all-ones directive gives the Fibonacci word 01001010... A request of n
+    letters stops at the first s_j with a_{j+1} copies as long as n, and
+    returns as few copies of s_j as make n letters, so a large entry costs
+    no more than the letters asked for.
     """
     pre = tuple(int(a) for a in preperiod)
     per = tuple(int(a) for a in period)
@@ -174,6 +177,9 @@ def sturmian_characteristic(preperiod=(), period=(1,), _spec: str | None = None)
         s_prev, s_cur = "1", "0"
         j = 0
         while len(s_cur) < n:
+            if len(s_cur) * entry(j) >= n:
+                # ceil(n / |s_j|) <= a copies: a prefix of s_{j+1} = s_j^a s_{j-1}
+                return s_cur * -(-n // len(s_cur))
             s_prev, s_cur = s_cur, s_cur * entry(j) + s_prev
             j += 1
         return s_cur
@@ -263,7 +269,9 @@ def pq_block_product(f="isqrt", kpq="p") -> WordSource:
     repetition count of each block, both by name (f: isqrt, id, ilog2; k: p,
     2p, const:<m>). Every named f has f(1) >= 1, f(p) <= p and is
     non-decreasing, and every named k is non-decreasing along the block
-    order, which the construction presumes.
+    order, which the construction presumes. A block is repeated no more
+    often than the letters still missing need, so a large repetition
+    constant costs no more than the letters asked for.
     """
     f_fn, f_name = _resolve_f(f)
     k_fn, k_name = _resolve_k(kpq)
@@ -274,7 +282,7 @@ def pq_block_product(f="isqrt", kpq="p") -> WordSource:
         p = 1
         while total < n:
             for q in range(1, f_fn(p) + 1):
-                block = ("a" * p + "b" * q) * k_fn(p, q)
+                block = ("a" * p + "b" * q) * min(k_fn(p, q), -(-(n - total) // (p + q)))
                 parts.append(block)
                 total += len(block)
                 if total >= n:

@@ -71,6 +71,27 @@ def letter_by_letter_fixed_point(images: dict, start: str, n: int) -> str:
     return "".join(buf[:n])
 
 
+def whole_block_sturmian(pre: tuple, per: tuple, n: int) -> str:
+    """Oracle for words.sturmian_characteristic: the first n letters of the
+    standard words s_{j+1} = s_j^a s_{j-1}, each built whole."""
+    s_prev, s_cur, j = "1", "0", 0
+    while len(s_cur) < n:
+        a = pre[j] if j < len(pre) else per[(j - len(pre)) % len(per)]
+        s_prev, s_cur, j = s_cur, s_cur * a + s_prev, j + 1
+    return s_cur[:n]
+
+
+def whole_block_pq(f, k, n: int) -> str:
+    """Oracle for words.pq_block_product: the first n letters of the blocks
+    (a^p b^q)^k(p, q), each built whole, k given as a function of (p, q)."""
+    text, p = "", 1
+    while len(text) < n:
+        for q in range(1, f(p) + 1):
+            text += ("a" * p + "b" * q) * k(p, q)
+        p += 1
+    return text[:n]
+
+
 def staircase_word(k: int, l: int) -> str:
     """The word a b^l a b^(l+1) ... a b^(l+k-1) a with k growing b-runs.
 

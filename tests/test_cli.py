@@ -141,9 +141,7 @@ def test_counting_commands_build_no_factor_index(monkeypatch, capsys):
 
     monkeypatch.setattr(factors, "FactorIndex", no_index)
     assert run(["complexity", "tm", "--n-max", "32"]) == 0
-    assert run(["experiment", "fit", "--word", "tm", "--model", "n",
-                "--range", "4:32"]) == 0
-    assert "note: tm against n" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("n,p,g\n1,2,2\n")
 
 
 @pytest.mark.parametrize("method,spec,n_max", [
@@ -458,6 +456,22 @@ GOLDEN_DIGESTS = {
 }
 
 
+# the sha256 of the stdout of experiments that read a factor index
+GOLDEN_EXPERIMENT_DIGESTS = {
+    "experiment fit --word tm --model n --range 16:192 --window 250000":
+        "666f5afff40d4cc029789ae61221f33d792948826141b6b1f80d1647de189578",
+    "experiment lemma1 --word tm --method tm --n 8,16,32,64,128":
+        "0ce87c40b1e6e3de553b62c36c89fd012327beee32653e0b1621312114b0dc0c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_EXPERIMENT_DIGESTS))
+def test_experiment_stdout_matches_golden_digests(capsys, argv):
+    assert run(argv.split()) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == GOLDEN_EXPERIMENT_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("method,spec", sorted(GOLDEN_DIGESTS))
 def test_decompose_artifacts_match_golden_digests(tmp_path, capsys, method, spec):
     def sha256(data: bytes) -> str:
@@ -679,7 +693,7 @@ def test_experiment_fit_refuses_a_bad_model_before_the_window(monkeypatch, capsy
     def no_window(*args):
         raise AssertionError("the window was built")
 
-    monkeypatch.setattr(factors, "window_profile", no_window)
+    monkeypatch.setattr(factors, "build_factor_index", no_window)
     assert run(["experiment", "fit", "--word", "abk", *argv]) == 3
     assert f"error: {error}" in capsys.readouterr().err
 

@@ -43,6 +43,7 @@ from factorlang.decompose import (
     CoverReport,
     _bit_length,
     _marker_cuts,
+    _marker_rule,
     _marker_table,
 )
 from oracles import per_record_splits_csv, record_rows, slicing_witness_split
@@ -660,6 +661,7 @@ def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
     for n in range(4, n_max + 1):
         row = index.row(n)
         columns = _marker_cuts(index.window, tables, 2, row, n)
+        unmarked = False
         for start, *got in zip(row.tolist(), *(column.tolist() for column in columns)):
             try:
                 cut, order, position, cls = scanning_split_factor(index, markers, start, n)
@@ -668,8 +670,18 @@ def test_split_factor_matches_scanning_oracle_on_any_family(spec, n_max, data):
                 # where the oracle finds no marker
                 assert "no-marker-found" in str(exc)
                 assert got == [-1, -1, -1, 0]
+                unmarked = True
                 continue
             assert got == [cut, order, position, OCCURRENCE_CLASSES.index(cls)]
+        # the rule refuses a row exactly when some start of it gets order -1,
+        # and otherwise gives the columns of _marker_cuts
+        if unmarked:
+            with pytest.raises(VerificationError, match="no-marker-found"):
+                _marker_rule(index.window, tables, 2, row, n)
+        else:
+            records = _marker_rule(index.window, tables, 2, row, n)
+            got = (records.cut, records.order, records.position, records.classes)
+            assert all(np.array_equal(a, b) for a, b in zip(got, columns))
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,7 +21,6 @@ from factorlang import (
     ultimately_periodic,
     words,
 )
-from factorlang.factors import window_profile
 from oracles import (
     StateAutomaton,
     doubled_build_profile,
@@ -155,24 +154,16 @@ def test_left_special_matches_reverse_automaton(text):
         assert want == frame_left_special(text, n)
 
 
-def test_window_profile_is_the_index_profile():
-    for spec in SMALL_SPECS:
-        source = parse_word_spec(spec)
-        assert (window_profile(source, 600, 24)
-                == build_factor_index(source, n_work=600, n_max=24).profile())
-    assert window_profile(thue_morse(), n_max=8).n_work == 50 * 8
-
-
-def test_window_profile_guards_in_index_order(monkeypatch):
+def test_factor_index_guards_in_order(monkeypatch):
     # n_max first, then the window's size, then the prefix cap
     monkeypatch.setattr(words, "PREFIX_CAP", 1000)
     small = parse_word_spec("tm")
     with pytest.raises(PreconditionError, match="out-of-range"):
-        window_profile(small, n_work=5000, n_max=0)
+        build_factor_index(small, n_work=5000, n_max=0)
     with pytest.raises(PreconditionError, match="window-too-small"):
-        window_profile(small, n_work=5000, n_max=4000)
+        build_factor_index(small, n_work=5000, n_max=4000)
     with pytest.raises(PreconditionError, match="prefix length 1001 exceeds"):
-        window_profile(small, n_work=1001, n_max=8)
+        build_factor_index(small, n_work=1001, n_max=8)
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS)
@@ -417,7 +408,7 @@ def test_profiles_at_a_million_letters_match_prefix_doubling(spec, stable):
     want = prefix_doubling_profile(source.prefix(n_work), n_max)
     profile, got = stabilized_profile(source, n_work, n_max)
     assert list(profile.p) == want.tolist()
-    assert window_profile(source, n_work, n_max) == profile
+    assert build_factor_index(source, n_work, n_max).profile() == profile
     assert got == stable
     doubled = prefix_doubling_profile(source.prefix(2 * n_work), n_max)
     assert np.array_equal(doubled, want) == stable

@@ -1,5 +1,7 @@
 """Word sources: fixed prefixes, recursions, and the word-spec mini-language."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from factorlang import (
     ultimately_periodic,
     words,
 )
-from oracles import letter_by_letter_fixed_point
+from oracles import letter_by_letter_fixed_point, whole_block_pq, whole_block_sturmian
 
 TM_64 = "0110100110010110100101100110100110010110011010010110100110010110"
 
@@ -98,6 +100,48 @@ def test_pq_named_growth_meets_the_sampler_preconditions(f_name, k_name):
 def test_pq_constant_repetition_spec():
     pq = pq_block_product(kpq="const:1")
     assert pq.prefix(3) == "aba"  # (ab)(aab)... each block once
+
+
+@pytest.mark.parametrize("spec", ["pq:f=isqrt,k=const:10000000", "sturm:10000000",
+                                  "sturm:1,(10000000)"])
+def test_short_prefix_of_a_large_repetition_builds_no_whole_block(spec):
+    # a whole block of these words holds 10^7 letters or more
+    source = parse_word_spec(spec)
+    tracemalloc.start()
+    try:
+        assert len(source.prefix(12)) == 12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+GROW_AND_SHRINK = [300, 1, 17, 120, 299, 2, 64, 250, 3, 300, 150]
+
+
+@pytest.mark.parametrize("pre,per", [((), (1,)), ((), (2, 1)), ((), (3,)), ((1,), (4, 2)),
+                                     ((2, 5), (1, 3)), ((), (7,))])
+def test_sturmian_prefixes_match_whole_blocks(pre, per):
+    want = whole_block_sturmian(pre, per, 300)
+    for n in range(1, 301):
+        assert sturmian_characteristic(pre, per).prefix(n) == want[:n]
+    # growing and shrinking requests on one source
+    source = sturmian_characteristic(pre, per)
+    got = [source.prefix(n) for n in GROW_AND_SHRINK]
+    assert got == [want[:n] for n in GROW_AND_SHRINK]
+
+
+@pytest.mark.parametrize("f_name", ["isqrt", "id", "ilog2"])
+@pytest.mark.parametrize("k_name", ["p", "2p", "const:1", "const:3", "const:7"])
+def test_pq_prefixes_match_whole_blocks(f_name, k_name):
+    f, _ = words._resolve_f(f_name)
+    k, _ = words._resolve_k(k_name)
+    want = whole_block_pq(f, k, 300)
+    for n in range(1, 301):
+        assert pq_block_product(f_name, k_name).prefix(n) == want[:n]
+    source = pq_block_product(f_name, k_name)
+    got = [source.prefix(n) for n in GROW_AND_SHRINK]
+    assert got == [want[:n] for n in GROW_AND_SHRINK]
 
 
 def test_ultimately_periodic():

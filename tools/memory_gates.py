@@ -78,6 +78,9 @@ GATES = [
         CLI + ("decompose", "tm", "tm", "--out", "{tmp}/tm64w",
                "--n-max", "64", "--window", "1000000"),
         _verify("tm", "{tmp}/tm64w", "--n-max", "64", "--window", "1000000")]),
+    Gate("experiment fit abk at n_max 1000 over a 10^6-letter window", 180, [
+        CLI + ("experiment", "fit", "--word", "abk", "--model", "n2", "--range", "100:1000",
+               "--window", "1000000")]),
     Gate("every tm factor row at n_max 2048", 110, [
         ("-c", "from factorlang import build_factor_index, thue_morse;"
                " index = build_factor_index(thue_morse(), 4096, 2048);"
