@@ -18,6 +18,7 @@ The default length cap and window size come from :mod:`factorlang.words`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,15 +60,17 @@ class FactorIndex:
 
     Everything comes from one suffix automaton over the window, and from its
     ``floor`` array alone: the letter at ``pos`` adds the factors that first
-    end there, with the lengths floor[pos] + 1 .. pos + 1. Counts are read
-    from ``floor`` directly. Factors are enumerated by length, one row at a
-    time: the first-occurrence starts of the length-n factors in word order,
-    one filter on ``floor`` of one sorted array of the distinct
-    first-occurrence starts, built on first use. ``factors_of_length`` reads
-    the length-n row and the special factors of length n the length-(n + 1)
-    row. No array of every length's starts is built or kept: rows hold
-    integers, never factor strings, each is computed when it is read, and
-    runs that only count factors read none.
+    end there, with the lengths floor[pos] + 1 .. pos + 1. The automaton is
+    built only as far as factors of length up to ``n_max`` are new, and
+    ``floor`` is exact wherever it is below ``n_max``, which is all that is
+    read of it. Counts are read from ``floor`` directly. Factors are
+    enumerated by length, one row at a time: the first-occurrence starts of
+    the length-n factors in word order, one filter on ``floor`` of one
+    sorted array of the distinct first-occurrence starts, built on first
+    use. ``factors_of_length`` reads the length-n row and the special
+    factors of length n the length-(n + 1) row. No array of every length's
+    starts is built or kept: rows hold integers, never factor strings, each
+    is computed when it is read, and runs that only count factors read none.
     """
 
     def __init__(self, source: WordSource, window: str, n_max: int):
@@ -75,12 +78,16 @@ class FactorIndex:
         self.window = window
         self.n_work = len(window)
         self.n_max = n_max
-        self.alphabet = tuple(sorted(set(window)))
-        self._sam = SuffixAutomaton(window)
+        self._sam = SuffixAutomaton(window, n_max=n_max)
         del self._sam._walk
         self._p = self._sam.length_counts(n_max)
         self._g = np.cumsum(self._p)
         self._order: np.ndarray | None = None
+
+    @cached_property
+    def alphabet(self) -> tuple[str, ...]:
+        """The letters of the window, sorted."""
+        return tuple(sorted(set(self.window)))
 
     # -- complexity ----------------------------------------------------------
 
@@ -140,8 +147,9 @@ class FactorIndex:
         """The first-occurrence starts of the length-``n`` factors, in word
         order, as a new int64 array: the sorted distinct starts i with
         i + n <= n_work and floor[i + n - 1] < n, those whose length-n word
-        first ends at i + n - 1. A length outside 1..n_max is refused as
-        ``out-of-range``.
+        first ends at i + n - 1. ``floor`` is exact below n_max, and reads
+        n_max where the automaton walked, so both tests are exact. A length
+        outside 1..n_max is refused as ``out-of-range``.
 
         The sorted starts are built on first use and kept. The letter at
         ``pos`` adds the factors that first end there, of the lengths
@@ -246,17 +254,18 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
     and the prefix cap at ``n_work`` before the one at ``2 * n_work``, so an
     inadmissible request is refused before any letter is generated. The
     profile comes from the suffix automaton over the window, as in
-    :class:`FactorIndex`. The doubled window D has the same counts up to
-    ``n_max`` exactly when each of its length-``n_max`` factors occurs in the
-    window W, since every shorter factor of D is a prefix of one of them or
-    a suffix of the last; the factors inside W do, so the check walks
+    :class:`FactorIndex`, built as far as factors of length up to ``n_max``
+    are new. The doubled window D has the same counts up to ``n_max``
+    exactly when each of its length-``n_max`` factors occurs in the window
+    W, since every shorter factor of D is a prefix of one of them or a
+    suffix of the last; the factors inside W do, so the check walks
     ``D[n_work - n_max + 1:]`` through the automaton and stops at the first
     factor that does not occur.
     """
     n_work = _window_length(n_work, n_max)
     source.check_length(n_work)
     doubled = source.prefix(2 * n_work)
-    sam = SuffixAutomaton(doubled[:n_work])
+    sam = SuffixAutomaton(doubled[:n_work], n_max=n_max)
     profile = ComplexityProfile.from_counts(source.spec, n_work, sam.length_counts(n_max))
     return profile, sam.first_unmatched(doubled[n_work - n_max + 1:], n_max) is None
 

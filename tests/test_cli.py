@@ -90,9 +90,10 @@ def test_complexity_refuses_over_cap_before_any_build(monkeypatch, capsys):
 
 
 def test_out_of_memory_exits_3_without_a_traceback():
-    # a window of 4e6 letters needs about 570 MB; in a child whose address
-    # space is capped at 350 MB it runs out of memory, and the backstop in
-    # cli.run refuses it as resource-limit (the cap keeps the test small)
+    # a window of 4e6 letters needs about 360 MB of resident memory, and
+    # runs out of memory under an address-space cap of 400 MB but not of
+    # 450 MB; in a child capped at 350 MB the backstop in cli.run refuses it
+    # as resource-limit (the cap keeps the test small)
     resource = pytest.importorskip("resource")
 
     def cap():

@@ -12,6 +12,7 @@ from factorlang import (
     PreconditionError,
     SuffixAutomaton,
     VerificationError,
+    automaton,
     build_factor_index,
     fibonacci_word,
     parse_word_spec,
@@ -82,7 +83,7 @@ TEXTS = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(TEXTS, st.integers(min_value=1, max_value=30))
 def test_length_counts_of_every_prefix(text, n_max):
-    sam = SuffixAutomaton(text)
+    sam = SuffixAutomaton(text, n_max=n_max)
     for m in range(len(text) + 1):
         assert sam.length_counts(n_max, prefix=m).tolist() == frame_profile(text[:m], n_max)
     whole = sam.length_counts(n_max).tolist()
@@ -93,7 +94,7 @@ def test_length_counts_of_every_prefix(text, n_max):
 @settings(max_examples=80, deadline=None)
 @given(TEXTS)
 def test_automaton_state_bound_and_array_lengths(text):
-    sam = SuffixAutomaton(text)
+    sam = SuffixAutomaton(text, n_max=len(text))
     ref = StateAutomaton(text)
     # at most 2N - 1 states for N >= 2 letters; "" has 1 state and "a" has 2
     assert sam.n_states == ref.n_states <= max(2 * len(text) - 1, len(text) + 1)
@@ -106,7 +107,7 @@ def test_automaton_state_bound_and_array_lengths(text):
 @given(TEXTS, st.integers(min_value=1, max_value=30))
 def test_count_only_build_counts_as_the_full_build(text, n_max):
     # the build counts as the reference automaton that keeps its states
-    sam = SuffixAutomaton(text)
+    sam = SuffixAutomaton(text, n_max=len(text))
     ref = StateAutomaton(text)
     assert sam.n_states == ref.n_states
     assert sam.floor.tolist() == ref.floor.tolist()
@@ -118,7 +119,7 @@ def test_count_only_build_counts_as_the_full_build(text, n_max):
 
 def test_count_only_build_keeps_no_state_arrays():
     text = thue_morse().prefix(1000)
-    lean = SuffixAutomaton(text)
+    lean = SuffixAutomaton(text, n_max=len(text))
     ref = StateAutomaton(text)
     for name in ("first_end", "maxlen", "link", "minlen", "outdeg"):
         assert not hasattr(lean, name), name
@@ -136,7 +137,7 @@ def test_build_memory_per_letter(spec):
     text = parse_word_spec(spec).prefix(2 * 10 ** 5)
     tracemalloc.start()
     try:
-        SuffixAutomaton(text)
+        SuffixAutomaton(text, n_max=len(text))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -375,11 +376,81 @@ def test_stabilized_profile_matches_the_doubled_build(text, tail, n_max, extra):
 @settings(max_examples=80, deadline=None)
 @given(TEXTS, TEXTS, st.integers(min_value=1, max_value=12))
 def test_first_unmatched_finds_the_first_new_factor(text, other, n):
-    sam = SuffixAutomaton(text)
+    sam = SuffixAutomaton(text, n_max=n)
     known = frame_factors(text, n)
     want = next((pos for pos in range(n - 1, len(other))
                  if other[pos - n + 1:pos + 1] not in known), None)
     assert sam.first_unmatched(other, n) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(TEXTS, FLAWED_PERIODIC), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=200),
+       TEXTS, st.integers(min_value=1, max_value=40))
+def test_part_built_automaton_counts_as_the_state_oracle(text, n_max, block, cut, other, n):
+    # blocks of max(block, n_max) letters, so that short texts are walked
+    # too; the walked positions read n_max
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "_BLOCK", block)
+        sam = SuffixAutomaton(text, n_max=n_max)
+    ref = StateAutomaton(text)
+    assert np.minimum(sam.floor, n_max).tolist() == np.minimum(ref.floor, n_max).tolist()
+    for m in range(len(text) + 1):
+        want = interval_length_counts(StateAutomaton(text[:m]), n_max)
+        assert sam.length_counts(n_max, prefix=m).tolist() == want.tolist(), m
+    # factors of the text, longer than n_max too, then maybe new ones
+    probe = text[min(cut, len(text)):] + other
+    known = frame_factors(text, n)
+    want = next((pos for pos in range(n - 1, len(probe))
+                 if probe[pos - n + 1:pos + 1] not in known), None)
+    assert sam.first_unmatched(probe, n) == want
+
+
+@pytest.mark.parametrize("text", [
+    # the walk from 8192 misses at the 1, and the build resumes through it
+    "0" * 10000 + "1" + "0" * 40,
+    # new factors end at 8192, 8193 and 8195, before the walk has read a
+    # whole length-5 factor of the unbuilt part
+    ("0000011111" * 820)[:8191] + "01110" + "0" + "0000011111" * 5,
+])
+def test_late_new_factor_after_a_clean_stretch_longer_than_a_block(text):
+    # the block of 4096 letters from 4096 is clean, so the build walks from
+    # 8192 on; it misses, and builds the rest of the text
+    sam = SuffixAutomaton(text, n_max=5)
+    ref = StateAutomaton(text)
+    assert sam.n_states == ref.n_states
+    assert np.minimum(sam.floor, 5).tolist() == np.minimum(ref.floor, 5).tolist()
+    for m in (8192, 8193, 8196, 8200, len(text) - 40, len(text)):
+        want = interval_length_counts(StateAutomaton(text[:m]), 5)
+        assert sam.length_counts(5, prefix=m).tolist() == want.tolist(), m
+
+
+def test_build_stops_where_short_factors_stop_being_new():
+    # with no 1, the walk reaches the end and the build stops after 8192
+    # letters: one state a letter, and the initial state
+    sam = SuffixAutomaton("0" * 10050, n_max=5)
+    assert sam.n_states == 8193
+    assert sam.floor[8192:].tolist() == [5] * (10050 - 8192)
+    assert sam.length_counts(5).tolist() == [1] * 5
+    assert sam.length_counts(5, prefix=3).tolist() == [1, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("other,n,want", [
+    ("0" * 25, 25, None),        # the run of 30 zeros lies past the built part
+    ("1" + "0" * 31, 32, 31),   # and is no longer than 30
+    ("0" * 12, 5, None),
+])
+def test_first_unmatched_finishes_a_part_built_automaton(other, n, want):
+    # every factor of length 5 occurs in the first block, so the build walks
+    # from 8192 on and stops; the run of 30 zeros comes after that
+    period = "0" * 10 + "1"
+    text = period * 1000 + "0" * 20 + period * 10
+    sam = SuffixAutomaton(text, n_max=5)
+    whole = SuffixAutomaton(text, n_max=len(text))
+    assert sam.n_states < whole.n_states
+    assert sam.first_unmatched(other, n) == whole.first_unmatched(other, n) == want
+    # a miss finishes the build; a walk that matches finishes nothing
+    assert (sam.n_states == whole.n_states) == (n > 5)
 
 
 @pytest.mark.parametrize("spec,unmatched", [
@@ -393,7 +464,7 @@ def test_stability_walk_stops_at_the_first_new_factor(spec, unmatched):
     # window of 10 letters at n_max 5: the walk reads doubled[6:20]
     source = parse_word_spec(spec)
     doubled = source.prefix(20)
-    sam = SuffixAutomaton(doubled[:10])
+    sam = SuffixAutomaton(doubled[:10], n_max=5)
     assert sam.first_unmatched(doubled[6:], 5) == unmatched
     profile, stable = stabilized_profile(source, 10, 5)
     p, want = doubled_build_profile(source, 10, 5)
@@ -419,7 +490,7 @@ def test_prefix_counts_at_a_million_letters_match_prefix_doubling(spec, n_max):
     # half_window_growth, and so the marker route's gate, reads the counts
     # of the window's first half
     text = parse_word_spec(spec).prefix(10 ** 6)
-    sam = SuffixAutomaton(text)
+    sam = SuffixAutomaton(text, n_max=n_max)
     del sam._walk
     for m in (len(text) // 2, len(text)):
         want = prefix_doubling_profile(text[:m], n_max)

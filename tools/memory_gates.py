@@ -72,13 +72,15 @@ GATES = [
         CLI + ("verify", "tm", "--s-file", "{tmp}/tm1024-S.jsonl",
                "--t-file", "{tmp}/tm1024-T.jsonl", "--n-max", "1024")],
          setup=(("-c", WRITE_TM_SETS, "{tmp}"),)),
-    Gate("complexity abk at n_max 1000 over a 10^6-letter window", 190, [
+    Gate("complexity abk at n_max 1000 over a 10^6-letter window", 155, [
         CLI + ("complexity", "abk", "--n-max", "1000", "--window", "1000000")]),
-    Gate("decompose tm tm at n_max 64 over a 10^6-letter window and verify of its sets", 170, [
+    Gate("complexity abk at n_max 1000 over a 4*10^6-letter window", 420, [
+        CLI + ("complexity", "abk", "--n-max", "1000", "--window", "4000000")]),
+    Gate("decompose tm tm at n_max 64 over a 10^6-letter window and verify of its sets", 120, [
         CLI + ("decompose", "tm", "tm", "--out", "{tmp}/tm64w",
                "--n-max", "64", "--window", "1000000"),
         _verify("tm", "{tmp}/tm64w", "--n-max", "64", "--window", "1000000")]),
-    Gate("experiment fit abk at n_max 1000 over a 10^6-letter window", 180, [
+    Gate("experiment fit abk at n_max 1000 over a 10^6-letter window", 150, [
         CLI + ("experiment", "fit", "--word", "abk", "--model", "n2", "--range", "100:1000",
                "--window", "1000000")]),
     Gate("every tm factor row at n_max 2048", 110, [
