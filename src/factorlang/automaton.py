@@ -3,20 +3,20 @@
 The automaton recognizes the factors of the part of the window it has built
 (see below). Construction is the classic online algorithm (Blumer et al.,
 1985): a text of N letters has at most 2N - 1 states, so the build writes
-into Python lists preallocated to that size (list indexing is faster than
-numpy scalar access in the loop). Transitions are one dense list per
-alphabet letter, which is compact for the two- or three-letter alphabets
-used here.
+into Python lists of 2N + 1 slots (list indexing is faster than numpy
+scalar access in the loop). Transitions are one dense list per alphabet
+letter, which is compact for the two- or three-letter alphabets used here.
 
 Most of the build's memory is the boxed Python ints its lists hold, not the
 list slots, so the build allocates as few ints as it can. The letter at
 ``pos`` makes the state ``pos + 1``, whose maxlen is its own id: one int
-serves both. Clones are numbered from N + 1 up, and a clone's maxlen f is
-stored as the int of the position state f, which has maxlen f. On abk and
-pq nearly every letter makes a clone, so each letter keeps two new ints
-(the position state's and the clone's id), not four. The build traces about
-130 bytes a letter on abk and pq and about 117 on tm (tracemalloc, 2·10^5
-letters).
+serves both. Clones are numbered from N + 1 up (from a smaller capacity
+until the build needs the whole text, see below), and a clone's maxlen f
+is stored as the int of the position state f, which has maxlen f. On abk
+and pq nearly every letter makes a clone, so each letter keeps two new
+ints (the position state's and the clone's id), not four. The build traces
+about 130 bytes a letter on abk and pq and about 117 on tm (tracemalloc,
+2·10^5 letters, every letter built).
 
 The build is online, so it records, for every position, ``floor[pos]``: the
 length of the longest suffix of ``text[:pos + 1]`` that occurred before. The
@@ -39,6 +39,20 @@ and the next walk waits for twice as many clean blocks. The clean-block
 test is one numpy minimum a block, outside the loop. With n_max >= N the
 first block is the whole text, and every letter is built.
 
+The lists start smaller, for the first 4 · max(4096, n_max) letters (or
+the whole text, if it is shorter), with the clones numbered from that
+capacity + 1 up, since a build that stops early touches only the slots of
+its built letters and their clones. The first build step past that
+capacity renumbers the clones once into the layout above: each list is
+copied into one of 2N + 1 slots, and every clone id in the transitions and
+suffix links is mapped through one list of new ids, which reuses the
+position states' ints. So the lists of a part-built automaton follow the
+letters built: on tm at n_max 192 over 10^6 letters each holds 32 769
+slots, not 2 000 001, and the build over 250 000 tm letters traces
+4.1 MB, 2 MB of it ``floor``, where lists for 2N states would trace
+18.7 MB. A whole build ends in the same lists as a build whose first
+lists held the whole text.
+
 The build keeps ``floor``, unboxed in an ``array('q')``, ``n_states``, the
 number of states built, its text and how far it has built, and, in one
 private slot, the build's transition lists, suffix links and maxlens as
@@ -60,10 +74,14 @@ _CHUNK = 1 << 16
 # the least number of letters the build adds between two clean-block tests
 _BLOCK = 4096
 
+# blocks of letters the build's first lists hold, clones included; a build
+# past them renumbers its clones once into the whole text's layout
+_FIRST_BLOCKS = 4
+
 
 class SuffixAutomaton:
     """The suffix automaton of ``text``, built as far as the factors of
-    lengths up to ``n_max`` need.
+    lengths up to ``n_max`` need, in lists sized by the letters it builds.
 
     ``floor[pos]`` is exact wherever it is below ``n_max``; at positions the
     build walked and did not build it reads ``n_max``, and the true value is
@@ -73,19 +91,22 @@ class SuffixAutomaton:
     before it reports a longer factor as missing.
     """
 
-    __slots__ = ("n_states", "floor", "_text", "_built", "_last", "_walk")
+    __slots__ = ("n_states", "floor", "_text", "_n_max", "_built", "_last", "_cap",
+                 "_walk")
 
     def __init__(self, text: str, n_max: int):
         alphabet = sorted(set(text))
-        size = max(2 * len(text), 1)
+        block = max(_BLOCK, n_max)
+        # clones are numbered from cap + 1 up, until _build passes cap
+        cap = min(len(text), _FIRST_BLOCKS * block)
         floor = array("q", bytes(8 * len(text)))
-        trans_of = dict(zip(alphabet, ([-1] * size for _ in alphabet)))
+        trans_of = dict(zip(alphabet, ([-1] * (2 * cap + 1) for _ in alphabet)))
         self.n_states = 1
         self.floor = np.frombuffer(floor, dtype=np.int64)
-        self._text, self._built, self._last = text, 0, 0
-        self._walk = trans_of, [-1] * size, [0] * size, floor
+        self._text, self._n_max, self._built, self._last, self._cap = text, n_max, 0, 0, cap
+        self._walk = trans_of, [-1] * (2 * cap + 1), [0] * (2 * cap + 1), floor
 
-        block, needed, clean = max(_BLOCK, n_max), 1, 0
+        needed, clean = 1, 0
         while self._built < len(text):
             start = self._built
             self._build(min(start + block, len(text)))
@@ -102,14 +123,48 @@ class SuffixAutomaton:
             self._build(walked + miss + 1)
             needed, clean = 2 * needed, 0
 
+    def _widen(self):
+        """Renumber the clones from N + 1 up, in lists of 2N + 1 slots: the
+        layout of a build whose first lists held the whole text.
+
+        The slots move a block at a time, so that no temporary is as long as
+        the first lists. The old maxlen list becomes the map of new ids: cut
+        to the position states, whose ids are the ints it holds, and
+        extended by one new int a clone and by -1, so that the missing
+        transition or link maps to itself.
+        """
+        trans_of, link, maxlen, floor = self._walk
+        cap, n, built = self._cap, len(self._text), self._built
+        clones = self.n_states - 1 - built
+
+        def moved(old: list, fill: int, new_id: list | None = None) -> list:
+            new = [fill] * (2 * n + 1)
+            for src, dst, count in ((0, 0, built + 1), (cap + 1, n + 1, clones)):
+                for i in range(0, count, _BLOCK):
+                    part = old[src + i:src + min(i + _BLOCK, count)]
+                    new[dst + i:dst + i + len(part)] = (
+                        part if new_id is None else map(new_id.__getitem__, part))
+            return new
+
+        new_maxlen, new_id = moved(maxlen, 0), maxlen
+        del new_id[cap + 1:]
+        new_id += range(n + 1, n + 1 + clones)
+        new_id.append(-1)
+        for letter, trans in trans_of.items():
+            trans_of[letter] = moved(trans, -1, new_id)
+        self._walk = trans_of, moved(link, -1, new_id), new_maxlen, floor
+        self._cap = n
+
     def _build(self, stop: int):
         """Extend the automaton by the letters from ``_built`` up to ``stop``."""
+        if stop > self._cap:
+            self._widen()
         trans_of, link, maxlen, floor = self._walk
         trans = list(trans_of.values())
         start, last = self._built, self._last
         # the letter at pos makes the state pos + 1, whose maxlen is its id;
-        # clones are numbered from N + 1 up, and n_states is the next one
-        n_states = len(self._text) + self.n_states - start
+        # clones are numbered from cap + 1 up, and n_states is the next one
+        n_states = self._cap + self.n_states - start
         text = self._text[start:stop]
         for cur, tc in enumerate(map(trans_of.__getitem__, text), start + 1):
             maxlen[cur] = cur
@@ -139,7 +194,7 @@ class SuffixAutomaton:
                     link[q] = clone
                     link[cur] = clone
             last = cur
-        self.n_states = n_states - len(self._text) + stop
+        self.n_states = n_states - self._cap + stop
         self._last, self._built = last, stop
 
     def first_unmatched(self, text: str, n: int) -> int | None:
@@ -150,12 +205,14 @@ class SuffixAutomaton:
         links, keeping the length of the longest suffix of what it has read
         that is a factor, capped at ``n``; it stops where that length is
         below ``n`` after ``n`` letters or more. A letter the automaton's
-        text lacks matches nothing. Where the walk misses on a part-built
-        automaton, the build is finished first, and the walk goes on from
-        the missed factor's start.
+        text lacks matches nothing. A part-built automaton holds every
+        factor of its text of length up to the build's ``n_max``, so a miss
+        at such an ``n`` stands; where the walk misses a longer factor, the
+        build is finished first, and the walk goes on from the missed
+        factor's start.
         """
         miss = self._first_miss(text, n)
-        if miss is None or self._built == len(self._text):
+        if miss is None or n <= self._n_max or self._built == len(self._text):
             return miss
         self._build(len(self._text))
         rest = self._first_miss(text[miss - n + 1:], n)

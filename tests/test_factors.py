@@ -406,6 +406,69 @@ def test_part_built_automaton_counts_as_the_state_oracle(text, n_max, block, cut
     assert sam.first_unmatched(probe, n) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(TEXTS, FLAWED_PERIODIC), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=200), TEXTS, st.integers(min_value=1, max_value=40))
+# the clones are renumbered in the block loop, in the build's resume after a
+# walk miss, and in the finish of first_unmatched
+@example("01" * 20, 2, 1, 1, 0, "", 1)
+@example("0" * 20 + "1" + "0" * 5, 2, 2, 2, 0, "", 1)
+@example("0" * 30, 2, 2, 2, 30, "0" * 10, 10)
+def test_renumbered_automaton_counts_as_the_state_oracle(text, n_max, block, first, cut,
+                                                         other, n):
+    # first lists for first * max(block, n_max) letters, so that short
+    # texts pass them; a renumbered build lays out its lists exactly as a
+    # build whose first lists hold the whole text
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "_BLOCK", block)
+        mp.setattr(automaton, "_FIRST_BLOCKS", first)
+        sam = SuffixAutomaton(text, n_max=n_max)
+        mp.setattr(automaton, "_FIRST_BLOCKS", len(text) + 1)
+        wide = SuffixAutomaton(text, n_max=n_max)
+    ref = StateAutomaton(text)
+    assert np.minimum(sam.floor, n_max).tolist() == np.minimum(ref.floor, n_max).tolist()
+    assert sam.n_states == StateAutomaton(text[:sam._built]).n_states
+    for m in range(len(text) + 1):
+        want = interval_length_counts(StateAutomaton(text[:m]), n_max)
+        assert sam.length_counts(n_max, prefix=m).tolist() == want.tolist(), m
+    probe = text[min(cut, len(text)):] + other
+    known = frame_factors(text, n)
+    want = next((pos for pos in range(n - 1, len(probe))
+                 if probe[pos - n + 1:pos + 1] not in known), None)
+    assert sam.first_unmatched(probe, n) == wide.first_unmatched(probe, n) == want
+    assert sam.n_states == StateAutomaton(text[:sam._built]).n_states
+    if sam._cap == len(text):
+        assert sam._walk[:3] == wide._walk[:3]
+
+
+def test_build_memory_follows_the_built_letters():
+    # tm's factors of up to 192 letters are all in its first 8192 letters,
+    # so the build stops there, with lists for 4 blocks of letters, about
+    # 1 MB, beside the 2 MB floor; lists for 2N states would take 16 MB
+    text = thue_morse().prefix(250_000)
+    tracemalloc.start()
+    try:
+        sam = SuffixAutomaton(text, n_max=192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sam._built == 8192 and sam._cap == 4 * 4096
+    assert peak < 6 * 10 ** 6, peak
+    # pq's short factors stay new, so the build renumbers its clones into
+    # the whole text's layout, and keeps to the bytes a letter of a build
+    # that starts there
+    text = parse_word_spec("pq:f=isqrt,k=p").prefix(2 * 10 ** 5)
+    tracemalloc.start()
+    try:
+        sam = SuffixAutomaton(text, n_max=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sam._built == sam._cap == len(text)
+    assert peak < 150 * len(text), peak / len(text)
+
+
 @pytest.mark.parametrize("text", [
     # the walk from 8192 misses at the 1, and the build resumes through it
     "0" * 10000 + "1" + "0" * 40,
@@ -439,6 +502,7 @@ def test_build_stops_where_short_factors_stop_being_new():
     ("0" * 25, 25, None),        # the run of 30 zeros lies past the built part
     ("1" + "0" * 31, 32, 31),   # and is no longer than 30
     ("0" * 12, 5, None),
+    ("0000011", 5, 6),          # the built part holds every factor of length 5
 ])
 def test_first_unmatched_finishes_a_part_built_automaton(other, n, want):
     # every factor of length 5 occurs in the first block, so the build walks
@@ -449,7 +513,8 @@ def test_first_unmatched_finishes_a_part_built_automaton(other, n, want):
     whole = SuffixAutomaton(text, n_max=len(text))
     assert sam.n_states < whole.n_states
     assert sam.first_unmatched(other, n) == whole.first_unmatched(other, n) == want
-    # a miss finishes the build; a walk that matches finishes nothing
+    # a miss longer than n_max finishes the build; a walk that matches, or
+    # misses at n_max or below, finishes nothing
     assert (sam.n_states == whole.n_states) == (n > 5)
 
 

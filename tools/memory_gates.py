@@ -76,7 +76,9 @@ GATES = [
         CLI + ("complexity", "abk", "--n-max", "1000", "--window", "1000000")]),
     Gate("complexity abk at n_max 1000 over a 4*10^6-letter window", 420, [
         CLI + ("complexity", "abk", "--n-max", "1000", "--window", "4000000")]),
-    Gate("decompose tm tm at n_max 64 over a 10^6-letter window and verify of its sets", 120, [
+    Gate("complexity tm at n_max 192 over a 10^6-letter window", 60, [
+        CLI + ("complexity", "tm", "--n-max", "192", "--window", "1000000")]),
+    Gate("decompose tm tm at n_max 64 over a 10^6-letter window and verify of its sets", 70, [
         CLI + ("decompose", "tm", "tm", "--out", "{tmp}/tm64w",
                "--n-max", "64", "--window", "1000000"),
         _verify("tm", "{tmp}/tm64w", "--n-max", "64", "--window", "1000000")]),
