@@ -54,12 +54,13 @@ slots, not 2 000 001, and the build over 250 000 tm letters traces
 lists held the whole text.
 
 The build keeps ``floor``, unboxed in an ``array('q')``, ``n_states``, the
-number of states built, its text and how far it has built, and, in one
-private slot, the build's transition lists, suffix links and maxlens as
-they stand. With those, ``first_unmatched`` runs another text through the
-automaton, which is how a window's profile is checked against a longer
-text without a build over the longer text; a caller that walks nothing
-deletes the slot.
+number of states built, how far it has built, and its transition lists,
+suffix links and maxlens as they stand; it does not keep its text. With
+those, ``first_unmatched`` walks another text through the automaton at the
+build's own n_max, which is how a window's profile is checked against a
+longer text without a build over the longer text. The counts read
+``floor`` alone (:func:`length_counts`), so a caller that walks nothing
+keeps ``floor`` and drops the automaton.
 """
 
 from __future__ import annotations
@@ -85,14 +86,13 @@ class SuffixAutomaton:
 
     ``floor[pos]`` is exact wherever it is below ``n_max``; at positions the
     build walked and did not build it reads ``n_max``, and the true value is
-    at least that. So ``length_counts`` up to ``n_max``, of every prefix,
-    reads the same as over a whole build. Its length-``n`` factors are those
-    of ``text`` for every n <= n_max; ``first_unmatched`` finishes the build
-    before it reports a longer factor as missing.
+    at least that. So :func:`length_counts` of ``floor`` up to ``n_max``, of
+    every prefix, reads the same as over a whole build. Its length-``n``
+    factors are those of ``text`` for every n <= n_max, and
+    ``first_unmatched`` asks for those of length ``n_max``.
     """
 
-    __slots__ = ("n_states", "floor", "_text", "_n_max", "_built", "_last", "_cap",
-                 "_walk")
+    __slots__ = ("n_states", "floor", "_n_max", "_built", "_last", "_cap", "_walk")
 
     def __init__(self, text: str, n_max: int):
         alphabet = sorted(set(text))
@@ -103,29 +103,30 @@ class SuffixAutomaton:
         trans_of = dict(zip(alphabet, ([-1] * (2 * cap + 1) for _ in alphabet)))
         self.n_states = 1
         self.floor = np.frombuffer(floor, dtype=np.int64)
-        self._text, self._n_max, self._built, self._last, self._cap = text, n_max, 0, 0, cap
+        self._n_max, self._built, self._last, self._cap = n_max, 0, 0, cap
         self._walk = trans_of, [-1] * (2 * cap + 1), [0] * (2 * cap + 1), floor
 
         needed, clean = 1, 0
         while self._built < len(text):
             start = self._built
-            self._build(min(start + block, len(text)))
+            self._build(text, min(start + block, len(text)))
             clean = clean + 1 if self.floor[start:self._built].min() >= n_max else 0
             if clean < needed or self._built == len(text):
                 continue
             # walk the rest from n_max - 1 letters back, so that the walk
             # checks the length-n_max factor ending at each unbuilt position
             walked = self._built - n_max + 1
-            miss = self._first_miss(text[walked:], n_max)
+            miss = self.first_unmatched(text[walked:])
             if miss is None:
                 self.floor[self._built:] = n_max
                 break
-            self._build(walked + miss + 1)
+            self._build(text, walked + miss + 1)
             needed, clean = 2 * needed, 0
 
-    def _widen(self):
-        """Renumber the clones from N + 1 up, in lists of 2N + 1 slots: the
-        layout of a build whose first lists held the whole text.
+    def _widen(self, n: int):
+        """Renumber the clones from ``n`` + 1 up, in lists of 2n + 1 slots,
+        for a text of ``n`` letters: the layout of a build whose first lists
+        held the whole text.
 
         The slots move a block at a time, so that no temporary is as long as
         the first lists. The old maxlen list becomes the map of new ids: cut
@@ -134,7 +135,7 @@ class SuffixAutomaton:
         transition or link maps to itself.
         """
         trans_of, link, maxlen, floor = self._walk
-        cap, n, built = self._cap, len(self._text), self._built
+        cap, built = self._cap, self._built
         clones = self.n_states - 1 - built
 
         def moved(old: list, fill: int, new_id: list | None = None) -> list:
@@ -155,17 +156,18 @@ class SuffixAutomaton:
         self._walk = trans_of, moved(link, -1, new_id), new_maxlen, floor
         self._cap = n
 
-    def _build(self, stop: int):
-        """Extend the automaton by the letters from ``_built`` up to ``stop``."""
+    def _build(self, text: str, stop: int):
+        """Extend the automaton by the letters of ``text`` from ``_built`` up
+        to ``stop``."""
         if stop > self._cap:
-            self._widen()
+            self._widen(len(text))
         trans_of, link, maxlen, floor = self._walk
         trans = list(trans_of.values())
         start, last = self._built, self._last
         # the letter at pos makes the state pos + 1, whose maxlen is its id;
         # clones are numbered from cap + 1 up, and n_states is the next one
         n_states = self._cap + self.n_states - start
-        text = self._text[start:stop]
+        text = text[start:stop]
         for cur, tc in enumerate(map(trans_of.__getitem__, text), start + 1):
             maxlen[cur] = cur
             p = last
@@ -197,30 +199,21 @@ class SuffixAutomaton:
         self.n_states = n_states - self._cap + stop
         self._last, self._built = last, stop
 
-    def first_unmatched(self, text: str, n: int) -> int | None:
-        """The end position of the first length-``n`` factor of ``text`` that
-        is not a factor of the automaton's text, or None if there is none.
+    def first_unmatched(self, text: str) -> int | None:
+        """The end position of the first length-``n_max`` factor of ``text``
+        that is not a factor of the automaton's text, or None if there is
+        none.
 
         The walk follows transitions and, where a letter has none, suffix
         links, keeping the length of the longest suffix of what it has read
-        that is a factor, capped at ``n``; it stops where that length is
-        below ``n`` after ``n`` letters or more. A letter the automaton's
-        text lacks matches nothing. A part-built automaton holds every
-        factor of its text of length up to the build's ``n_max``, so a miss
-        at such an ``n`` stands; where the walk misses a longer factor, the
-        build is finished first, and the walk goes on from the missed
-        factor's start.
+        that is a factor, capped at ``n_max``; it stops where that length is
+        below ``n_max`` after ``n_max`` letters or more. A letter the
+        automaton's text lacks matches nothing. A part-built automaton holds
+        every factor of its text of length up to ``n_max``, so the walk's
+        answer is that of a whole build.
         """
-        miss = self._first_miss(text, n)
-        if miss is None or n <= self._n_max or self._built == len(self._text):
-            return miss
-        self._build(len(self._text))
-        rest = self._first_miss(text[miss - n + 1:], n)
-        return None if rest is None else miss - n + 1 + rest
-
-    def _first_miss(self, text: str, n: int) -> int | None:
-        """:meth:`first_unmatched` on the automaton as built so far."""
         trans_of, link, maxlen, _ = self._walk
+        n = self._n_max
         state = length = 0
         for pos, tc in enumerate(map(trans_of.get, text)):
             if tc is None:
@@ -246,23 +239,26 @@ class SuffixAutomaton:
                 return pos
         return None
 
-    def length_counts(self, n_max: int, prefix: int | None = None) -> np.ndarray:
-        """Number of distinct factors per length 1..n_max (index 0 = length 1)
-        of ``text[:prefix]`` (default: the whole text).
 
-        The letter at ``pos`` adds the lengths floor[pos]+1 .. pos+1, so it
-        adds length n exactly when floor[pos] <= n - 1 and pos >= n - 1. Of
-        the m = ``prefix`` positions counted, the first min(m, n - 1) pass
-        the first test, since floor[pos] <= pos, and fail the second: p(n)
-        is the number of positions with floor[pos] <= n - 1, the running sum
-        of a histogram of min(floor, n_max), less min(m, n - 1). The
-        histogram is taken in chunks, so that no temporary is as long as the
-        text: a build that may still walk keeps its transition lists alive
-        beside ``floor``.
-        """
-        m = len(self.floor) if prefix is None else prefix
-        below = np.zeros(n_max + 1, dtype=np.int64)
-        for start in range(0, m, _CHUNK):
-            chunk = self.floor[start:min(start + _CHUNK, m)]
-            below += np.bincount(np.minimum(chunk, n_max), minlength=n_max + 1)
-        return np.cumsum(below)[:n_max] - np.minimum(np.arange(n_max), m)
+def length_counts(floor: np.ndarray, n_max: int, prefix: int | None = None) -> np.ndarray:
+    """Number of distinct factors per length 1..n_max (index 0 = length 1)
+    of ``text[:prefix]`` (default: the whole text), from the ``floor`` of a
+    :class:`SuffixAutomaton` over ``text`` built with a cap of at least
+    ``n_max``.
+
+    The letter at ``pos`` adds the lengths floor[pos]+1 .. pos+1, so it
+    adds length n exactly when floor[pos] <= n - 1 and pos >= n - 1. Of
+    the m = ``prefix`` positions counted, the first min(m, n - 1) pass
+    the first test, since floor[pos] <= pos, and fail the second: p(n)
+    is the number of positions with floor[pos] <= n - 1, the running sum
+    of a histogram of min(floor, n_max), less min(m, n - 1). The
+    histogram is taken in chunks, so that no temporary is as long as the
+    text: an automaton that is still to walk keeps its transition lists
+    alive beside ``floor``.
+    """
+    m = len(floor) if prefix is None else prefix
+    below = np.zeros(n_max + 1, dtype=np.int64)
+    for start in range(0, m, _CHUNK):
+        chunk = floor[start:min(start + _CHUNK, m)]
+        below += np.bincount(np.minimum(chunk, n_max), minlength=n_max + 1)
+    return np.cumsum(below)[:n_max] - np.minimum(np.arange(n_max), m)

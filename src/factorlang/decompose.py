@@ -550,14 +550,15 @@ def thue_morse_split_sets(index: FactorIndex):
     starts with ``0``, t[2i] = t[i], and t[2i + 1] is the other letter.
     """
     n_max, window = index.n_max, index.window
-    t = _code_points(window)
-    size = len(t)
-    if (t[:1] != ord("0")).any() or (t[::2] != t[:(size + 1) // 2]).any() \
-            or (t[1::2] != ord("0") + ord("1") - t[:size // 2]).any():
+    size = len(window)
+    complement = str.maketrans("01", "10")
+    # from t[0] = 0 the recursion forces every letter, so no other letter
+    # can pass
+    if not window.startswith("0") or window[::2] != window[:(size + 1) // 2] \
+            or window[1::2] != window[:size // 2].translate(complement):
         raise PreconditionError(
             "method-mismatch",
             "the doubling-morphism route is specific to the tm word")
-    complement = str.maketrans("01", "10")
     block = "0"
     while len(block) < max(2, n_max):
         block += block.translate(complement)
@@ -580,34 +581,42 @@ def sturmian_split_sets(index: FactorIndex):
     """Right-special extensions and left-special extensions of a Sturmian window.
 
     Requires complexity exactly n + 1 across the indexed range, which forces a
-    binary alphabet and a unique special factor of each length per side; any
-    other window is refused as ``not-sturmian``. S1 collects both one-letter
-    extensions of each right special factor, S2 both one-letter left
-    extensions of each left special factor, plus the empty word on both sides.
+    binary alphabet, and one special factor per side at the top length
+    n_max - 1; any other window is refused as ``not-sturmian``. S1 collects
+    both one-letter extensions of each right special factor, S2 both
+    one-letter left extensions of each left special factor, plus the empty
+    word on both sides.
+
+    Only the top length is read. Right special factors are closed under
+    suffixes and left special factors under prefixes, and with p(n) = n + 1
+    on two letters a length n has two right special factors exactly when
+    the window's length-n suffix occurs nowhere else (two left special ones
+    when its length-n prefix does), else one: a condition that, once it
+    holds, holds at every longer length. So one special factor per side at
+    the top length is one at every length, the suffixes of the right one
+    and the prefixes of the left one.
     """
-    for n in range(1, index.n_max + 1):
+    n_max = index.n_max
+    for n in range(1, n_max + 1):
         if index.complexity(n) != n + 1:
             raise PreconditionError(
                 "not-sturmian",
                 f"p({n}) = {index.complexity(n)}, expected {n + 1}")
-    alphabet = index.alphabet
+    top = n_max - 1
+    rs_set = index.right_special(top) if top else {""}
+    ls_set = index.left_special(top) if top else {""}
+    if len(rs_set) != 1 or len(ls_set) != 1:
+        raise PreconditionError(
+            "not-sturmian",
+            f"expected one special factor of length {top} per side,"
+            f" got {len(rs_set)} right and {len(ls_set)} left")
+    (rs,), (ls,) = rs_set, ls_set
     s1 = LeveledLanguage([""])
     s2 = LeveledLanguage([""])
-    for length in range(1, index.n_max + 1):
-        if length == 1:
-            rs_set = ls_set = {""}
-        else:
-            rs_set = index.right_special(length - 1)
-            ls_set = index.left_special(length - 1)
-        if len(rs_set) != 1 or len(ls_set) != 1:
-            raise PreconditionError(
-                "not-sturmian",
-                f"expected one special factor of length {length - 1} per side,"
-                f" got {len(rs_set)} right and {len(ls_set)} left")
-        rs, ls = next(iter(rs_set)), next(iter(ls_set))
-        for a in alphabet:
-            s1.add(rs + a)
-            s2.add(a + ls)
+    for m in range(n_max):
+        for a in index.alphabet:
+            s1.add(rs[top - m:] + a)
+            s2.add(a + ls[:m])
     return s1, s2
 
 

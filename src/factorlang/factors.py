@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .automaton import SuffixAutomaton
+from .automaton import SuffixAutomaton, length_counts
 from .errors import PreconditionError
 from .words import DEFAULT_N_MAX, DEFAULT_STABILIZATION_FACTOR, WordSource
 
@@ -59,18 +59,19 @@ class FactorIndex:
     """Queries over the distinct factors of ``window`` up to length ``n_max``.
 
     Everything comes from one suffix automaton over the window, and from its
-    ``floor`` array alone: the letter at ``pos`` adds the factors that first
-    end there, with the lengths floor[pos] + 1 .. pos + 1. The automaton is
-    built only as far as factors of length up to ``n_max`` are new, and
-    ``floor`` is exact wherever it is below ``n_max``, which is all that is
-    read of it. Counts are read from ``floor`` directly. Factors are
-    enumerated by length, one row at a time: the first-occurrence starts of
-    the length-n factors in word order, one filter on ``floor`` of one
-    sorted array of the distinct first-occurrence starts, built on first
-    use. ``factors_of_length`` reads the length-n row and the special
-    factors of length n the length-(n + 1) row. No array of every length's
-    starts is built or kept: rows hold integers, never factor strings, each
-    is computed when it is read, and runs that only count factors read none.
+    ``floor`` array alone, the one part of it the index keeps: the letter at
+    ``pos`` adds the factors that first end there, with the lengths
+    floor[pos] + 1 .. pos + 1. The automaton is built only as far as factors
+    of length up to ``n_max`` are new, and ``floor`` is exact wherever it is
+    below ``n_max``, which is all that is read of it. Counts are read from
+    ``floor`` directly. Factors are enumerated by length, one row at a time:
+    the first-occurrence starts of the length-n factors in word order, one
+    filter on ``floor`` of one sorted array of the distinct first-occurrence
+    starts, built on first use. ``factors_of_length`` reads the length-n row
+    and the special factors of length n the length-(n + 1) row. No array of
+    every length's starts is built or kept: rows hold integers, never factor
+    strings, each is computed when it is read, and runs that only count
+    factors read none.
     """
 
     def __init__(self, source: WordSource, window: str, n_max: int):
@@ -78,9 +79,8 @@ class FactorIndex:
         self.window = window
         self.n_work = len(window)
         self.n_max = n_max
-        self._sam = SuffixAutomaton(window, n_max=n_max)
-        del self._sam._walk
-        self._p = self._sam.length_counts(n_max)
+        self._floor = SuffixAutomaton(window, n_max=n_max).floor
+        self._p = length_counts(self._floor, n_max)
         self._g = np.cumsum(self._p)
         self._order: np.ndarray | None = None
 
@@ -131,13 +131,13 @@ class FactorIndex:
         """Smallest n with more factors of length n in the window than in its
         first half, or None.
 
-        Both counts come from the one automaton, which counts the factors of
-        every prefix of the window. In a window long enough for the linear
-        words studied here, every factor of length up to n_max occurs in the
-        first half already; a quadratic word's counts keep growing with the
-        window.
+        Both counts come from the one automaton's ``floor``, which counts the
+        factors of every prefix of the window. In a window long enough for
+        the linear words studied here, every factor of length up to n_max
+        occurs in the first half already; a quadratic word's counts keep
+        growing with the window.
         """
-        half = self._sam.length_counts(self.n_max, prefix=self.n_work // 2)
+        half = length_counts(self._floor, self.n_max, prefix=self.n_work // 2)
         grown = np.nonzero(half != self._p)[0]
         return int(grown[0]) + 1 if len(grown) else None
 
@@ -165,7 +165,7 @@ class FactorIndex:
         product, they are a small part of it.
         """
         self._check_range(n)
-        floor, n_max = self._sam.floor, self.n_max
+        floor, n_max = self._floor, self.n_max
         if self._order is None:
             pos = np.flatnonzero(floor < n_max)
             size = int(pos.max(initial=-1)) + 2
@@ -259,13 +259,13 @@ def stabilized_profile(source: WordSource, n_work: int | None = None,
     exactly when each of its length-``n_max`` factors occurs in the window
     W, since every shorter factor of D is a prefix of one of them or a
     suffix of the last; the factors inside W do, so the check walks
-    ``D[n_work - n_max + 1:]`` through the automaton and stops at the first
-    factor that does not occur.
+    ``D[n_work - n_max + 1:]`` through the automaton, at its own cap
+    ``n_max``, and stops at the first factor that does not occur.
     """
     n_work = _window_length(n_work, n_max)
     source.check_length(n_work)
     doubled = source.prefix(2 * n_work)
     sam = SuffixAutomaton(doubled[:n_work], n_max=n_max)
-    profile = ComplexityProfile.from_counts(source.spec, n_work, sam.length_counts(n_max))
-    return profile, sam.first_unmatched(doubled[n_work - n_max + 1:], n_max) is None
+    profile = ComplexityProfile.from_counts(source.spec, n_work, length_counts(sam.floor, n_max))
+    return profile, sam.first_unmatched(doubled[n_work - n_max + 1:]) is None
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from factorlang import (
+    LeveledLanguage,
     PreconditionError,
     SplitRecords,
     VerificationError,
@@ -123,6 +124,30 @@ def staircase_pair_count_bruteforce(n: int) -> int:
             l += 1
         k += 1
     return total
+
+
+def per_length_sturmian_sets(index):
+    """Oracle for sturmian_split_sets: S1 and S2 from the right and left
+    special factors of every length below n_max, each read from its own row
+    and required to be one per side."""
+    for n in range(1, index.n_max + 1):
+        if index.complexity(n) != n + 1:
+            raise PreconditionError("not-sturmian", f"p({n}) = {index.complexity(n)}")
+    s1 = LeveledLanguage([""])
+    s2 = LeveledLanguage([""])
+    for length in range(1, index.n_max + 1):
+        if length == 1:
+            rs_set = ls_set = {""}
+        else:
+            rs_set = index.right_special(length - 1)
+            ls_set = index.left_special(length - 1)
+        if len(rs_set) != 1 or len(ls_set) != 1:
+            raise PreconditionError("not-sturmian", f"length {length - 1}")
+        (rs,), (ls,) = rs_set, ls_set
+        for a in index.alphabet:
+            s1.add(rs + a)
+            s2.add(a + ls)
+    return s1, s2
 
 
 def doubled_build_profile(source, n_work, n_max):

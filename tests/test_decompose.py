@@ -46,7 +46,12 @@ from factorlang.decompose import (
     _marker_rule,
     _marker_table,
 )
-from oracles import per_record_splits_csv, record_rows, slicing_witness_split
+from oracles import (
+    per_length_sturmian_sets,
+    per_record_splits_csv,
+    record_rows,
+    slicing_witness_split,
+)
 
 
 def prefix_rows(n):
@@ -882,6 +887,37 @@ def test_sturmian_other_directive():
     index = build_factor_index(parse_word_spec("sturm:2,(1)"), n_max=64)
     s1, s2 = sturmian_split_sets(index)
     assert verify_cover(index.window, index.row, index.n_max, s1, s2).coverage == 1.0
+
+
+def _sets_or_refusal(route, index):
+    try:
+        s1, s2 = route(index)
+    except PreconditionError as err:
+        return err.code
+    return s1.by_length, s2.by_length
+
+
+@pytest.mark.parametrize("spec,n_max", [
+    ("fib", 256), ("sturm:2,(1)", 128), ("sturm:1,2,(3)", 64), ("morphic:0->01,1->0@0", 100),
+    ("fib", 1), ("fib", 2), ("tm", 64)])
+def test_sturmian_sets_from_the_top_length_match_the_per_length_sets(spec, n_max):
+    # the special factors of the top length give those of every length
+    index = build_factor_index(parse_word_spec(spec), n_max=n_max)
+    want = _sets_or_refusal(per_length_sturmian_sets, index)
+    assert _sets_or_refusal(sturmian_split_sets, index) == want
+    assert (want == "not-sturmian") == (spec == "tm")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["fib", "sturm:2,(1)", "sturm:1,2,(3)", "sturm:3,(1,2)",
+                        "ultper:0|01", "ultper:|001", "tm"]),
+       st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=40))
+def test_sturmian_sets_in_short_windows_match_the_per_length_sets(spec, n_max, extra):
+    # short windows, where the window's longer suffixes or prefixes may occur
+    # only once and leave two special factors of a length on that side
+    index = build_factor_index(parse_word_spec(spec), 2 * n_max + extra, n_max)
+    got = _sets_or_refusal(sturmian_split_sets, index)
+    assert got == _sets_or_refusal(per_length_sturmian_sets, index)
 
 
 # -- greedy route ----------------------------------------------------------------

@@ -22,6 +22,7 @@ from factorlang import (
     ultimately_periodic,
     words,
 )
+from factorlang.automaton import length_counts
 from oracles import (
     StateAutomaton,
     doubled_build_profile,
@@ -46,6 +47,14 @@ def frame_right_special(window: str, n: int) -> set[str]:
     for i in range(len(window) - n):
         out.setdefault(window[i:i + n], set()).add(window[i + n])
     return {v for v, ext in out.items() if len(ext) >= 2}
+
+
+def first_new_end(text: str, probe: str, n: int) -> int | None:
+    """The end of the first length-``n`` factor of ``probe`` that is not a
+    factor of ``text``, by sliding frames."""
+    known = frame_factors(text, n)
+    return next((pos for pos in range(n - 1, len(probe))
+                 if probe[pos - n + 1:pos + 1] not in known), None)
 
 
 def frame_left_special(window: str, n: int) -> set[str]:
@@ -85,8 +94,8 @@ TEXTS = st.one_of(
 def test_length_counts_of_every_prefix(text, n_max):
     sam = SuffixAutomaton(text, n_max=n_max)
     for m in range(len(text) + 1):
-        assert sam.length_counts(n_max, prefix=m).tolist() == frame_profile(text[:m], n_max)
-    whole = sam.length_counts(n_max).tolist()
+        assert length_counts(sam.floor, n_max, prefix=m).tolist() == frame_profile(text[:m], n_max)
+    whole = length_counts(sam.floor, n_max).tolist()
     assert whole == frame_profile(text, n_max)
     assert whole == interval_length_counts(StateAutomaton(text), n_max).tolist()
 
@@ -111,9 +120,9 @@ def test_count_only_build_counts_as_the_full_build(text, n_max):
     ref = StateAutomaton(text)
     assert sam.n_states == ref.n_states
     assert sam.floor.tolist() == ref.floor.tolist()
-    assert sam.length_counts(n_max).tolist() == interval_length_counts(ref, n_max).tolist()
+    assert length_counts(sam.floor, n_max).tolist() == interval_length_counts(ref, n_max).tolist()
     half = len(text) // 2
-    assert (sam.length_counts(n_max, prefix=half).tolist()
+    assert (length_counts(sam.floor, n_max, prefix=half).tolist()
             == interval_length_counts(StateAutomaton(text[:half]), n_max).tolist())
 
 
@@ -377,10 +386,7 @@ def test_stabilized_profile_matches_the_doubled_build(text, tail, n_max, extra):
 @given(TEXTS, TEXTS, st.integers(min_value=1, max_value=12))
 def test_first_unmatched_finds_the_first_new_factor(text, other, n):
     sam = SuffixAutomaton(text, n_max=n)
-    known = frame_factors(text, n)
-    want = next((pos for pos in range(n - 1, len(other))
-                 if other[pos - n + 1:pos + 1] not in known), None)
-    assert sam.first_unmatched(other, n) == want
+    assert sam.first_unmatched(other) == first_new_end(text, other, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -389,29 +395,29 @@ def test_first_unmatched_finds_the_first_new_factor(text, other, n):
        TEXTS, st.integers(min_value=1, max_value=40))
 def test_part_built_automaton_counts_as_the_state_oracle(text, n_max, block, cut, other, n):
     # blocks of max(block, n_max) letters, so that short texts are walked
-    # too; the walked positions read n_max
+    # too; the walked positions read n_max. An automaton walks at its own
+    # cap, so a walk at n has a build at n of its own
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(automaton, "_BLOCK", block)
         sam = SuffixAutomaton(text, n_max=n_max)
+        walker = SuffixAutomaton(text, n_max=n)
     ref = StateAutomaton(text)
     assert np.minimum(sam.floor, n_max).tolist() == np.minimum(ref.floor, n_max).tolist()
     for m in range(len(text) + 1):
         want = interval_length_counts(StateAutomaton(text[:m]), n_max)
-        assert sam.length_counts(n_max, prefix=m).tolist() == want.tolist(), m
+        assert length_counts(sam.floor, n_max, prefix=m).tolist() == want.tolist(), m
     # factors of the text, longer than n_max too, then maybe new ones
     probe = text[min(cut, len(text)):] + other
-    known = frame_factors(text, n)
-    want = next((pos for pos in range(n - 1, len(probe))
-                 if probe[pos - n + 1:pos + 1] not in known), None)
-    assert sam.first_unmatched(probe, n) == want
+    assert sam.first_unmatched(probe) == first_new_end(text, probe, n_max)
+    assert walker.first_unmatched(probe) == first_new_end(text, probe, n)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(TEXTS, FLAWED_PERIODIC), st.integers(min_value=1, max_value=30),
        st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=4),
        st.integers(min_value=0, max_value=200), TEXTS, st.integers(min_value=1, max_value=40))
-# the clones are renumbered in the block loop, in the build's resume after a
-# walk miss, and in the finish of first_unmatched
+# the clones are renumbered in the block loop and in the build's resume
+# after a walk miss; the last example walks at a cap above n_max
 @example("01" * 20, 2, 1, 1, 0, "", 1)
 @example("0" * 20 + "1" + "0" * 5, 2, 2, 2, 0, "", 1)
 @example("0" * 30, 2, 2, 2, 30, "0" * 10, 10)
@@ -424,6 +430,7 @@ def test_renumbered_automaton_counts_as_the_state_oracle(text, n_max, block, fir
         mp.setattr(automaton, "_BLOCK", block)
         mp.setattr(automaton, "_FIRST_BLOCKS", first)
         sam = SuffixAutomaton(text, n_max=n_max)
+        walker = SuffixAutomaton(text, n_max=n)
         mp.setattr(automaton, "_FIRST_BLOCKS", len(text) + 1)
         wide = SuffixAutomaton(text, n_max=n_max)
     ref = StateAutomaton(text)
@@ -431,13 +438,11 @@ def test_renumbered_automaton_counts_as_the_state_oracle(text, n_max, block, fir
     assert sam.n_states == StateAutomaton(text[:sam._built]).n_states
     for m in range(len(text) + 1):
         want = interval_length_counts(StateAutomaton(text[:m]), n_max)
-        assert sam.length_counts(n_max, prefix=m).tolist() == want.tolist(), m
+        assert length_counts(sam.floor, n_max, prefix=m).tolist() == want.tolist(), m
     probe = text[min(cut, len(text)):] + other
-    known = frame_factors(text, n)
-    want = next((pos for pos in range(n - 1, len(probe))
-                 if probe[pos - n + 1:pos + 1] not in known), None)
-    assert sam.first_unmatched(probe, n) == wide.first_unmatched(probe, n) == want
-    assert sam.n_states == StateAutomaton(text[:sam._built]).n_states
+    want = first_new_end(text, probe, n_max)
+    assert sam.first_unmatched(probe) == wide.first_unmatched(probe) == want
+    assert walker.first_unmatched(probe) == first_new_end(text, probe, n)
     if sam._cap == len(text):
         assert sam._walk[:3] == wide._walk[:3]
 
@@ -485,7 +490,7 @@ def test_late_new_factor_after_a_clean_stretch_longer_than_a_block(text):
     assert np.minimum(sam.floor, 5).tolist() == np.minimum(ref.floor, 5).tolist()
     for m in (8192, 8193, 8196, 8200, len(text) - 40, len(text)):
         want = interval_length_counts(StateAutomaton(text[:m]), 5)
-        assert sam.length_counts(5, prefix=m).tolist() == want.tolist(), m
+        assert length_counts(sam.floor, 5, prefix=m).tolist() == want.tolist(), m
 
 
 def test_build_stops_where_short_factors_stop_being_new():
@@ -494,28 +499,22 @@ def test_build_stops_where_short_factors_stop_being_new():
     sam = SuffixAutomaton("0" * 10050, n_max=5)
     assert sam.n_states == 8193
     assert sam.floor[8192:].tolist() == [5] * (10050 - 8192)
-    assert sam.length_counts(5).tolist() == [1] * 5
-    assert sam.length_counts(5, prefix=3).tolist() == [1, 1, 1, 0, 0]
+    assert length_counts(sam.floor, 5).tolist() == [1] * 5
+    assert length_counts(sam.floor, 5, prefix=3).tolist() == [1, 1, 1, 0, 0]
 
 
-@pytest.mark.parametrize("other,n,want", [
-    ("0" * 25, 25, None),        # the run of 30 zeros lies past the built part
-    ("1" + "0" * 31, 32, 31),   # and is no longer than 30
-    ("0" * 12, 5, None),
-    ("0000011", 5, 6),          # the built part holds every factor of length 5
-])
-def test_first_unmatched_finishes_a_part_built_automaton(other, n, want):
+@pytest.mark.parametrize("other,want", [("0" * 12, None), ("0000011", 6)])
+def test_part_built_walk_answers_for_the_whole_text(other, want):
     # every factor of length 5 occurs in the first block, so the build walks
-    # from 8192 on and stops; the run of 30 zeros comes after that
+    # from 8192 on and stops; the walk at 5 answers for the whole text, and
+    # builds nothing
     period = "0" * 10 + "1"
     text = period * 1000 + "0" * 20 + period * 10
     sam = SuffixAutomaton(text, n_max=5)
-    whole = SuffixAutomaton(text, n_max=len(text))
-    assert sam.n_states < whole.n_states
-    assert sam.first_unmatched(other, n) == whole.first_unmatched(other, n) == want
-    # a miss longer than n_max finishes the build; a walk that matches, or
-    # misses at n_max or below, finishes nothing
-    assert (sam.n_states == whole.n_states) == (n > 5)
+    n_states = sam.n_states
+    assert n_states < StateAutomaton(text).n_states
+    assert sam.first_unmatched(other) == first_new_end(text, other, 5) == want
+    assert sam.n_states == n_states
 
 
 @pytest.mark.parametrize("spec,unmatched", [
@@ -530,7 +529,7 @@ def test_stability_walk_stops_at_the_first_new_factor(spec, unmatched):
     source = parse_word_spec(spec)
     doubled = source.prefix(20)
     sam = SuffixAutomaton(doubled[:10], n_max=5)
-    assert sam.first_unmatched(doubled[6:], 5) == unmatched
+    assert sam.first_unmatched(doubled[6:]) == unmatched
     profile, stable = stabilized_profile(source, 10, 5)
     p, want = doubled_build_profile(source, 10, 5)
     assert list(profile.p) == p.tolist()
@@ -555,11 +554,10 @@ def test_prefix_counts_at_a_million_letters_match_prefix_doubling(spec, n_max):
     # half_window_growth, and so the marker route's gate, reads the counts
     # of the window's first half
     text = parse_word_spec(spec).prefix(10 ** 6)
-    sam = SuffixAutomaton(text, n_max=n_max)
-    del sam._walk
+    floor = SuffixAutomaton(text, n_max=n_max).floor
     for m in (len(text) // 2, len(text)):
         want = prefix_doubling_profile(text[:m], n_max)
-        assert sam.length_counts(n_max, prefix=m).tolist() == want.tolist(), m
+        assert length_counts(floor, n_max, prefix=m).tolist() == want.tolist(), m
 
 
 @pytest.mark.parametrize("spec,n_max", [("tm", 256), ("abk", 128), ("fib", 256),

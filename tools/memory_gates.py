@@ -62,13 +62,13 @@ def _verify(word: str, sets: str, *args: str) -> tuple[str, ...]:
 
 
 GATES = [
-    Gate("decompose marker tm at n_max 512 and verify of its sets", 300, [
+    Gate("decompose marker tm at n_max 512 and verify of its sets", 70, [
         CLI + ("decompose", "marker", "tm", "--n-max", "512", "--out", "{tmp}/m512"),
         _verify("tm", "{tmp}/m512", "--n-max", "512")]),
-    Gate("decompose tm tm at n_max 512 and verify of its sets", 100, [
+    Gate("decompose tm tm at n_max 512 and verify of its sets", 60, [
         CLI + ("decompose", "tm", "tm", "--n-max", "512", "--out", "{tmp}/tm512"),
         _verify("tm", "{tmp}/tm512", "--n-max", "512")]),
-    Gate("verify tm at n_max 1024", 120, [
+    Gate("verify tm at n_max 1024", 80, [
         CLI + ("verify", "tm", "--s-file", "{tmp}/tm1024-S.jsonl",
                "--t-file", "{tmp}/tm1024-T.jsonl", "--n-max", "1024")],
          setup=(("-c", WRITE_TM_SETS, "{tmp}"),)),
@@ -78,24 +78,24 @@ GATES = [
         CLI + ("complexity", "abk", "--n-max", "1000", "--window", "4000000")]),
     Gate("complexity tm at n_max 192 over a 10^6-letter window", 60, [
         CLI + ("complexity", "tm", "--n-max", "192", "--window", "1000000")]),
-    Gate("decompose tm tm at n_max 64 over a 10^6-letter window and verify of its sets", 70, [
+    Gate("decompose tm tm at n_max 64 over a 10^6-letter window and verify of its sets", 55, [
         CLI + ("decompose", "tm", "tm", "--out", "{tmp}/tm64w",
                "--n-max", "64", "--window", "1000000"),
         _verify("tm", "{tmp}/tm64w", "--n-max", "64", "--window", "1000000")]),
     Gate("experiment fit abk at n_max 1000 over a 10^6-letter window", 150, [
         CLI + ("experiment", "fit", "--word", "abk", "--model", "n2", "--range", "100:1000",
                "--window", "1000000")]),
-    Gate("every tm factor row at n_max 2048", 110, [
+    Gate("every tm factor row at n_max 2048", 55, [
         ("-c", "from factorlang import build_factor_index, thue_morse;"
                " index = build_factor_index(thue_morse(), 4096, 2048);"
                " sum(len(index.row(n)) for n in range(1, 2049))")]),
-    Gate("the marker cuts (build_st) at tm n_max 1024", 140, [
+    Gate("the marker cuts (build_st) at tm n_max 1024", 70, [
         ("-c", "from factorlang import build_all_markers, build_factor_index, build_st,"
                " thue_morse; index = build_factor_index(thue_morse(), n_max=1024);"
                " build_st(index, build_all_markers(index))")]),
-    Gate("the tm route at n_max 1024 with every splits.csv line", 100, [
+    Gate("the tm route at n_max 1024 with every splits.csv line", 80, [
         ("-c", SPLITS_TO_SINK, "tm")]),
-    Gate("the marker route at tm n_max 1024 with every splits.csv line", 110, [
+    Gate("the marker route at tm n_max 1024 with every splits.csv line", 95, [
         ("-c", SPLITS_TO_SINK, "marker")]),
     Gate("the counting experiments without numpy", 22, [
         CLI + ("experiment", "e-count"),
